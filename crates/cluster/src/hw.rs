@@ -76,7 +76,7 @@ impl DiskSpec {
         }
     }
 
-    /// Efficiency curve for `simcore::PsResource`.
+    /// Concurrency-dependent efficiency curve the machine allocator applies.
     pub fn efficiency(&self) -> EfficiencyCurve {
         match self.kind {
             DiskKind::Hdd => EfficiencyCurve::HddSeek {

@@ -16,6 +16,9 @@
 //!   dataset engine (map / flatMap / filter / reduceByKey / sortByKey / join)
 //!   that actually computes answers. It exists to pin down the semantics the
 //!   planned operators describe, and powers runnable examples.
+//!
+//! [`runtime`] is the job/stage scheduler both simulated executors share:
+//! pending queues, lineage, retries and partition recovery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +29,7 @@ pub mod error;
 pub mod plan;
 pub mod reference;
 pub mod report;
+pub mod runtime;
 pub mod stage;
 pub mod types;
 

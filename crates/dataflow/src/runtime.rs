@@ -1,0 +1,1097 @@
+//! The job/stage runtime both executors share.
+//!
+//! MonoSpark's job scheduler "works in the same way as the Spark job
+//! scheduler" (§3.4): only how a task runs on a machine differs. This module
+//! is that common scheduler, written once — per-stage pending queues and the
+//! lineage index, bounded task retries, stage readiness and completion, and
+//! the stage-level half of partition recovery (reachability gate, timeout →
+//! retry → exponential backoff, receiver choice, resubmission feasibility
+//! and quarantine).
+//!
+//! Each executor keeps what really differs: how a task's work runs, how
+//! in-flight work is aborted or parked, and which machines can host a task —
+//! the [`Gate`] it hands to [`Runtime::new`]. The runtime cannot see the
+//! trace layer's instant type, so it logs what it decided as [`Decision`]s;
+//! executors drain them with [`Runtime::take_decisions`] and emit the
+//! matching instants in decision order.
+
+use std::collections::HashSet;
+
+use simcore::{EventQueue, SimDuration, SimStats, SimTime};
+
+use crate::{
+    BlockMap, InputSpec, JobId, JobReport, JobSpec, OutputSpec, RecoveryStats, RunError,
+    StageControlStats, StageId, StageReport, TaskId,
+};
+
+/// The executor's reachability gate: whether machine `m` could get the input
+/// of task `(job, stage, task)` across the current cuts. Only consulted when
+/// the fault plan cuts links.
+pub type Gate = fn(rt: &Runtime, m: usize, job: usize, stage: usize, task: usize) -> bool;
+
+/// The scheduling knobs a [`Runtime`] takes from its executor's
+/// configuration and fault plan.
+#[derive(Clone, Copy, Debug)]
+pub struct RuntimeConfig {
+    /// Serve jobs strictly in submission order instead of rotating between
+    /// them at every assignment.
+    pub fifo: bool,
+    /// Keep the lineage index (fault runs only).
+    pub lineage: bool,
+    /// The fault plan cuts links: task picks pass the reachability gate.
+    pub partitions: bool,
+    /// Retries allowed per task beyond its original attempt.
+    pub max_task_retries: u32,
+    /// Simulated seconds a fetch or a gate-blocked stage may stall before
+    /// retries start; `None` waits for the heal.
+    pub fetch_timeout_secs: Option<f64>,
+    /// Retry decisions per stall episode before recovery re-plans.
+    pub fetch_max_retries: u32,
+    /// Base of the backoff between retries: retry `k` waits
+    /// `base × 2^(k-1)` simulated seconds.
+    pub fetch_backoff_base_secs: f64,
+}
+
+/// Scheduling state of one stage.
+#[derive(Debug)]
+pub struct StageRun {
+    /// Every dependency has finished, so pending tasks may be picked.
+    pub ready: bool,
+    /// Every task has finished.
+    pub done: bool,
+    /// Tasks in the stage.
+    pub total: usize,
+    /// Tasks finished and not lost since.
+    completed: usize,
+    /// Pending tasks preferring each machine, popped from the back.
+    by_pref: Vec<Vec<u32>>,
+    /// Pending tasks with no locality preference, popped from the back.
+    nopref: Vec<u32>,
+    /// First task launch.
+    started: Option<SimTime>,
+    /// Last task completion.
+    ended: Option<SimTime>,
+    /// Shuffle bytes produced on each machine by finished tasks.
+    pub shuffle_by_machine: Vec<f64>,
+    /// Whether this stage's shuffle output stays in memory.
+    pub shuffle_in_memory: bool,
+    /// Bumped whenever `shuffle_by_machine` changes.
+    pub shuffle_epoch: u64,
+    /// Host-wall control cost of scheduling this stage's tasks.
+    pub control: StageControlStats,
+    /// Finished task ids per machine (fault runs only) — the lineage index:
+    /// exactly the tasks to re-run when that machine's outputs are lost.
+    completed_on: Vec<Vec<u32>>,
+    /// Logical completion per task: a second attempt of a finished task (a
+    /// losing speculative copy) must not count again.
+    task_done: Vec<bool>,
+    /// Pending queues have been filled once; a stage re-opened after lost
+    /// output resumes with its surviving queue contents.
+    populated: bool,
+    /// When the pending tasks first had no placement passing the gate.
+    gate_blocked_since: Option<SimTime>,
+    /// Next timeout or backoff expiry of the gate blockage.
+    gate_deadline: Option<SimTime>,
+    /// Retry decisions spent in the current gate blockage.
+    gate_retries: u32,
+}
+
+/// Scheduling state of one job.
+#[derive(Debug)]
+pub struct JobRun {
+    /// Job id (its submission index).
+    pub id: JobId,
+    /// The submitted plan.
+    pub spec: JobSpec,
+    /// Input block placement.
+    pub blocks: BlockMap,
+    /// Per-stage state, indexed like `spec.stages`.
+    pub stages: Vec<StageRun>,
+    /// Every stage has finished.
+    pub done: bool,
+    /// Completion time of the last stage.
+    pub end: SimTime,
+    /// Fault-recovery overhead attributed to this job.
+    pub recovery: RecoveryStats,
+}
+
+/// A recovery decision the runtime took, for the executor to mirror.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Decision {
+    /// A task was re-queued (counted in `tasks_retried`).
+    TaskRetry {
+        /// Job index.
+        job: u32,
+        /// Stage index.
+        stage: u32,
+        /// Task index.
+        task: u32,
+        /// The task re-runs finished work whose output was lost.
+        recompute: bool,
+    },
+    /// A stalled fetch or gate-blocked stage spent a retry (counted in
+    /// `fetch_retries`).
+    FetchRetry {
+        /// Job index.
+        job: u32,
+        /// Stage index.
+        stage: u32,
+        /// Retries spent in this stall episode, this one included.
+        attempt: u32,
+    },
+    /// Shuffle output of `stage` was lost: its consumers must drop anything
+    /// derived from the old placement.
+    ShuffleLost {
+        /// Job index.
+        job: usize,
+        /// Stage whose output was lost.
+        stage: usize,
+    },
+}
+
+/// Job and stage state plus the recovery logic both executors share.
+#[derive(Debug)]
+pub struct Runtime {
+    /// Per-job state, in submission order.
+    pub jobs: Vec<JobRun>,
+    /// Liveness per machine; a crashed machine never takes work again.
+    pub alive: Vec<bool>,
+    /// Entries across every stage's pending queues.
+    pub pending_tasks: usize,
+    cfg: RuntimeConfig,
+    gate: Gate,
+    /// Failed attempts per `[job][stage][task]` (0 = only the original ran).
+    attempts: Vec<Vec<Vec<u32>>>,
+    /// Tasks whose next launch is a lineage recomputation (only ever
+    /// membership-tested; iteration order never observed).
+    recompute_pending: HashSet<(usize, usize, usize)>,
+    /// Job the next fair-share pick starts from.
+    rr_job: usize,
+    /// Directed (sender, receiver) pairs currently cut.
+    cut_pairs: HashSet<(usize, usize)>,
+    /// Machines recovery declared unreachable: they take no assignments
+    /// until a heal touches them, so lineage re-runs land where consumers
+    /// can fetch.
+    quarantined: Vec<bool>,
+    /// Wake-ups at stall-timeout and backoff expiries.
+    fetch_timers: EventQueue<()>,
+    /// Decisions not yet taken by the executor.
+    decisions: Vec<Decision>,
+}
+
+impl Runtime {
+    /// Builds the state for `jobs` on `n_machines` machines and readies
+    /// every root stage.
+    pub fn new(
+        jobs: &[(JobSpec, BlockMap)],
+        n_machines: usize,
+        cfg: RuntimeConfig,
+        gate: Gate,
+    ) -> Runtime {
+        let job_runs = jobs
+            .iter()
+            .enumerate()
+            .map(|(ji, (spec, blocks))| JobRun {
+                id: JobId(ji as u32),
+                spec: spec.clone(),
+                blocks: blocks.clone(),
+                stages: spec
+                    .stages
+                    .iter()
+                    .map(|st| StageRun {
+                        ready: false,
+                        done: false,
+                        total: st.tasks.len(),
+                        completed: 0,
+                        by_pref: vec![Vec::new(); n_machines],
+                        nopref: Vec::new(),
+                        started: None,
+                        ended: None,
+                        shuffle_by_machine: vec![0.0; n_machines],
+                        shuffle_in_memory: st.tasks.iter().any(|t| {
+                            matches!(
+                                t.output,
+                                OutputSpec::ShuffleWrite {
+                                    in_memory: true,
+                                    ..
+                                }
+                            )
+                        }),
+                        shuffle_epoch: 0,
+                        control: StageControlStats::default(),
+                        completed_on: vec![Vec::new(); n_machines],
+                        task_done: vec![false; st.tasks.len()],
+                        populated: false,
+                        gate_blocked_since: None,
+                        gate_deadline: None,
+                        gate_retries: 0,
+                    })
+                    .collect(),
+                done: false,
+                end: SimTime::ZERO,
+                recovery: RecoveryStats::default(),
+            })
+            .collect();
+        let mut rt = Runtime {
+            jobs: job_runs,
+            alive: vec![true; n_machines],
+            pending_tasks: 0,
+            cfg,
+            gate,
+            attempts: jobs
+                .iter()
+                .map(|(spec, _)| {
+                    spec.stages
+                        .iter()
+                        .map(|st| vec![0; st.tasks.len()])
+                        .collect()
+                })
+                .collect(),
+            recompute_pending: HashSet::new(),
+            rr_job: 0,
+            cut_pairs: HashSet::new(),
+            quarantined: vec![false; n_machines],
+            fetch_timers: EventQueue::new(),
+            decisions: Vec::new(),
+        };
+        for ji in 0..rt.jobs.len() {
+            for si in 0..rt.jobs[ji].stages.len() {
+                if rt.jobs[ji].spec.stages[si].deps.is_empty() {
+                    rt.make_stage_ready(ji, si);
+                }
+            }
+        }
+        rt
+    }
+
+    /// Machines in the cluster.
+    pub fn n_machines(&self) -> usize {
+        self.alive.len()
+    }
+
+    /// Whether the fault plan cuts links. False keeps every partition hook
+    /// (placement gate, stall sweep, timers) off the hot path, so
+    /// partition-free runs are bit-identical to builds predating partitions.
+    pub fn partitions_on(&self) -> bool {
+        self.cfg.partitions
+    }
+
+    /// Whether machine `m` takes assignments: alive and not quarantined.
+    pub fn schedulable(&self, m: usize) -> bool {
+        self.alive[m] && !self.quarantined[m]
+    }
+
+    /// Failed attempts of a task so far (0 = only the original ran).
+    pub fn attempts(&self, ji: usize, si: usize, ti: usize) -> u32 {
+        self.attempts[ji][si][ti]
+    }
+
+    /// Whether the task's next launch is a lineage recomputation, clearing
+    /// the mark.
+    pub fn take_recompute(&mut self, ji: usize, si: usize, ti: usize) -> bool {
+        self.recompute_pending.remove(&(ji, si, ti))
+    }
+
+    /// Whether a finished attempt of the task already counted.
+    pub fn task_done(&self, ji: usize, si: usize, ti: usize) -> bool {
+        self.jobs[ji].stages[si].task_done[ti]
+    }
+
+    /// Decisions taken since the last call, oldest first.
+    pub fn take_decisions(&mut self) -> Vec<Decision> {
+        std::mem::take(&mut self.decisions)
+    }
+
+    /// Marks machine `m` crashed; `false` if it already was.
+    pub fn crash(&mut self, m: usize) -> bool {
+        std::mem::replace(&mut self.alive[m], false)
+    }
+
+    /// Whether traffic from `src` to `dst` is cut.
+    pub fn is_cut(&self, src: usize, dst: usize) -> bool {
+        self.cut_pairs.contains(&(src, dst))
+    }
+
+    /// Cuts `src → dst`; `false` if it already was.
+    pub fn cut(&mut self, src: usize, dst: usize) -> bool {
+        self.cut_pairs.insert((src, dst))
+    }
+
+    /// Heals `src → dst` and lifts quarantine from both ends, since
+    /// connectivity changed; `false` if the pair was not cut.
+    pub fn heal(&mut self, src: usize, dst: usize) -> bool {
+        if !self.cut_pairs.remove(&(src, dst)) {
+            return false;
+        }
+        self.quarantined[src] = false;
+        self.quarantined[dst] = false;
+        true
+    }
+
+    /// Records the first launch of a stage's tasks.
+    pub fn mark_started(&mut self, ji: usize, si: usize, now: SimTime) {
+        let run = &mut self.jobs[ji].stages[si];
+        if run.started.is_none() {
+            run.started = Some(now);
+        }
+    }
+
+    fn make_stage_ready(&mut self, ji: usize, si: usize) {
+        let n_machines = self.n_machines();
+        let job = &mut self.jobs[ji];
+        let run = &mut job.stages[si];
+        debug_assert!(!run.ready);
+        run.ready = true;
+        if run.populated {
+            // Re-opened after lost output un-did an upstream stage: the
+            // pending queues already hold exactly the unfinished tasks
+            // (survivors of the first fill plus re-queues) — refilling would
+            // duplicate them.
+            return;
+        }
+        run.populated = true;
+        let tasks = &job.spec.stages[si].tasks;
+        self.pending_tasks += tasks.len();
+        for (ti, task) in tasks.iter().enumerate() {
+            let q = match task.input {
+                InputSpec::DiskBlock { block, .. } => {
+                    &mut run.by_pref[job.blocks.machine_of(block)]
+                }
+                InputSpec::Memory { .. } => &mut run.by_pref[ti % n_machines],
+                InputSpec::None | InputSpec::ShuffleFetch { .. } => &mut run.nopref,
+            };
+            q.push(ti as u32);
+        }
+        // Queues are popped from the back; reverse so low task ids go first.
+        for q in &mut run.by_pref {
+            q.reverse();
+        }
+        run.nopref.reverse();
+    }
+
+    /// Readies stages whose dependencies are now all complete.
+    fn unlock_dependents(&mut self, ji: usize, finished: usize) {
+        for si in 0..self.jobs[ji].spec.stages.len() {
+            let deps = &self.jobs[ji].spec.stages[si].deps;
+            if self.jobs[ji].stages[si].ready || !deps.iter().any(|d| d.0 as usize == finished) {
+                continue;
+            }
+            if deps.iter().all(|d| self.jobs[ji].stages[d.0 as usize].done) {
+                self.make_stage_ready(ji, si);
+            }
+        }
+    }
+
+    /// Chooses the next task for machine `m`: a local task from any ready
+    /// stage (jobs fair-share rotated, or in FIFO order), else any pending
+    /// task — no-preference queues first, then stolen remote-local ones.
+    /// With partitions on, each queue is searched back to front for the
+    /// first entry passing the gate; gated entries stay queued for a machine
+    /// that can reach their data, or for the heal.
+    pub fn pick_task(&mut self, m: usize) -> Option<(usize, usize, usize)> {
+        if self.pending_tasks == 0 {
+            return None;
+        }
+        let n_jobs = self.jobs.len();
+        let offset = if self.cfg.fifo { 0 } else { self.rr_job };
+        // Pass 1: locality.
+        for jo in 0..n_jobs {
+            let ji = (offset + jo) % n_jobs;
+            for si in 0..self.jobs[ji].stages.len() {
+                let run = &self.jobs[ji].stages[si];
+                if !run.ready || run.done {
+                    continue;
+                }
+                if let Some(k) = self.pick_position(&run.by_pref[m], m, ji, si) {
+                    return Some(self.take_pending(ji, si, Some(m), k));
+                }
+            }
+        }
+        // Pass 2: anything pending (no-pref first, then steal remote-local).
+        for jo in 0..n_jobs {
+            let ji = (offset + jo) % n_jobs;
+            for si in 0..self.jobs[ji].stages.len() {
+                let run = &self.jobs[ji].stages[si];
+                if !run.ready || run.done {
+                    continue;
+                }
+                if let Some(k) = self.pick_position(&run.nopref, m, ji, si) {
+                    return Some(self.take_pending(ji, si, None, k));
+                }
+                for q in 0..run.by_pref.len() {
+                    if let Some(k) = self.pick_position(&run.by_pref[q], m, ji, si) {
+                        return Some(self.take_pending(ji, si, Some(q), k));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Where in queue `q` of stage `(ji, si)` machine `m` takes its task: the
+    /// tail, or with partitions on the last entry passing the gate.
+    fn pick_position(&self, q: &[u32], m: usize, ji: usize, si: usize) -> Option<usize> {
+        if !self.cfg.partitions {
+            return q.len().checked_sub(1);
+        }
+        q.iter()
+            .rposition(|&ti| (self.gate)(self, m, ji, si, ti as usize))
+    }
+
+    /// Removes entry `k` of a pending queue (`pref = None` is the
+    /// no-preference queue) and rotates the fair-share start past its job.
+    fn take_pending(
+        &mut self,
+        ji: usize,
+        si: usize,
+        pref: Option<usize>,
+        k: usize,
+    ) -> (usize, usize, usize) {
+        let run = &mut self.jobs[ji].stages[si];
+        let q = match pref {
+            Some(p) => &mut run.by_pref[p],
+            None => &mut run.nopref,
+        };
+        let ti = q.remove(k) as usize;
+        self.pending_tasks -= 1;
+        self.rr_job = ji + 1;
+        (ji, si, ti)
+    }
+
+    /// Bounded-retry re-queue of one task attempt.
+    pub fn requeue_task(
+        &mut self,
+        ji: usize,
+        si: usize,
+        ti: usize,
+        recompute: bool,
+    ) -> Result<(), RunError> {
+        let a = &mut self.attempts[ji][si][ti];
+        *a += 1;
+        if *a > self.cfg.max_task_retries {
+            return Err(RunError::RetriesExhausted {
+                job: JobId(ji as u32),
+                stage: StageId(si as u32),
+                task: TaskId(ti as u32),
+                attempts: *a,
+            });
+        }
+        self.jobs[ji].recovery.tasks_retried += 1;
+        self.decisions.push(Decision::TaskRetry {
+            job: ji as u32,
+            stage: si as u32,
+            task: ti as u32,
+            recompute,
+        });
+        if recompute {
+            self.recompute_pending.insert((ji, si, ti));
+        }
+        self.jobs[ji].stages[si].nopref.push(ti as u32);
+        self.pending_tasks += 1;
+        Ok(())
+    }
+
+    /// Books a finished task that ran on `machine`: the lineage index, its
+    /// shuffle output's placement, and stage and job completion — readying
+    /// the stages a finished stage unblocks.
+    pub fn complete_task(&mut self, ji: usize, si: usize, ti: usize, machine: usize, now: SimTime) {
+        let job = &mut self.jobs[ji];
+        let run = &mut job.stages[si];
+        if self.cfg.lineage {
+            run.completed_on[machine].push(ti as u32);
+        }
+        run.task_done[ti] = true;
+        if let OutputSpec::ShuffleWrite { bytes, .. } = job.spec.stages[si].tasks[ti].output {
+            run.shuffle_by_machine[machine] += bytes;
+            run.shuffle_epoch += 1;
+        }
+        run.completed += 1;
+        if run.completed != run.total {
+            return;
+        }
+        run.done = true;
+        run.ended = Some(now);
+        self.unlock_dependents(ji, si);
+        let job = &mut self.jobs[ji];
+        if job.stages.iter().all(|s| s.done) {
+            job.done = true;
+            job.end = now;
+        }
+    }
+
+    /// Spark-style stage resubmission: for every stage with finished shuffle
+    /// output stored on machine `m` that an unfinished stage still needs,
+    /// re-queues exactly the tasks that produced those bytes (the lineage
+    /// index) and closes downstream stages until the data exists again.
+    pub fn lose_shuffle_outputs(&mut self, m: usize) -> Result<(), RunError> {
+        for ji in 0..self.jobs.len() {
+            let n_stages = self.jobs[ji].stages.len();
+            for si in 0..n_stages {
+                if self.jobs[ji].stages[si].shuffle_by_machine[m] <= 0.0 {
+                    continue;
+                }
+                let job = &self.jobs[ji];
+                let consumers: Vec<usize> = (0..n_stages)
+                    .filter(|&sj| job.spec.stages[sj].deps.iter().any(|d| d.0 as usize == si))
+                    .collect();
+                if consumers.iter().all(|&sj| job.stages[sj].done) {
+                    // Every consumer already finished; the lost bytes will
+                    // never be fetched again.
+                    continue;
+                }
+                let run = &mut self.jobs[ji].stages[si];
+                let lost = std::mem::take(&mut run.completed_on[m]);
+                if lost.is_empty() {
+                    continue;
+                }
+                run.shuffle_by_machine[m] = 0.0;
+                run.shuffle_epoch += 1;
+                run.completed -= lost.len();
+                for &ti in &lost {
+                    run.task_done[ti as usize] = false;
+                }
+                let was_done = std::mem::replace(&mut run.done, false);
+                run.ended = None;
+                self.decisions
+                    .push(Decision::ShuffleLost { job: ji, stage: si });
+                for ti in lost {
+                    self.requeue_task(ji, si, ti as usize, true)?;
+                }
+                if was_done {
+                    for sj in consumers {
+                        let run = &mut self.jobs[ji].stages[sj];
+                        if run.ready && !run.done {
+                            // Pending consumers wait for the recomputation;
+                            // in-flight consumers fetching from `m` were
+                            // already aborted.
+                            run.ready = false;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether stage `(ji, si)` still expects shuffle bytes from `src`.
+    pub fn fetches_from(&self, ji: usize, si: usize, src: usize) -> bool {
+        self.jobs[ji].spec.stages[si]
+            .deps
+            .iter()
+            .any(|d| self.jobs[ji].stages[d.0 as usize].shuffle_by_machine[src] > 0.0)
+    }
+
+    /// Whether every machine holding shuffle input of stage `(ji, si)`
+    /// reaches machine `m` across the current cuts.
+    pub fn shuffle_reachable(&self, ji: usize, si: usize, m: usize) -> bool {
+        if self.cut_pairs.is_empty() {
+            return true;
+        }
+        let job = &self.jobs[ji];
+        job.spec.stages[si].deps.iter().all(|d| {
+            job.stages[d.0 as usize]
+                .shuffle_by_machine
+                .iter()
+                .enumerate()
+                .all(|(s, &b)| b <= 0.0 || s == m || !self.is_cut(s, m))
+        })
+    }
+
+    /// Whether some schedulable machine passes the gate for the task.
+    pub fn any_host(&self, ji: usize, si: usize, ti: usize) -> bool {
+        (0..self.n_machines()).any(|m| self.schedulable(m) && (self.gate)(self, m, ji, si, ti))
+    }
+
+    /// Arms a stall-timeout wake-up `fetch_timeout_secs` after `now` and
+    /// returns its instant; `None` when timeouts are off.
+    pub fn stall_deadline(&mut self, now: SimTime) -> Option<SimTime> {
+        let at = now + SimDuration::from_secs_f64(self.cfg.fetch_timeout_secs?);
+        self.fetch_timers.schedule(at, ());
+        Some(at)
+    }
+
+    /// Pops the stall wake-ups due by `now` (they carry no payload: the
+    /// recovery sweeps do the work). Returns whether timeouts are armed.
+    pub fn drain_fetch_timers(&mut self, now: SimTime) -> bool {
+        while self.fetch_timers.peek_time().is_some_and(|t| t <= now) {
+            self.fetch_timers.pop();
+        }
+        self.cfg.fetch_timeout_secs.is_some()
+    }
+
+    /// The next stall wake-up, if any.
+    pub fn next_fetch_timer(&self) -> Option<SimTime> {
+        self.fetch_timers.peek_time()
+    }
+
+    /// Spends retry `attempt` of a stall episode in stage `(ji, si)`. Within
+    /// budget, arms the deterministic backoff (`base × 2^(attempt-1)`
+    /// seconds) and returns its expiry; `None` means the budget is spent and
+    /// recovery must re-plan.
+    pub fn fetch_retry(
+        &mut self,
+        ji: usize,
+        si: usize,
+        attempt: u32,
+        now: SimTime,
+    ) -> Option<SimTime> {
+        let recovery = &mut self.jobs[ji].recovery;
+        recovery.fetch_retries += 1;
+        self.decisions.push(Decision::FetchRetry {
+            job: ji as u32,
+            stage: si as u32,
+            attempt,
+        });
+        if attempt > self.cfg.fetch_max_retries {
+            return None;
+        }
+        let backoff = self.cfg.fetch_backoff_base_secs * 2f64.powi(attempt as i32 - 1);
+        recovery.fetch_backoff_seconds += backoff;
+        let mut at = now + SimDuration::from_secs_f64(backoff);
+        if at <= now {
+            at = SimTime(now.0 + 1);
+        }
+        self.fetch_timers.schedule(at, ());
+        Some(at)
+    }
+
+    /// A ready stage with pending tasks is gate-blocked when no schedulable
+    /// machine passes the gate for any of them.
+    fn stage_gate_blocked(&self, ji: usize, si: usize) -> bool {
+        let run = &self.jobs[ji].stages[si];
+        if !run.ready || run.done {
+            return false;
+        }
+        let mut pending = run.nopref.iter().chain(run.by_pref.iter().flatten());
+        if pending.next().is_none() {
+            return false;
+        }
+        !(0..self.n_machines()).any(|m| {
+            self.schedulable(m)
+                && run
+                    .nopref
+                    .iter()
+                    .chain(run.by_pref.iter().flatten())
+                    .any(|&ti| (self.gate)(self, m, ji, si, ti as usize))
+        })
+    }
+
+    /// The pending task of a stage the next pick would take, if any.
+    fn first_pending_task(&self, ji: usize, si: usize) -> Option<usize> {
+        let run = &self.jobs[ji].stages[si];
+        run.nopref
+            .last()
+            .or_else(|| run.by_pref.iter().find_map(|q| q.last()))
+            .map(|&ti| ti as usize)
+    }
+
+    fn reset_gate(&mut self, ji: usize, si: usize) {
+        let run = &mut self.jobs[ji].stages[si];
+        run.gate_blocked_since = None;
+        run.gate_deadline = None;
+        run.gate_retries = 0;
+    }
+
+    /// Once per event: starts (or clears) the gate-blockage clocks of ready
+    /// stages whose pending tasks no machine can reach. Without a timeout the
+    /// clock still starts — the starvation error names the stage — but no
+    /// timer ever fires. Finished jobs have no blocked stage and are skipped.
+    pub fn arm_gate_timers(&mut self, now: SimTime) {
+        for ji in 0..self.jobs.len() {
+            if self.jobs[ji].done {
+                continue;
+            }
+            for si in 0..self.jobs[ji].stages.len() {
+                let since = self.jobs[ji].stages[si].gate_blocked_since;
+                if !self.stage_gate_blocked(ji, si) {
+                    if since.is_some() {
+                        self.reset_gate(ji, si);
+                    }
+                } else if since.is_none() {
+                    let deadline = self.stall_deadline(now);
+                    let run = &mut self.jobs[ji].stages[si];
+                    run.gate_blocked_since = Some(now);
+                    run.gate_deadline = deadline;
+                }
+            }
+        }
+    }
+
+    /// Fires stage `(ji, si)`'s gate deadline if due at `now`. A stage no
+    /// longer blocked clears its clock; a blocked one spends a retry with
+    /// backoff. Once the budget is spent the clock and budget reset — a later
+    /// blockage is a fresh episode — and the stage's exemplar pending task is
+    /// returned with the retries spent, for the executor to re-plan around.
+    pub fn gate_timeout(&mut self, ji: usize, si: usize, now: SimTime) -> Option<(usize, u32)> {
+        let run = &self.jobs[ji].stages[si];
+        if run.gate_deadline.is_none_or(|d| d > now) {
+            return None;
+        }
+        if !self.stage_gate_blocked(ji, si) {
+            self.reset_gate(ji, si);
+            return None;
+        }
+        let retries = self.jobs[ji].stages[si].gate_retries + 1;
+        self.jobs[ji].stages[si].gate_retries = retries;
+        if let Some(at) = self.fetch_retry(ji, si, retries, now) {
+            self.jobs[ji].stages[si].gate_deadline = Some(at);
+            return None;
+        }
+        let ti = self.first_pending_task(ji, si);
+        self.reset_gate(ji, si);
+        ti.map(|ti| (ti, retries))
+    }
+
+    /// The gate-blocked half of the starvation check: with nothing left to
+    /// fire but jobs remaining, names the first gate-blocked stage.
+    pub fn gate_starvation_error(&self) -> Option<RunError> {
+        for (ji, job) in self.jobs.iter().enumerate() {
+            if job.done {
+                continue;
+            }
+            for (si, run) in job.stages.iter().enumerate() {
+                if run.gate_blocked_since.is_none() {
+                    continue;
+                }
+                let Some(ti) = self.first_pending_task(ji, si) else {
+                    continue;
+                };
+                return Some(RunError::Unreachable {
+                    job: job.id,
+                    stage: StageId(si as u32),
+                    task: TaskId(ti as u32),
+                    machine: self.first_unreachable_source(ji, si, ti),
+                    retries: run.gate_retries,
+                });
+            }
+        }
+        None
+    }
+
+    /// First data source of task `(ji, si, ti)` some live machine cannot
+    /// reach — best-effort attribution for unreachability errors.
+    fn first_unreachable_source(&self, ji: usize, si: usize, ti: usize) -> usize {
+        let job = &self.jobs[ji];
+        match job.spec.stages[si].tasks[ti].input {
+            InputSpec::DiskBlock { block, .. } => job.blocks.machine_of(block),
+            InputSpec::ShuffleFetch { .. } => {
+                for d in &job.spec.stages[si].deps {
+                    let dep = &job.stages[d.0 as usize];
+                    for (s, &b) in dep.shuffle_by_machine.iter().enumerate() {
+                        if b > 0.0
+                            && (0..self.n_machines()).any(|m| self.alive[m] && self.is_cut(s, m))
+                        {
+                            return s;
+                        }
+                    }
+                }
+                0
+            }
+            InputSpec::Memory { .. } | InputSpec::None => 0,
+        }
+    }
+
+    /// Sender-level re-planning for task `(ji, si, ti)`, which no machine
+    /// can host under the current cuts: picks the receiver `m*` — the
+    /// schedulable machine reaching the most of the stage's senders, lowest
+    /// index on ties — and returns it with the senders it cannot reach, in
+    /// dependency-major order. The executor aborts the attempts still
+    /// fetching from each such sender and resubmits it
+    /// ([`Runtime::resubmit_from`]) once [`Runtime::check_resubmittable`]
+    /// passes. A task with no shuffle input has no lineage to resubmit and
+    /// fails with [`RunError::Unreachable`].
+    pub fn unreachable_plan(
+        &self,
+        ji: usize,
+        si: usize,
+        ti: usize,
+        retries: u32,
+        now: SimTime,
+    ) -> Result<(usize, Vec<usize>), RunError> {
+        let mut senders: Vec<usize> = Vec::new();
+        for d in &self.jobs[ji].spec.stages[si].deps {
+            let sbm = &self.jobs[ji].stages[d.0 as usize].shuffle_by_machine;
+            for (s, &b) in sbm.iter().enumerate() {
+                if b > 0.0 && !senders.contains(&s) {
+                    senders.push(s);
+                }
+            }
+        }
+        if senders.is_empty() {
+            // Disk-input task whose block home is cut off with no reachable
+            // replica: the input itself sits on the wrong side of the cut.
+            return Err(self.unreachable(
+                ji,
+                si,
+                ti,
+                retries,
+                self.first_unreachable_source(ji, si, ti),
+            ));
+        }
+        let mut best: Option<(usize, usize)> = None;
+        for m in (0..self.n_machines()).filter(|&m| self.schedulable(m)) {
+            let reach = senders
+                .iter()
+                .filter(|&&s| s == m || !self.is_cut(s, m))
+                .count();
+            if best.is_none_or(|(_, r)| reach > r) {
+                best = Some((m, reach));
+            }
+        }
+        let Some((mstar, _)) = best else {
+            return Err(RunError::all_machines_crashed(now));
+        };
+        senders.retain(|&s| s != mstar && self.is_cut(s, mstar));
+        Ok((mstar, senders))
+    }
+
+    /// Feasibility of resubmitting sender `s`'s lineage for the receiver
+    /// `mstar`: every producer whose shuffle output lives on `s` must be
+    /// able to re-run on a schedulable machine `mstar` reaches (for a disk
+    /// input, its block's home or a reachable replica). Otherwise
+    /// resubmission would only move the starvation, and the task fails fast
+    /// with [`RunError::Unreachable`] naming `s`.
+    pub fn check_resubmittable(
+        &self,
+        (ji, si, ti): (usize, usize, usize),
+        s: usize,
+        mstar: usize,
+        retries: u32,
+    ) -> Result<(), RunError> {
+        for d in &self.jobs[ji].spec.stages[si].deps {
+            let dep = &self.jobs[ji].stages[d.0 as usize];
+            if dep.shuffle_by_machine[s] <= 0.0 {
+                continue;
+            }
+            for &p in &dep.completed_on[s] {
+                let ok = (0..self.n_machines()).any(|m| {
+                    m != s
+                        && self.schedulable(m)
+                        && !self.is_cut(m, mstar)
+                        && (self.gate)(self, m, ji, d.0 as usize, p as usize)
+                });
+                if !ok {
+                    return Err(self.unreachable(ji, si, ti, retries, s));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Resubmits the producer lineage whose outputs sit on `s` and takes `s`
+    /// out of the assignment rotation until a heal reconnects it — re-runs
+    /// must land where consumers can fetch from.
+    pub fn resubmit_from(&mut self, s: usize) -> Result<(), RunError> {
+        self.lose_shuffle_outputs(s)?;
+        self.quarantined[s] = true;
+        Ok(())
+    }
+
+    fn unreachable(
+        &self,
+        ji: usize,
+        si: usize,
+        ti: usize,
+        retries: u32,
+        machine: usize,
+    ) -> RunError {
+        RunError::Unreachable {
+            job: JobId(ji as u32),
+            stage: StageId(si as u32),
+            task: TaskId(ti as u32),
+            machine,
+            retries,
+        }
+    }
+
+    /// Rolls the run's control and recovery counters into `stats` and builds
+    /// the per-job reports. `stats.control_nanos` enters as raw loop wall and
+    /// leaves as the executor-control remainder, so merge the allocators'
+    /// stats first.
+    pub fn into_reports(self, stats: &mut SimStats) -> Vec<JobReport> {
+        let mut total = RecoveryStats::default();
+        for j in &self.jobs {
+            total.merge(&j.recovery);
+            for s in &j.stages {
+                stats.template_build_nanos += s.control.template_build_nanos;
+                stats.instantiate_nanos += s.control.instantiate_nanos;
+                stats.template_hits += s.control.template_hits;
+                stats.template_misses += s.control.template_misses;
+                stats.template_invalidations += s.control.template_invalidations;
+            }
+        }
+        stats.control_nanos = stats.control_nanos.saturating_sub(
+            stats.allocator_nanos() + stats.template_build_nanos + stats.instantiate_nanos,
+        );
+        stats.tasks_retried = total.tasks_retried;
+        stats.tasks_speculated = total.tasks_speculated;
+        stats.wasted_work_nanos = (total.wasted_work_seconds * 1e9).round() as u64;
+        stats.recompute_nanos = (total.recompute_seconds * 1e9).round() as u64;
+        stats.mono_copies = total.mono_copies_total();
+        stats.mono_copy_wins = total.mono_copy_wins_total();
+        stats.wasted_bytes = total.wasted_bytes.round() as u64;
+        stats.fetch_retries = total.fetch_retries;
+        stats.stalled_fetch_nanos = (total.stalled_fetch_seconds * 1e9).round() as u64;
+        stats.fetch_backoff_nanos = (total.fetch_backoff_seconds * 1e9).round() as u64;
+        stats.fetches_replanned = total.fetches_replanned;
+        self.jobs
+            .into_iter()
+            .map(|j| JobReport {
+                job: j.id,
+                name: j.spec.name,
+                start: SimTime::ZERO,
+                end: j.end,
+                stages: j
+                    .stages
+                    .iter()
+                    .enumerate()
+                    .map(|(si, s)| StageReport {
+                        stage: StageId(si as u32),
+                        start: s.started.expect("stage never started"),
+                        end: s.ended.expect("stage never ended"),
+                        control: s.control,
+                    })
+                    .collect(),
+                recovery: j.recovery,
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{CostModel, JobBuilder};
+
+    const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
+
+    fn cfg(partitions: bool) -> RuntimeConfig {
+        RuntimeConfig {
+            fifo: false,
+            lineage: true,
+            partitions,
+            max_task_retries: 2,
+            fetch_timeout_secs: Some(1.0),
+            fetch_max_retries: 2,
+            fetch_backoff_base_secs: 1.0,
+        }
+    }
+
+    fn shuffle_gate(rt: &Runtime, m: usize, ji: usize, si: usize, _ti: usize) -> bool {
+        rt.shuffle_reachable(ji, si, m)
+    }
+
+    /// A two-stage sort over 4 map and 2 reduce tasks on 2 machines.
+    fn sort(partitions: bool) -> Runtime {
+        let job = JobBuilder::new("sort", CostModel::spark_1_3())
+            .read_disk(GIB, 1e6, GIB / 4.0)
+            .map(1.0, 1.0, true)
+            .shuffle(2, false)
+            .map(1.0, 1.0, true)
+            .write_disk(1.0);
+        let blocks = BlockMap::round_robin(4, 2, 1);
+        Runtime::new(&[(job, blocks)], 2, cfg(partitions), shuffle_gate)
+    }
+
+    /// Picks and immediately finishes one task per listed machine.
+    fn run_on(rt: &mut Runtime, machines: &[usize], now: SimTime) {
+        for &m in machines {
+            let (ji, si, ti) = rt.pick_task(m).expect("a pending task");
+            rt.mark_started(ji, si, now);
+            rt.complete_task(ji, si, ti, m, now);
+        }
+    }
+
+    #[test]
+    fn picks_local_tasks_first_then_unlocks_the_next_stage() {
+        let mut rt = sort(false);
+        assert_eq!(rt.pending_tasks, 4);
+        // Blocks alternate between the two machines; each takes its own
+        // lowest pending task.
+        assert_eq!(rt.pick_task(0), Some((0, 0, 0)));
+        assert_eq!(rt.pick_task(1), Some((0, 0, 1)));
+        rt.complete_task(0, 0, 0, 0, SimTime::from_secs(1));
+        rt.complete_task(0, 0, 1, 1, SimTime::from_secs(1));
+        assert!(!rt.jobs[0].stages[1].ready);
+        run_on(&mut rt, &[0, 1], SimTime::from_secs(2));
+        assert!(rt.jobs[0].stages[0].done && rt.jobs[0].stages[1].ready);
+        run_on(&mut rt, &[0, 1], SimTime::from_secs(3));
+        assert_eq!(rt.pick_task(0), None);
+        assert!(rt.jobs[0].done);
+        assert_eq!(rt.jobs[0].end, SimTime::from_secs(3));
+        let mut stats = SimStats::new();
+        let reports = rt.into_reports(&mut stats);
+        assert_eq!(reports[0].stages[1].end, SimTime::from_secs(3));
+    }
+
+    #[test]
+    fn lost_output_requeues_its_lineage_within_the_retry_budget() {
+        let mut rt = sort(false);
+        run_on(&mut rt, &[0, 1, 0, 1], SimTime::from_secs(1));
+        assert!(rt.jobs[0].stages[1].ready);
+        rt.lose_shuffle_outputs(1).unwrap();
+        // Machine 1 ran map tasks 1 and 3: both re-run as recomputations,
+        // and the reduce stage waits for them.
+        assert!(!rt.jobs[0].stages[1].ready && !rt.jobs[0].stages[0].done);
+        assert_eq!(
+            rt.take_decisions(),
+            vec![
+                Decision::ShuffleLost { job: 0, stage: 0 },
+                Decision::TaskRetry {
+                    job: 0,
+                    stage: 0,
+                    task: 1,
+                    recompute: true
+                },
+                Decision::TaskRetry {
+                    job: 0,
+                    stage: 0,
+                    task: 3,
+                    recompute: true
+                },
+            ]
+        );
+        assert!(rt.take_recompute(0, 0, 3) && !rt.take_recompute(0, 0, 3));
+        rt.requeue_task(0, 0, 3, false).unwrap();
+        let err = rt.requeue_task(0, 0, 3, false).unwrap_err();
+        assert!(matches!(
+            err,
+            RunError::RetriesExhausted { attempts: 3, .. }
+        ));
+    }
+
+    #[test]
+    fn gate_blockage_backs_off_then_escalates_with_a_fresh_budget_each_time() {
+        let mut rt = sort(true);
+        run_on(&mut rt, &[0, 1, 0, 1], SimTime::ZERO);
+        // Both machines hold map output; cutting them apart blocks every
+        // reduce task.
+        assert!(rt.cut(0, 1) && rt.cut(1, 0));
+        for episode in 0..2 {
+            let t0 = SimTime::from_secs(100 * episode);
+            rt.arm_gate_timers(t0);
+            let mut fired = Vec::new();
+            let escalation = loop {
+                let now = rt.next_fetch_timer().expect("gate timer armed");
+                rt.drain_fetch_timers(now);
+                fired.push(now.since(t0).as_secs_f64());
+                if let Some(e) = rt.gate_timeout(0, 1, now) {
+                    break e;
+                }
+            };
+            // Timeout 1 s, then backoffs of 1 s and 2 s, then re-plan.
+            assert_eq!(fired, vec![1.0, 2.0, 4.0], "episode {episode}");
+            assert_eq!(escalation, (0, 3));
+        }
+        assert_eq!(rt.jobs[0].recovery.fetch_retries, 6);
+        assert_eq!(rt.jobs[0].recovery.fetch_backoff_seconds, 6.0);
+        // The best receiver reaches itself; the other sender is offending
+        // and its producers can re-run only on the receiver.
+        let (mstar, offending) = rt.unreachable_plan(0, 1, 0, 3, SimTime::ZERO).unwrap();
+        assert_eq!((mstar, offending.clone()), (0, vec![1]));
+        rt.check_resubmittable((0, 1, 0), 1, mstar, 3).unwrap();
+        rt.resubmit_from(1).unwrap();
+        assert!(!rt.schedulable(1));
+        assert!(rt.heal(1, 0) && rt.schedulable(1));
+    }
+}

@@ -1,4 +1,4 @@
-//! Event queue and driver loop for discrete-event simulation.
+//! Event queue for discrete-event simulation.
 //!
 //! Events are ordered by `(time, insertion sequence)`. The sequence number
 //! breaks ties deterministically: two events scheduled for the same instant
@@ -7,7 +7,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::stats::SimStats;
 use crate::time::SimTime;
 
 /// A scheduled event: payload `E` plus its firing time and tie-break sequence.
@@ -118,64 +117,9 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A simulated world that reacts to its own event type.
-///
-/// The driver loop ([`run`]) pops events in time order and hands each to
-/// [`World::handle`], which may schedule further events. The simulation ends
-/// when the queue drains (or a handler stops scheduling).
-pub trait World {
-    /// The event payload type.
-    type Event;
-
-    /// Reacts to `event` firing at time `now`; may schedule follow-up events.
-    fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
-}
-
-/// Runs `world` until the event queue is empty, returning the time of the last
-/// event handled (or [`SimTime::ZERO`] if none fired).
-///
-/// # Panics
-///
-/// Panics if more than `max_events` events fire, which indicates a scheduling
-/// livelock (an event handler perpetually rescheduling itself).
-pub fn run<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>, max_events: u64) -> SimTime {
-    let mut stats = SimStats::new();
-    run_with_stats(world, queue, max_events, &mut stats)
-}
-
-/// Like [`run`], but also accumulates the number of events fired into
-/// `stats.events` so callers can report the control plane's cost.
-///
-/// # Panics
-///
-/// Panics if more than `max_events` events fire, which indicates a scheduling
-/// livelock (an event handler perpetually rescheduling itself).
-pub fn run_with_stats<W: World>(
-    world: &mut W,
-    queue: &mut EventQueue<W::Event>,
-    max_events: u64,
-    stats: &mut SimStats,
-) -> SimTime {
-    let mut fired: u64 = 0;
-    let mut now = SimTime::ZERO;
-    while let Some((t, ev)) = queue.pop() {
-        debug_assert!(t >= now, "event queue yielded out-of-order time");
-        now = t;
-        world.handle(now, ev, queue);
-        fired += 1;
-        assert!(
-            fired <= max_events,
-            "simulation exceeded {max_events} events: likely a scheduling livelock"
-        );
-    }
-    stats.events += fired;
-    now
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -210,49 +154,5 @@ mod tests {
         }
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    struct Counter {
-        remaining: u32,
-        last: SimTime,
-    }
-
-    impl World for Counter {
-        type Event = ();
-        fn handle(&mut self, now: SimTime, _ev: (), q: &mut EventQueue<()>) {
-            self.last = now;
-            if self.remaining > 0 {
-                self.remaining -= 1;
-                q.schedule(now + SimDuration::from_secs(1), ());
-            }
-        }
-    }
-
-    #[test]
-    fn run_drives_world_to_quiescence() {
-        let mut w = Counter {
-            remaining: 5,
-            last: SimTime::ZERO,
-        };
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, ());
-        let end = run(&mut w, &mut q, 1000);
-        assert_eq!(end, SimTime::from_secs(5));
-        assert_eq!(w.last, end);
-    }
-
-    #[test]
-    #[should_panic(expected = "livelock")]
-    fn run_detects_livelock() {
-        struct Forever;
-        impl World for Forever {
-            type Event = ();
-            fn handle(&mut self, now: SimTime, _ev: (), q: &mut EventQueue<()>) {
-                q.schedule(now, ());
-            }
-        }
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, ());
-        run(&mut Forever, &mut q, 100);
     }
 }

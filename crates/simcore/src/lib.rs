@@ -6,13 +6,11 @@
 //! * [`time`] — integer-nanosecond simulated time ([`SimTime`], [`SimDuration`]),
 //!   chosen over floating-point seconds so that event ordering is exact and runs
 //!   are bit-reproducible.
-//! * [`events`] — a tie-broken event queue ([`EventQueue`]) and a minimal
-//!   [`World`]/[`events::run`] driver loop.
-//! * [`resource`] — a processor-sharing resource ([`PsResource`]) with per-job
-//!   rate caps and a concurrency-dependent efficiency curve. This one primitive
-//!   models CPU core pools, HDDs (whose aggregate throughput *drops* with
-//!   concurrent accesses due to seeks) and SSDs (whose throughput *rises* with
-//!   queue depth up to a device limit).
+//! * [`events`] — a tie-broken event queue ([`EventQueue`]).
+//! * [`resource`] — resource classes ([`ResourceKind`]) and the
+//!   concurrency-dependent efficiency curves of CPU pools, HDDs (whose
+//!   aggregate throughput *drops* with concurrent accesses due to seeks) and
+//!   SSDs (whose throughput *rises* with queue depth up to a device limit).
 //! * [`maxmin`] — max-min fair bandwidth allocation for network flows limited
 //!   at both sender and receiver, the standard fluid model for shuffle traffic.
 //! * [`shard`] — the rack-sharded hierarchical fabric: exact max-min within
@@ -41,11 +39,11 @@ pub mod shard;
 pub mod stats;
 pub mod time;
 
-pub use events::{EventQueue, World};
+pub use events::EventQueue;
 pub use fx::{FxHashMap, FxHashSet};
 pub use maxmin::{FlowAllocator, FlowId, MaxMinPolicy};
 pub use recorder::UtilizationRecorder;
-pub use resource::{JobId, PsResource, ResourceKind};
+pub use resource::{JobId, ResourceKind};
 pub use shard::{Fabric, HierFabric, RackMap};
 pub use stats::{median, SimStats};
 pub use time::{SimDuration, SimTime};

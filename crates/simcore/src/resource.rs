@@ -1,32 +1,17 @@
-//! Processor-sharing resources with capped per-job rates and
-//! concurrency-dependent efficiency.
+//! Resource classes and their concurrency-dependent efficiency curves.
 //!
-//! One primitive covers the three hardware classes in the paper's clusters:
+//! The curves cover the three hardware classes in the paper's clusters:
 //!
-//! * **CPU pool** — capacity = number of cores, per-job cap = 1 core,
-//!   flat efficiency. `k` runnable jobs each progress at `min(1, cores/k)`.
-//! * **HDD** — capacity = sequential throughput, no per-job cap, efficiency
-//!   `1/(1 + s·(k−1))`: concurrent accesses trigger seeks and *reduce* the
-//!   aggregate throughput, the effect §5.4 credits for MonoSpark's ~2× disk
-//!   bandwidth win when its disk scheduler runs one monotask per disk.
-//! * **SSD** — capacity = peak throughput, efficiency `min(k, d)/d`: flash
-//!   needs `d` outstanding operations to reach peak (§3.3 found `d = 4`).
+//! * **CPU pools and NICs** — flat: capacity does not depend on concurrency.
+//! * **HDD** — concurrent accesses trigger seeks and *reduce* the aggregate
+//!   throughput, the effect §5.4 credits for MonoSpark's ~2× disk bandwidth
+//!   win when its disk scheduler runs one monotask per disk.
+//! * **SSD** — flash needs `d` outstanding operations to reach peak (§3.3
+//!   found `d = 4`).
 //!
-//! The resource is a fluid model: between mutations every active job drains at
-//! its current rate. Callers advance the fluid state to "now" before mutating
-//! and ask for the next completion instant to schedule an event. Because rates
-//! change whenever the job set changes, completion events are guarded by an
-//! [`PsResource::epoch`] that invalidates stale ones.
-
-use std::collections::BTreeMap;
+//! `cluster::fluid` applies them inside each machine's allocator.
 
 use serde::{Deserialize, Serialize};
-
-use crate::time::{SimDuration, SimTime};
-
-/// Remaining work below this is considered complete (work units are bytes or
-/// CPU-seconds, so 1e-6 is far below anything observable).
-const WORK_EPSILON: f64 = 1e-6;
 
 /// Identifies a unit of work inside one resource. Allocated by the caller.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -117,255 +102,23 @@ impl EfficiencyCurve {
     }
 }
 
-/// A fluid processor-sharing resource. See the module docs for the model.
-#[derive(Debug)]
-pub struct PsResource {
-    kind: ResourceKind,
-    capacity: f64,
-    per_job_cap: Option<f64>,
-    efficiency: EfficiencyCurve,
-    jobs: BTreeMap<JobId, f64>,
-    last_advance: SimTime,
-    epoch: u64,
-    /// Integral of delivered rate over time, for throughput accounting.
-    delivered: f64,
-}
-
-impl PsResource {
-    /// Creates a resource delivering `capacity` work units per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is not strictly positive and finite.
-    pub fn new(
-        kind: ResourceKind,
-        capacity: f64,
-        per_job_cap: Option<f64>,
-        efficiency: EfficiencyCurve,
-    ) -> PsResource {
-        assert!(
-            capacity.is_finite() && capacity > 0.0,
-            "capacity must be positive: {capacity}"
-        );
-        PsResource {
-            kind,
-            capacity,
-            per_job_cap,
-            efficiency,
-            jobs: BTreeMap::new(),
-            last_advance: SimTime::ZERO,
-            epoch: 0,
-            delivered: 0.0,
-        }
-    }
-
-    /// A CPU pool with `cores` cores; one job saturates at most one core.
-    pub fn cpu_pool(cores: u32) -> PsResource {
-        PsResource::new(
-            ResourceKind::Cpu,
-            cores as f64,
-            Some(1.0),
-            EfficiencyCurve::Flat,
-        )
-    }
-
-    /// This resource's kind.
-    pub fn kind(&self) -> ResourceKind {
-        self.kind
-    }
-
-    /// Nominal capacity in work units per second.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
-    /// Monotonically increasing counter bumped on every job-set mutation.
-    /// Completion events tagged with an older epoch are stale.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Number of jobs currently in service.
-    pub fn active_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Total work delivered so far (updated on [`advance`](Self::advance)).
-    pub fn total_delivered(&self) -> f64 {
-        self.delivered
-    }
-
-    /// Current per-job rate in work units per second (0 if idle).
-    pub fn per_job_rate(&self) -> f64 {
-        let k = self.jobs.len();
-        if k == 0 {
-            return 0.0;
-        }
-        let total = self.capacity * self.efficiency.at(k);
-        let share = total / k as f64;
-        match self.per_job_cap {
-            Some(cap) => share.min(cap),
-            None => share,
-        }
-    }
-
-    /// Fraction of the device that is busy right now, in the sense an OS
-    /// utilization monitor would report: for CPU pools this is
-    /// `min(k, cores)/cores`; for disks and NICs it is 1 while any job is in
-    /// service.
-    pub fn busy_fraction(&self) -> f64 {
-        let k = self.jobs.len();
-        if k == 0 {
-            return 0.0;
-        }
-        match self.kind {
-            ResourceKind::Cpu => (k as f64).min(self.capacity) / self.capacity,
-            ResourceKind::Disk | ResourceKind::Network => 1.0,
-        }
-    }
-
-    /// Drains fluid work for the interval since the last advance.
-    ///
-    /// Must be called with a non-decreasing `now`; it is idempotent for equal
-    /// times. All mutating operations call it internally.
-    pub fn advance(&mut self, now: SimTime) {
-        let dt = now.since(self.last_advance).as_secs_f64();
-        self.last_advance = now;
-        if dt == 0.0 || self.jobs.is_empty() {
-            return;
-        }
-        let rate = self.per_job_rate();
-        let drained_per_job = rate * dt;
-        for remaining in self.jobs.values_mut() {
-            let drain = drained_per_job.min(*remaining);
-            *remaining -= drain;
-            self.delivered += drain;
-        }
-    }
-
-    /// Adds a job with `work` units outstanding; returns the new epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is already in service or `work` is not positive/finite.
-    pub fn insert(&mut self, now: SimTime, id: JobId, work: f64) -> u64 {
-        assert!(
-            work.is_finite() && work > 0.0,
-            "job work must be positive: {work}"
-        );
-        self.advance(now);
-        let prev = self.jobs.insert(id, work);
-        assert!(prev.is_none(), "job {id:?} inserted twice");
-        self.epoch += 1;
-        self.epoch
-    }
-
-    /// Removes a job regardless of remaining work; returns the work left, or
-    /// `None` if the job was not present. Bumps the epoch when present.
-    pub fn remove(&mut self, now: SimTime, id: JobId) -> Option<f64> {
-        self.advance(now);
-        let removed = self.jobs.remove(&id);
-        if removed.is_some() {
-            self.epoch += 1;
-        }
-        removed
-    }
-
-    /// Removes and returns every job whose remaining work has reached zero.
-    /// Bumps the epoch if any completed.
-    pub fn take_completed(&mut self, now: SimTime) -> Vec<JobId> {
-        self.advance(now);
-        let done: Vec<JobId> = self
-            .jobs
-            .iter()
-            .filter(|(_, w)| **w <= WORK_EPSILON)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &done {
-            self.jobs.remove(id);
-        }
-        if !done.is_empty() {
-            self.epoch += 1;
-        }
-        done
-    }
-
-    /// Instant at which the next job will complete if the job set does not
-    /// change, or `None` when idle.
-    pub fn next_completion(&self, now: SimTime) -> Option<SimTime> {
-        debug_assert_eq!(
-            self.last_advance, now,
-            "next_completion requires an up-to-date resource"
-        );
-        let min_remaining = self.jobs.values().cloned().fold(f64::INFINITY, f64::min);
-        if !min_remaining.is_finite() {
-            return None;
-        }
-        if min_remaining <= WORK_EPSILON {
-            return Some(now);
-        }
-        let rate = self.per_job_rate();
-        debug_assert!(rate > 0.0);
-        let dt = SimDuration::from_secs_f64(min_remaining / rate);
-        Some(now + dt.max(SimDuration::NANO))
-    }
-
-    /// Remaining work for `id`, if in service.
-    pub fn remaining(&self, id: JobId) -> Option<f64> {
-        self.jobs.get(&id).copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn t(secs_f64: f64) -> SimTime {
-        SimTime(SimDuration::from_secs_f64(secs_f64).0)
-    }
-
     #[test]
-    fn single_job_runs_at_capacity() {
-        let mut r = PsResource::new(ResourceKind::Disk, 100.0, None, EfficiencyCurve::Flat);
-        r.insert(SimTime::ZERO, JobId(1), 200.0);
-        let done = r.next_completion(SimTime::ZERO).unwrap();
-        assert_eq!(done, t(2.0));
-        r.advance(done);
-        assert_eq!(r.take_completed(done), vec![JobId(1)]);
-    }
-
-    #[test]
-    fn cpu_pool_caps_each_job_at_one_core() {
-        let mut r = PsResource::cpu_pool(4);
-        // 2 jobs on 4 cores: each runs at one core, not two.
-        r.insert(SimTime::ZERO, JobId(1), 1.0);
-        r.insert(SimTime::ZERO, JobId(2), 1.0);
-        assert_eq!(r.per_job_rate(), 1.0);
-        assert_eq!(r.busy_fraction(), 0.5);
-        // 8 jobs on 4 cores: each runs at half a core.
-        for i in 3..9 {
-            r.insert(SimTime::ZERO, JobId(i), 1.0);
-        }
-        assert_eq!(r.per_job_rate(), 0.5);
-        assert_eq!(r.busy_fraction(), 1.0);
-    }
-
-    #[test]
-    fn hdd_contention_reduces_aggregate_throughput() {
+    fn hdd_readers_degrade_mildly_and_writers_steeply() {
         let curve = EfficiencyCurve::HddSeek {
-            read_factor: 0.7,
+            read_factor: 0.1,
             write_factor: 0.7,
             floor: 0.3,
         };
-        let mut r = PsResource::new(ResourceKind::Disk, 100.0, None, curve);
-        r.insert(SimTime::ZERO, JobId(1), 100.0);
-        r.insert(SimTime::ZERO, JobId(2), 100.0);
-        // k=2: total throughput 100/(1.7) ≈ 58.8, per job ≈ 29.4.
-        let rate = r.per_job_rate();
-        assert!((rate - 100.0 / 1.7 / 2.0).abs() < 1e-9);
-        // Two interleaved 100-unit reads take longer than sequential 200.
-        let done = r.next_completion(SimTime::ZERO).unwrap();
-        assert!(done > t(2.0));
+        assert_eq!(curve.at(1), 1.0);
+        assert!((curve.at(2) - 1.0 / 1.1).abs() < 1e-12);
+        // A lone writer is sequential; one mixed into a reader costs seeks.
+        assert_eq!(curve.at_rw(0, 1), 1.0);
+        assert!((curve.at_rw(1, 1) - 1.0 / 1.7).abs() < 1e-12);
+        assert_eq!(curve.at_rw(1, 8), 0.3);
     }
 
     #[test]
@@ -374,76 +127,5 @@ mod tests {
         assert_eq!(curve.at(1), 0.25);
         assert_eq!(curve.at(4), 1.0);
         assert_eq!(curve.at(16), 1.0);
-    }
-
-    #[test]
-    fn advance_is_idempotent_at_same_time() {
-        let mut r = PsResource::new(ResourceKind::Disk, 10.0, None, EfficiencyCurve::Flat);
-        r.insert(SimTime::ZERO, JobId(1), 100.0);
-        r.advance(t(1.0));
-        let rem = r.remaining(JobId(1)).unwrap();
-        r.advance(t(1.0));
-        assert_eq!(r.remaining(JobId(1)).unwrap(), rem);
-        assert!((rem - 90.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rates_rebalance_when_jobs_leave() {
-        let mut r = PsResource::cpu_pool(1);
-        r.insert(SimTime::ZERO, JobId(1), 1.0);
-        r.insert(SimTime::ZERO, JobId(2), 1.0);
-        // Each runs at 0.5 cores; after 1s each has 0.5 left.
-        r.advance(t(1.0));
-        assert!((r.remaining(JobId(1)).unwrap() - 0.5).abs() < 1e-9);
-        // Remove job 2; job 1 now runs at full speed and finishes at t=1.5.
-        r.remove(t(1.0), JobId(2));
-        let done = r.next_completion(t(1.0)).unwrap();
-        assert_eq!(done, t(1.5));
-    }
-
-    #[test]
-    fn epoch_bumps_on_mutation_only() {
-        let mut r = PsResource::cpu_pool(1);
-        let e0 = r.epoch();
-        r.advance(t(1.0));
-        assert_eq!(r.epoch(), e0);
-        r.insert(t(1.0), JobId(1), 1.0);
-        assert_eq!(r.epoch(), e0 + 1);
-        r.remove(t(1.0), JobId(1));
-        assert_eq!(r.epoch(), e0 + 2);
-        assert_eq!(r.remove(t(1.0), JobId(1)), None);
-        assert_eq!(r.epoch(), e0 + 2);
-    }
-
-    #[test]
-    fn delivered_work_is_conserved() {
-        let mut r = PsResource::new(
-            ResourceKind::Disk,
-            50.0,
-            None,
-            EfficiencyCurve::HddSeek {
-                read_factor: 0.7,
-                write_factor: 0.7,
-                floor: 0.3,
-            },
-        );
-        r.insert(SimTime::ZERO, JobId(1), 70.0);
-        r.insert(SimTime::ZERO, JobId(2), 30.0);
-        let mut now = SimTime::ZERO;
-        let mut completed = 0;
-        while completed < 2 {
-            now = r.next_completion(now).unwrap();
-            r.advance(now);
-            completed += r.take_completed(now).len();
-        }
-        assert!((r.total_delivered() - 100.0).abs() < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "inserted twice")]
-    fn double_insert_panics() {
-        let mut r = PsResource::cpu_pool(1);
-        r.insert(SimTime::ZERO, JobId(1), 1.0);
-        r.insert(SimTime::ZERO, JobId(1), 1.0);
     }
 }

@@ -1,11 +1,10 @@
 //! Property tests for the simulation primitives: whatever the workload, the
-//! fluid resources must conserve work, respect capacities, and terminate.
+//! fabric allocators must conserve bytes, respect capacities, and terminate,
+//! and the disk efficiency curves must stay monotone and floored.
 
 use proptest::prelude::*;
 use simcore::resource::EfficiencyCurve;
-use simcore::{
-    FlowAllocator, FlowId, JobId, MaxMinPolicy, PsResource, ResourceKind, SimDuration, SimTime,
-};
+use simcore::{FlowAllocator, FlowId, MaxMinPolicy, SimDuration, SimTime};
 
 /// Every live flow's class-derived rate must equal the unique per-flow
 /// max-min fixpoint computed from scratch by the quadratic reference.
@@ -23,71 +22,8 @@ fn assert_matches_reference(fab: &FlowAllocator) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-fn drive_resource(r: &mut PsResource, jobs: usize) -> (f64, SimTime) {
-    let mut now = SimTime::ZERO;
-    let mut completed = 0;
-    let mut guard = 0;
-    while completed < jobs {
-        let t = r.next_completion(now).expect("active jobs must progress");
-        assert!(t >= now, "time went backwards");
-        now = t;
-        r.advance(now);
-        completed += r.take_completed(now).len();
-        guard += 1;
-        assert!(guard < 10_000, "resource did not converge");
-    }
-    (r.total_delivered(), now)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    #[test]
-    fn ps_resource_conserves_work(
-        capacity in 1.0f64..1000.0,
-        cap in prop_oneof![Just(None), (0.1f64..10.0).prop_map(Some)],
-        works in prop::collection::vec(0.1f64..100.0, 1..20),
-    ) {
-        let mut r = PsResource::new(
-            ResourceKind::Cpu,
-            capacity,
-            cap,
-            EfficiencyCurve::Flat,
-        );
-        for (i, w) in works.iter().enumerate() {
-            r.insert(SimTime::ZERO, JobId(i as u64), *w);
-        }
-        let total: f64 = works.iter().sum();
-        let (delivered, _) = drive_resource(&mut r, works.len());
-        prop_assert!((delivered - total).abs() / total < 1e-6);
-        prop_assert_eq!(r.active_jobs(), 0);
-    }
-
-    #[test]
-    fn ps_resource_never_beats_capacity_or_caps(
-        capacity in 1.0f64..100.0,
-        works in prop::collection::vec(1.0f64..50.0, 1..16),
-    ) {
-        // With a per-job cap of 1.0, n jobs of work w each must take at
-        // least max(w, total/capacity) seconds.
-        let mut r = PsResource::new(
-            ResourceKind::Cpu,
-            capacity,
-            Some(1.0),
-            EfficiencyCurve::Flat,
-        );
-        for (i, w) in works.iter().enumerate() {
-            r.insert(SimTime::ZERO, JobId(i as u64), *w);
-        }
-        let total: f64 = works.iter().sum();
-        let max_work = works.iter().cloned().fold(0.0f64, f64::max);
-        let (_, end) = drive_resource(&mut r, works.len());
-        let lower = max_work.max(total / capacity);
-        prop_assert!(
-            end.as_secs_f64() >= lower * (1.0 - 1e-9),
-            "finished at {} but lower bound is {}", end.as_secs_f64(), lower
-        );
-    }
 
     #[test]
     fn hdd_curve_is_monotone_and_floored(

@@ -7,10 +7,10 @@
 
 mod testsupport;
 
-use cluster::{ClusterSpec, FaultPlan};
-use dataflow::RunError;
+use cluster::{ClusterSpec, FaultPlan, InstantKind, RunInstant};
+use dataflow::{BlockMap, RunError};
 use monotasks_core::MonoConfig;
-use simcore::SimTime;
+use simcore::{SimDuration, SimTime};
 use sparklike::SparkConfig;
 use testsupport::sort4 as sort;
 
@@ -221,6 +221,107 @@ fn heal_before_first_fetch_is_a_noop() {
         "healed-before-use cut changed the makespan"
     );
     assert!(out.jobs[0].recovery.is_zero());
+}
+
+/// The sort with 2-way replicated input, so lineage re-runs of an isolated
+/// machine's map outputs always have a reachable replica.
+fn replicated_sort() -> (dataflow::JobSpec, BlockMap) {
+    let (job, blocks) = sort();
+    let blocks = BlockMap::round_robin_replicated(
+        blocks.blocks(),
+        blocks.machines(),
+        blocks.disks_per_machine(),
+        2,
+    );
+    (job, blocks)
+}
+
+/// Every stage-1 fetch-retry instant of a run as `(time, attempt)`.
+fn reduce_fetch_retries(instants: &[RunInstant]) -> Vec<(SimTime, u32)> {
+    instants
+        .iter()
+        .filter_map(|i| match i.kind {
+            InstantKind::FetchRetry {
+                job: 0,
+                stage: 1,
+                attempt,
+            } => Some((i.time, attempt)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// What one engine's run reports to [`second_blockage_has_a_fresh_budget`]:
+/// the map stage's end and the trace instants.
+type Observed = (SimTime, Vec<RunInstant>);
+
+/// Machine 1 is isolated from mid-map-stage, so the reduce stage is
+/// gate-blocked as soon as it is ready (no machine reaches every sender) and
+/// escalates after its retries. Recovery resubmits machine 1's map outputs;
+/// that window heals just after, and a second window isolates machine 2
+/// before the re-runs finish, so the reopened reduce stage is gate-blocked
+/// again. The second episode must spend a fresh budget with the same backoff.
+fn second_blockage_has_a_fresh_budget(engine: &str, run: impl Fn(&FaultPlan) -> Observed) {
+    let (map_end, _) = run(&FaultPlan::new());
+    let cut_at = SimTime::from_secs_f64(map_end.as_secs_f64() * 0.5);
+    let first = |heal: SimTime| {
+        FaultPlan::new().partition(vec![vec![1], vec![0, 2, 3]], cut_at, Some(heal))
+    };
+    // Probe: the first episode's escalation instant, with a late heal.
+    let (_, probe) = run(&first(SimTime::from_secs(10_000)));
+    let escalated = reduce_fetch_retries(&probe)
+        .into_iter()
+        .find(|&(_, attempt)| attempt == 4)
+        .unwrap_or_else(|| panic!("{engine}: first blockage never escalated"))
+        .0;
+    let plan = first(escalated + SimDuration::from_millis(100)).partition(
+        vec![vec![2], vec![0, 1, 3]],
+        escalated + SimDuration::from_millis(200),
+        None,
+    );
+    let (_, instants) = run(&plan);
+    let retries = reduce_fetch_retries(&instants);
+    let attempts: Vec<u32> = retries.iter().map(|&(_, a)| a).collect();
+    // fetch_max_retries = 3 backoffs, then the escalating decision — per
+    // episode. A budget carried over would escalate the second episode at its
+    // first deadline with attempt 5 and no backoff.
+    assert_eq!(attempts, [1, 2, 3, 4, 1, 2, 3, 4], "{engine}: {retries:?}");
+    for episode in retries.chunks(4) {
+        let gaps: Vec<SimDuration> = episode.windows(2).map(|w| w[1].0.since(w[0].0)).collect();
+        assert_eq!(
+            gaps,
+            [1, 2, 4].map(SimDuration::from_secs),
+            "{engine}: {retries:?}"
+        );
+    }
+}
+
+/// A gate-blocked reduce stage spends its retry budget with backoff and
+/// escalates; when a second partition window blocks it again, the new stall
+/// episode gets a fresh budget with the same backoff — in both engines.
+#[test]
+fn a_second_gate_blockage_gets_a_fresh_retry_budget() {
+    let jobs = [replicated_sort()];
+    let mono_cfg = MonoConfig {
+        fetch_timeout_secs: Some(1.0),
+        trace_path: Some("unwritten.json".into()),
+        ..MonoConfig::default()
+    };
+    second_blockage_has_a_fresh_budget("mono", |plan| {
+        let out = monotasks_core::run_with_faults(&cluster(), &jobs, &mono_cfg, plan)
+            .expect("monotasks run completes");
+        (out.jobs[0].stages[0].end, out.instants)
+    });
+    let spark_cfg = SparkConfig {
+        fetch_timeout_secs: Some(1.0),
+        trace_path: Some("unwritten.json".into()),
+        ..SparkConfig::default()
+    };
+    second_blockage_has_a_fresh_budget("spark", |plan| {
+        let out = sparklike::run_with_faults(&cluster(), &jobs, &spark_cfg, plan)
+            .expect("spark-like run completes");
+        (out.jobs[0].stages[0].end, out.instants)
+    });
 }
 
 /// Overlapping partition windows on the same pair are rejected up front with
