@@ -166,6 +166,19 @@ impl StreamDemand {
     }
 }
 
+/// Working buffers of one progressive fill ([`FluidMachine::fill_rates`]),
+/// kept on the machine so a reallocation allocates nothing after warm-up.
+#[derive(Debug, Default)]
+struct FillScratch {
+    cap_left: Vec<f64>,
+    counts: Vec<usize>,
+    unfrozen: Vec<StreamId>,
+    tentative: Vec<(StreamId, f64, bool)>,
+    usage: Vec<f64>,
+    saturated: Vec<bool>,
+    to_freeze: Vec<(StreamId, f64)>,
+}
+
 #[derive(Clone, Debug)]
 struct Stream {
     demand: StreamDemand,
@@ -202,6 +215,8 @@ pub struct FluidMachine {
     caps: Vec<f64>,
     /// Delivered rate per resource column as of the last reallocation.
     res_used: Vec<f64>,
+    /// Progressive-fill working buffers, reused across reallocations.
+    fill: FillScratch,
     /// Min-heap of (completion time, stream, generation); entries whose
     /// generation no longer matches the stream's are stale and skipped lazily.
     heap: BinaryHeap<Reverse<(SimTime, StreamId, u64)>>,
@@ -234,6 +249,7 @@ impl FluidMachine {
             scale: vec![1.0; nr],
             caps: vec![0.0; nr],
             res_used: vec![0.0; nr],
+            fill: FillScratch::default(),
             heap: BinaryHeap::new(),
             gen_counter: 0,
             freeze_stamp: 0,
@@ -534,8 +550,15 @@ impl FluidMachine {
     /// efficiency depends on how many readers and writers touch each disk).
     /// O(disks) via the maintained reader/writer counts.
     fn capacities(&self) -> Vec<f64> {
-        let nd = self.spec.disks.len();
         let mut caps = Vec::with_capacity(self.n_resources());
+        self.capacities_into(&mut caps);
+        caps
+    }
+
+    /// [`FluidMachine::capacities`] written into `caps`, reusing its buffer.
+    fn capacities_into(&self, caps: &mut Vec<f64>) {
+        let nd = self.spec.disks.len();
+        caps.clear();
         caps.push(self.spec.cores as f64);
         for (i, d) in self.spec.disks.iter().enumerate() {
             let (k_r, k_w) = (self.disk_readers[i], self.disk_writers[i]);
@@ -548,7 +571,6 @@ impl FluidMachine {
         }
         caps.push(self.spec.nic * self.scale[1 + nd]);
         debug_assert_eq!(caps.len(), 2 + nd);
-        caps
     }
 
     /// Sets the fault-injection service-rate scale of disk `disk` (`1.0`
@@ -611,7 +633,9 @@ impl FluidMachine {
         let drained = drain_timer.elapsed().as_nanos() as u64;
         self.drain_nanos += drained;
         let timer = Instant::now();
-        self.caps = self.capacities();
+        let mut caps = std::mem::take(&mut self.caps);
+        self.capacities_into(&mut caps);
+        self.caps = caps;
         for u in &mut self.res_used {
             *u = 0.0;
         }
@@ -641,30 +665,44 @@ impl FluidMachine {
     /// rounds instead of rescanning every stream × resource.
     fn fill_rates(&mut self) {
         let nr = self.n_resources();
-        let mut cap_left = self.caps.clone();
-        let mut counts = vec![0usize; nr];
+        let mut scratch = std::mem::take(&mut self.fill);
+        let FillScratch {
+            cap_left,
+            counts,
+            unfrozen,
+            tentative,
+            usage,
+            saturated,
+            to_freeze,
+        } = &mut scratch;
+        cap_left.clear();
+        cap_left.extend_from_slice(&self.caps);
+        counts.clear();
+        counts.resize(nr, 0);
         for s in self.streams.values() {
             for &(r, _) in &s.sparse {
                 counts[r] += 1;
             }
         }
-        let mut unfrozen: Vec<StreamId> = self.streams.keys().copied().collect();
+        unfrozen.clear();
+        unfrozen.extend(self.streams.keys().copied());
         self.freeze_stamp += 1;
         let stamp = self.freeze_stamp;
-        let mut tentative: Vec<(StreamId, f64, bool)> = Vec::with_capacity(unfrozen.len());
-        let mut usage = vec![0.0f64; nr];
-        let mut saturated = vec![false; nr];
+        usage.clear();
+        usage.resize(nr, 0.0);
+        saturated.clear();
+        saturated.resize(nr, false);
         while !unfrozen.is_empty() {
             let share = |r: usize, counts: &[usize], cap_left: &[f64]| -> f64 {
                 (cap_left[r] / counts[r] as f64).max(0.0)
             };
             // Tentative rate for each unfrozen stream from fair shares.
             tentative.clear();
-            for id in &unfrozen {
+            for id in unfrozen.iter() {
                 let s = &self.streams[id];
                 let mut rate = f64::INFINITY;
                 for &(r, d) in &s.sparse {
-                    rate = rate.min(share(r, &counts, &cap_left) / d);
+                    rate = rate.min(share(r, counts, cap_left) / d);
                 }
                 // Single-threaded cap: at most one core of CPU.
                 let mut cap_bound = false;
@@ -682,7 +720,7 @@ impl FluidMachine {
             for u in usage.iter_mut() {
                 *u = 0.0;
             }
-            for (id, rate, _) in &tentative {
+            for (id, rate, _) in tentative.iter() {
                 for &(r, d) in &self.streams[id].sparse {
                     usage[r] += rate * d;
                 }
@@ -692,18 +730,20 @@ impl FluidMachine {
             }
             // Select the streams to freeze this round (decided against the
             // round's snapshot of shares, applied afterwards).
-            let mut to_freeze: Vec<(StreamId, f64)> = tentative
-                .iter()
-                .filter(|(id, rate, cap_bound)| {
-                    if *cap_bound {
-                        return true;
-                    }
-                    self.streams[id].sparse.iter().any(|&(r, d)| {
-                        saturated[r] && *rate >= share(r, &counts, &cap_left) / d * (1.0 - 1e-9)
+            to_freeze.clear();
+            to_freeze.extend(
+                tentative
+                    .iter()
+                    .filter(|(id, rate, cap_bound)| {
+                        if *cap_bound {
+                            return true;
+                        }
+                        self.streams[id].sparse.iter().any(|&(r, d)| {
+                            saturated[r] && *rate >= share(r, counts, cap_left) / d * (1.0 - 1e-9)
+                        })
                     })
-                })
-                .map(|(id, rate, _)| (*id, *rate))
-                .collect();
+                    .map(|(id, rate, _)| (*id, *rate)),
+            );
             if to_freeze.is_empty() {
                 // Fallback: freeze the single slowest stream.
                 let slowest = tentative
@@ -712,7 +752,7 @@ impl FluidMachine {
                     .expect("unfrozen set non-empty");
                 to_freeze.push((slowest.0, slowest.1));
             }
-            for (id, rate) in to_freeze {
+            for &(id, rate) in to_freeze.iter() {
                 let s = self.streams.get_mut(&id).expect("stream vanished");
                 s.rate = rate;
                 s.frozen_at = stamp;
@@ -728,6 +768,7 @@ impl FluidMachine {
                 break; // release-mode safety valve; unreachable in practice
             }
         }
+        self.fill = scratch;
     }
 
     /// Refreshes the per-resource delivered-rate accumulators from the

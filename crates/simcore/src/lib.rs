@@ -43,7 +43,7 @@ pub use events::EventQueue;
 pub use fx::{FxHashMap, FxHashSet};
 pub use maxmin::{FlowAllocator, FlowId, MaxMinPolicy};
 pub use recorder::UtilizationRecorder;
-pub use resource::{JobId, ResourceKind};
+pub use resource::ResourceKind;
 pub use shard::{Fabric, HierFabric, RackMap};
 pub use stats::{median, SimStats};
 pub use time::{SimDuration, SimTime};

@@ -13,10 +13,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Identifies a unit of work inside one resource. Allocated by the caller.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct JobId(pub u64);
-
 /// The three resource classes of the monotasks architecture.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub enum ResourceKind {

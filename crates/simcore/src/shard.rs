@@ -197,9 +197,10 @@ pub struct HierFabric {
     /// Machine-level cuts whose endpoints straddle racks (intra-rack cuts are
     /// delegated to the rack allocator's own exact cut machinery).
     cut_pairs: FxHashSet<(NodeId, NodeId)>,
-    /// Live (un-parked) inter-rack flows by machine pair, in insertion order;
-    /// lets a pair cut find its flows without scanning the flow set.
-    pair_flows: FxHashMap<(NodeId, NodeId), Vec<FlowId>>,
+    /// Live (un-parked) inter-rack flows by machine pair; lets a pair cut
+    /// find its flows without scanning the flow set. `None` until the first
+    /// inter-rack cut builds it, so cut-free runs never pay for it.
+    pair_flows: Option<FxHashMap<(NodeId, NodeId), Vec<FlowId>>>,
     intra_policy: MaxMinPolicy,
     core_policy: MaxMinPolicy,
     /// Worker-thread count for commit / collection fan-out; 1 = serial.
@@ -264,7 +265,7 @@ impl HierFabric {
             flows: BTreeMap::new(),
             parked: BTreeMap::new(),
             cut_pairs: FxHashSet::default(),
-            pair_flows: FxHashMap::default(),
+            pair_flows: None,
             intra_policy,
             core_policy,
             shards,
@@ -360,7 +361,9 @@ impl HierFabric {
             self.parked.insert(id, bytes);
         } else {
             self.core.insert(now, id, rs, rd, bytes);
-            self.pair_flows.entry((src, dst)).or_default().push(id);
+            if let Some(index) = &mut self.pair_flows {
+                index.entry((src, dst)).or_default().push(id);
+            }
         }
         self.epoch += 1;
         self.epoch
@@ -397,12 +400,14 @@ impl HierFabric {
         }
     }
 
-    /// Drops `id` from the inter-rack pair index (order within a pair's list
-    /// is insertion order; removal is a linear scan of a list that holds the
-    /// handful of concurrent flows between one machine pair).
+    /// Drops `id` from the inter-rack pair index, if built (removal is a
+    /// linear scan of a list that holds the handful of concurrent flows
+    /// between one machine pair).
     fn pair_flows_remove(&mut self, src: NodeId, dst: NodeId, id: FlowId) {
-        let std::collections::hash_map::Entry::Occupied(mut e) = self.pair_flows.entry((src, dst))
-        else {
+        let Some(index) = &mut self.pair_flows else {
+            return;
+        };
+        let std::collections::hash_map::Entry::Occupied(mut e) = index.entry((src, dst)) else {
             panic!("inter-rack flow {id:?} missing from pair index");
         };
         let list = e.get_mut();
@@ -644,7 +649,7 @@ impl HierFabric {
             if !self.cut_pairs.insert((src, dst)) {
                 return;
             }
-            if let Some(mut ids) = self.pair_flows.remove(&(src, dst)) {
+            if let Some(mut ids) = self.pair_index().remove(&(src, dst)) {
                 ids.sort_unstable();
                 self.core.begin_update();
                 for id in ids {
@@ -676,11 +681,26 @@ impl HierFabric {
             for id in ids {
                 let bytes = self.parked.remove(&id).expect("id came from the map");
                 self.core.insert(now, id, rs, rd, bytes);
-                self.pair_flows.entry((src, dst)).or_default().push(id);
+                self.pair_index().entry((src, dst)).or_default().push(id);
             }
             self.core.commit(now);
         }
         self.epoch += 1;
+    }
+
+    /// The inter-rack pair index, built on first use by one ascending-id scan
+    /// of `flows` that skips intra-rack and parked flows.
+    fn pair_index(&mut self) -> &mut FxHashMap<(NodeId, NodeId), Vec<FlowId>> {
+        let (map, flows, parked) = (&self.map, &self.flows, &self.parked);
+        self.pair_flows.get_or_insert_with(|| {
+            let mut index: FxHashMap<(NodeId, NodeId), Vec<FlowId>> = FxHashMap::default();
+            for (&id, &(src, dst)) in flows {
+                if map.rack_of(src) != map.rack_of(dst) && !parked.contains_key(&id) {
+                    index.entry((src, dst)).or_default().push(id);
+                }
+            }
+            index
+        })
     }
 
     /// True when the directed machine pair `(src, dst)` is currently cut.
@@ -1058,6 +1078,72 @@ mod tests {
         h.set_pair_cut(t(201), 0, 7, true);
         h.set_pair_cut(t(202), 0, 7, false);
         h.set_pair_cut(t(202), 0, 7, false);
+    }
+
+    #[test]
+    fn first_inter_rack_cut_builds_the_pair_index_and_parks_only_that_pair() {
+        // Racks {0..4}, {4..8}, {8..12}. Pair (0, 5) gets flows 9, 2, 7, 4 in
+        // that insertion order; 7 is removed before the cut.
+        let script: [(u64, NodeId, NodeId); 10] = [
+            (9, 0, 5),
+            (1, 0, 1),
+            (2, 0, 5),
+            (3, 1, 9),
+            (7, 0, 5),
+            (5, 6, 7),
+            (6, 2, 5),
+            (4, 0, 5),
+            (8, 1, 9),
+            (10, 10, 2),
+        ];
+        let build = || {
+            let mut h = hier(12, 4, 1);
+            for (id, src, dst) in script {
+                h.insert(t(0), FlowId(id), src, dst, 1e10 + id as f64);
+            }
+            for id in [7, 3] {
+                assert!(h.remove(t(1), FlowId(id)).is_some());
+            }
+            h
+        };
+        let live = [1u64, 2, 4, 5, 6, 8, 9, 10];
+        let twin = build();
+        let mut h = build();
+        assert!(h.pair_flows.is_none(), "no index before a cut");
+        // An intra-rack cut goes to the rack allocator and builds nothing.
+        h.set_pair_cut(t(2), 6, 7, true);
+        h.set_pair_cut(t(2), 6, 7, false);
+        assert!(h.pair_flows.is_none());
+
+        h.set_pair_cut(t(2), 0, 5, true);
+        let parked: Vec<u64> = h.parked.keys().map(|f| f.0).collect();
+        assert_eq!(parked, [2, 4, 9], "exactly the cut pair's live flows park");
+        for id in live {
+            let rate = h.rate(FlowId(id)).expect("live flow");
+            assert_eq!(rate == 0.0, parked.contains(&id), "flow {id}");
+        }
+        assert!(h.pair_flows.as_ref().unwrap().get(&(0, 5)).is_none());
+
+        h.set_pair_cut(t(3), 0, 5, false);
+        assert!(h.parked.is_empty());
+        let healed: Vec<u64> = h.pair_flows.as_ref().unwrap()[&(0, 5)]
+            .iter()
+            .map(|f| f.0)
+            .collect();
+        assert_eq!(healed, [2, 4, 9], "heal re-inserts in ascending id order");
+        for id in live {
+            assert_eq!(
+                h.rate(FlowId(id)).map(f64::to_bits),
+                twin.rate(FlowId(id)).map(f64::to_bits),
+                "flow {id} after heal"
+            );
+        }
+        // Once built, the index follows inserts and removals.
+        h.insert(t(3), FlowId(11), 0, 5, 1e10);
+        assert!(h.remove(t(3), FlowId(2)).is_some());
+        h.set_pair_cut(t(4), 0, 5, true);
+        let parked: Vec<u64> = h.parked.keys().map(|f| f.0).collect();
+        assert_eq!(parked, [4, 9, 11]);
     }
 
     #[test]
