@@ -349,3 +349,31 @@ fn overlapping_partition_windows_are_rejected() {
         "expected InvalidConfig, got {spark:?}"
     );
 }
+
+/// A fetch cut while it waits for its remote disk read is marked stalled
+/// again when its transfer starts on the still-cut pair. The second mark must
+/// not arm a second timeout: that wake-up would add a simulation step (and
+/// split the allocators' integration there) at a time nothing happens. The
+/// window heals within the timeout, so every armed expiry is idle and the
+/// step count exposes an extra one. The pinned counts are this scenario's
+/// steps with one timeout per stall (a timer per mark gives 168 and 676).
+#[test]
+fn a_fetch_stalled_before_its_transfer_arms_one_timeout() {
+    let (job, blocks) = sort();
+    let cfg = MonoConfig {
+        fetch_timeout_secs: Some(2.0),
+        ..MonoConfig::default()
+    };
+    let jobs = [(job, blocks)];
+    let free = monotasks_core::try_run(&cluster(), &jobs, &cfg).expect("fault-free run");
+    let plan = isolate(1, free.makespan.as_secs_f64(), 0.50, 0.55);
+    let out = monotasks_core::run_with_faults(&cluster(), &jobs, &cfg, &plan)
+        .expect("a healing partition completes");
+    assert!(out.jobs[0].recovery.stalled_fetch_seconds > 0.0);
+    assert_eq!(out.jobs[0].recovery.fetch_retries, 0, "a timeout fired");
+    assert_eq!(
+        (out.stats.events, out.queue_trace.len()),
+        (164, 660),
+        "simulation steps"
+    );
+}
