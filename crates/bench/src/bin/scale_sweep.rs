@@ -10,7 +10,7 @@
 //! instead — many small stages (churny control plane) rather than one big
 //! shuffle (churny fabric).
 //!
-//! Emits one JSON record per (machines, ε, Δ, templates) point: simulated
+//! Emits one JSON record per (machines, ε, Δ, shards) point: simulated
 //! makespan, host wall-clock, events fired, reallocations, per-phase
 //! wall-clock attribution (fabric alloc / machine alloc / drain / completion
 //! / executor control / template build / instantiate — performance clarity
@@ -21,7 +21,7 @@
 //!
 //! Usage:
 //!   scale_sweep [--out PATH] [--points 5,20,50] [--workload sort|bdb]
-//!               [--epsilon 0,0.01] [--quantum-ms 0,1] [--templates on,off]
+//!               [--epsilon 0,0.01] [--quantum-ms 0,1]
 //!               [--racks SIZE] [--oversub F] [--shards 1,8]
 //!               [--tasks-per-machine N]
 //!               [--check BASELINE.json --max-factor 2.0 --max-drift PCT]
@@ -40,13 +40,13 @@
 //! The output path defaults to `$SCALE_SWEEP_OUT` or `BENCH_PR4.json`, so
 //! each PR appends a new record to the perf trajectory instead of silently
 //! overwriting the previous one. `--check` compares the measured wall times
-//! against a committed baseline (matching on workload, machines, ε and Δ —
-//! preferring the same templates flag, falling back to any) and exits
-//! non-zero on a >`max-factor` regression at any shared point. Because
-//! execution templates are a pure control-plane optimization, `--check` also
-//! requires each point's simulated makespan to equal the baseline's to
-//! within print precision — templates changing a makespan is a bug, not
-//! drift. `--max-drift` additionally compares each approximate point's
+//! against a committed baseline (matching on workload, machines, ε, Δ and
+//! racks — preferring the same shard count, falling back to any) and exits
+//! non-zero on a >`max-factor` regression at any shared point. Baseline rows
+//! measured with execution templates off (BENCH_PR6.json's A/B columns) are
+//! ignored. `--check` also requires each point's simulated makespan to equal
+//! the baseline's to within print precision — simulated results are
+//! deterministic, so a changed makespan is a behaviour change, not drift. `--max-drift` additionally compares each approximate point's
 //! simulated makespan against the committed *exact* makespan at the same
 //! scale — makespans are bit-deterministic across hosts, so this doubles as
 //! the CI drift ceiling for the ε/Δ mode. `--max-control` caps the total
@@ -124,7 +124,6 @@ struct Point {
     tasks: usize,
     epsilon: f64,
     quantum_ms: f64,
-    templates: bool,
     /// Machines per rack (0 = flat single-level fabric).
     racks: usize,
     /// Fabric worker threads (1 = everything on the simulation thread).
@@ -156,7 +155,6 @@ fn run_point(
     machines: usize,
     epsilon: f64,
     quantum_ms: f64,
-    templates: bool,
     racks: usize,
     oversub: f64,
     shards: usize,
@@ -182,7 +180,6 @@ fn run_point(
         collect_traces: false,
         fabric_epsilon: epsilon,
         fabric_quantum_secs: quantum_ms / 1e3,
-        execution_templates: templates,
         fabric_shards: shards,
         ..monotasks_core::MonoConfig::default()
     };
@@ -211,7 +208,6 @@ fn run_point(
         tasks,
         epsilon,
         quantum_ms,
-        templates,
         racks,
         shards,
         makespan_s: out.makespan.as_secs_f64(),
@@ -239,7 +235,6 @@ struct Args {
     workload: Workload,
     epsilons: Vec<f64>,
     quantums_ms: Vec<f64>,
-    templates: Vec<bool>,
     /// Machines per rack (0 = flat fabric, the default).
     racks: usize,
     /// Rack core oversubscription factor (agg = rack_size × NIC / oversub).
@@ -263,7 +258,6 @@ fn parse_args() -> Args {
         workload: Workload::Sort,
         epsilons: vec![0.0],
         quantums_ms: vec![0.0],
-        templates: vec![true],
         racks: 0,
         oversub: 4.0,
         shards: vec![1],
@@ -303,16 +297,6 @@ fn parse_args() -> Args {
                     .map(|s| s.trim().parse().expect("bad --quantum-ms entry"))
                     .collect();
             }
-            "--templates" => {
-                args.templates = value("--templates")
-                    .split(',')
-                    .map(|s| match s.trim() {
-                        "on" | "true" => true,
-                        "off" | "false" => false,
-                        other => panic!("bad --templates entry: {other}"),
-                    })
-                    .collect();
-            }
             "--racks" => args.racks = value("--racks").parse().expect("bad --racks"),
             "--oversub" => args.oversub = value("--oversub").parse().expect("bad --oversub"),
             "--shards" => {
@@ -348,7 +332,6 @@ struct BasePoint {
     machines: usize,
     epsilon: f64,
     quantum_ms: f64,
-    templates: bool,
     /// Machines per rack (0 for flat-fabric records, the pre-PR9 default).
     racks: usize,
     /// Fabric worker threads (1 for pre-PR9 records).
@@ -361,9 +344,8 @@ struct BasePoint {
 /// each point's scalar fields are one line with known keys (the nested
 /// per-stage lines carry none of them and fall through the filter). Records
 /// predating the ε/Δ matrix (e.g. BENCH_PR2.json) default to the exact sort
-/// allocator; records predating the templates flag were measured on the
-/// untemplated path, which templated runs reproduce bit-for-bit, so they
-/// default to `templates: true` and stay comparable.
+/// allocator. Rows marked `"templates": false` measured a launch path that no
+/// longer exists and are skipped.
 fn baseline_points(json: &str) -> Vec<BasePoint> {
     let field = |line: &str, key: &str| -> Option<f64> {
         let rest = &line[line.find(key)? + key.len()..];
@@ -379,6 +361,7 @@ fn baseline_points(json: &str) -> Vec<BasePoint> {
         Some(rest[..rest.find('"')?].to_string())
     };
     json.lines()
+        .filter(|line| !line.contains("\"templates\": false"))
         .filter_map(|line| {
             let machines = field(line, "\"machines\"")? as usize;
             let wall_s = field(line, "\"wall_s\"")?;
@@ -388,7 +371,6 @@ fn baseline_points(json: &str) -> Vec<BasePoint> {
                 machines,
                 epsilon: field(line, "\"epsilon\"").unwrap_or(0.0),
                 quantum_ms: field(line, "\"quantum_ms\"").unwrap_or(0.0),
-                templates: !line.contains("\"templates\": false"),
                 racks: field(line, "\"racks\"").unwrap_or(0.0) as usize,
                 shards: field(line, "\"shards\"").unwrap_or(1.0) as usize,
                 wall_s,
@@ -410,12 +392,11 @@ fn main() {
         "per-event control-plane cost proportional to what the event touches",
     );
     println!(
-        "{:>9} {:>7} {:>6} {:>5} {:>4} {:>5} {:>6} {:>11} {:>9} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>6} {:>8}",
+        "{:>9} {:>7} {:>6} {:>5} {:>5} {:>6} {:>11} {:>9} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>6} {:>8}",
         "machines",
         "tasks",
         "eps",
         "dt_ms",
-        "tmpl",
         "racks",
         "shards",
         "makespan(s)",
@@ -436,61 +417,56 @@ fn main() {
     for &m in &args.points {
         for &eps in &args.epsilons {
             for &q in &args.quantums_ms {
-                for &tmpl in &args.templates {
-                    for &shards in &args.shards {
-                        let mut p = run_point(
-                            args.workload,
-                            m,
-                            eps,
-                            q,
-                            tmpl,
-                            args.racks,
-                            args.oversub,
-                            shards,
-                            args.tasks_per_machine,
-                        );
-                        // Shard-count invariance is a hard correctness claim,
-                        // not a budget: every shard count at the same config
-                        // must produce the bit-identical simulated makespan.
-                        if let Some(first) = points.iter().find(|e| {
-                            e.machines == m
-                                && e.epsilon == eps
-                                && e.quantum_ms == q
-                                && e.templates == tmpl
-                                && e.racks == args.racks
-                        }) {
-                            assert!(
-                                first.makespan_s.to_bits() == p.makespan_s.to_bits(),
-                                "shard-count invariance violated at {m} machines: \
+                for &shards in &args.shards {
+                    let mut p = run_point(
+                        args.workload,
+                        m,
+                        eps,
+                        q,
+                        args.racks,
+                        args.oversub,
+                        shards,
+                        args.tasks_per_machine,
+                    );
+                    // Shard-count invariance is a hard correctness claim,
+                    // not a budget: every shard count at the same config
+                    // must produce the bit-identical simulated makespan.
+                    if let Some(first) = points.iter().find(|e| {
+                        e.machines == m
+                            && e.epsilon == eps
+                            && e.quantum_ms == q
+                            && e.racks == args.racks
+                    }) {
+                        assert!(
+                            first.makespan_s.to_bits() == p.makespan_s.to_bits(),
+                            "shard-count invariance violated at {m} machines: \
                                  {} shards -> {}s, {shards} shards -> {}s",
-                                first.shards,
-                                first.makespan_s,
-                                p.makespan_s
-                            );
-                        }
-                        // Drift vs the exact combo measured earlier in this
-                        // run (the combos iterate ε then Δ, so list 0 first
-                        // to get drift columns for the rest of the matrix).
-                        if eps > 0.0 || q > 0.0 {
-                            p.drift_pct = points
-                                .iter()
-                                .find(|e| {
-                                    e.machines == m
-                                        && e.epsilon == 0.0
-                                        && e.quantum_ms == 0.0
-                                        && e.templates == tmpl
-                                        && e.racks == args.racks
-                                })
-                                .map(|e| (p.makespan_s - e.makespan_s) / e.makespan_s * 100.0);
-                        }
-                        let looked_up = p.template_hits + p.template_misses;
-                        println!(
-                            "{:>9} {:>7} {:>6} {:>5} {:>4} {:>5} {:>6} {:>11.1} {:>9.2} {:>10} {:>10} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>6} {:>8}",
+                            first.shards,
+                            first.makespan_s,
+                            p.makespan_s
+                        );
+                    }
+                    // Drift vs the exact combo measured earlier in this
+                    // run (the combos iterate ε then Δ, so list 0 first
+                    // to get drift columns for the rest of the matrix).
+                    if eps > 0.0 || q > 0.0 {
+                        p.drift_pct = points
+                            .iter()
+                            .find(|e| {
+                                e.machines == m
+                                    && e.epsilon == 0.0
+                                    && e.quantum_ms == 0.0
+                                    && e.racks == args.racks
+                            })
+                            .map(|e| (p.makespan_s - e.makespan_s) / e.makespan_s * 100.0);
+                    }
+                    let looked_up = p.template_hits + p.template_misses;
+                    println!(
+                            "{:>9} {:>7} {:>6} {:>5} {:>5} {:>6} {:>11.1} {:>9.2} {:>10} {:>10} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>6} {:>8}",
                             p.machines,
                             p.tasks,
                             p.epsilon,
                             p.quantum_ms,
-                            if p.templates { "on" } else { "off" },
                             p.racks,
                             p.shards,
                             p.makespan_s,
@@ -513,8 +489,7 @@ fn main() {
                                 .map(|d| format!("{d:+.3}"))
                                 .unwrap_or_else(|| "-".into()),
                         );
-                        points.push(p);
-                    }
+                    points.push(p);
                 }
             }
         }
@@ -527,12 +502,11 @@ fn main() {
             let total = p.control_s + p.template_build_s + p.instantiate_s;
             let ok = total <= max_control;
             println!(
-                "check: {} machines (eps={}, dt={}ms, tmpl={}) control {:.3}s \
+                "check: {} machines (eps={}, dt={}ms) control {:.3}s \
                  (ctrl {:.3} + build {:.3} + inst {:.3}) ceiling {:.3}s {}",
                 p.machines,
                 p.epsilon,
                 p.quantum_ms,
-                if p.templates { "on" } else { "off" },
                 total,
                 p.control_s,
                 p.template_build_s,
@@ -555,18 +529,13 @@ fn main() {
                     && close(b.quantum_ms, p.quantum_ms)
                     && b.racks == p.racks
             };
-            // Prefer the baseline point measured with the same templates
-            // flag and shard count; fall back to any matching config —
-            // makespans must agree either way (templates are a pure
-            // control-plane optimization and shard counts are proven
-            // result-invariant above), and wall budgets stay meaningful.
+            // Prefer the baseline point measured with the same shard count;
+            // fall back to any matching config — makespans must agree either
+            // way (shard counts are proven result-invariant above), and wall
+            // budgets stay meaningful.
             let b = base
                 .iter()
-                .find(|b| same_cfg(b) && b.templates == p.templates && b.shards == p.shards)
-                .or_else(|| {
-                    base.iter()
-                        .find(|b| same_cfg(b) && b.templates == p.templates)
-                })
+                .find(|b| same_cfg(b) && b.shards == p.shards)
                 .or_else(|| base.iter().find(same_cfg));
             let Some(b) = b else {
                 println!(
@@ -590,8 +559,7 @@ fn main() {
                 if ok { "OK" } else { "REGRESSED" }
             );
             failed |= !ok;
-            // Simulated makespans are deterministic and templates are a pure
-            // optimization: any divergence from the committed makespan at
+            // Simulated makespans are deterministic: any divergence from the committed makespan at
             // the same config is a behavior change, not measurement noise
             // (tolerance covers the baseline's 3-decimal print precision).
             let ms_ok = (p.makespan_s - b.makespan_s).abs() <= 2e-3;
@@ -660,7 +628,7 @@ fn main() {
         // per-stage lines carry none of those keys.
         json.push_str(&format!(
             "    {{\"workload\": \"{}\", \"machines\": {}, \"tasks\": {}, \"epsilon\": {}, \
-             \"quantum_ms\": {}, \"templates\": {}, \"racks\": {}, \"shards\": {}, \
+             \"quantum_ms\": {}, \"racks\": {}, \"shards\": {}, \
              \"makespan_s\": {:.3}, \
              \"wall_s\": {:.3}, \"events\": {}, \"reallocs\": {}, \"alloc_s\": {:.3}, \
              \"machine_alloc_s\": {:.3}, \"drain_s\": {:.3}, \"completion_s\": {:.3}, \
@@ -671,7 +639,6 @@ fn main() {
             p.tasks,
             p.epsilon,
             p.quantum_ms,
-            p.templates,
             p.racks,
             p.shards,
             p.makespan_s,

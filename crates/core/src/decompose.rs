@@ -11,6 +11,11 @@
 //!   data lives on disk) plus a local shuffle-read monotask, all feeding
 //!   *compute → disk write*;
 //! * in-memory inputs and outputs simply omit the corresponding I/O nodes.
+//!
+//! The executor does not call this per task: it stamps each DAG from the
+//! stage's execution template ([`crate::template`]). [`decompose`] is the
+//! reference that stamping must reproduce, and debug builds assert every
+//! launch against it.
 
 use dataflow::{InputSpec, OutputSpec, TaskSpec};
 
@@ -30,9 +35,8 @@ pub struct SenderShare {
     pub via_disk: bool,
 }
 
-/// Placement facts the worker needs to expand a multitask. The executor
-/// keeps one around as a scratch buffer (`Default` + refill per task), so the
-/// per-sender Vec stops being a fresh allocation on every launch.
+/// Placement facts the worker needs to expand a multitask, including the
+/// serve disk of every sender share.
 #[derive(Clone, Debug, Default)]
 pub struct DecomposeCtx {
     /// The machine executing the multitask.
@@ -49,14 +53,6 @@ pub struct DecomposeCtx {
 /// Expands one multitask into its monotask DAG.
 pub fn decompose(task: &TaskSpec, ctx: &DecomposeCtx) -> MonotaskDag {
     let mut dag = MonotaskDag::default();
-    decompose_into(task, ctx, &mut dag);
-    dag
-}
-
-/// [`decompose`] into a caller-owned DAG, clearing it first: the executor's
-/// hot path reuses one scratch DAG instead of allocating per task.
-pub fn decompose_into(task: &TaskSpec, ctx: &DecomposeCtx, dag: &mut MonotaskDag) {
-    dag.clear();
     let compute = dag.push(Monotask::new(
         MonoOp::Compute { work: task.cpu },
         Purpose::Compute,
@@ -143,6 +139,7 @@ pub fn decompose_into(task: &TaskSpec, ctx: &DecomposeCtx, dag: &mut MonotaskDag
     }
 
     debug_assert!(dag.is_well_formed());
+    dag
 }
 
 #[cfg(test)]

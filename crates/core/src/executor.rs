@@ -17,8 +17,8 @@
 use std::collections::BTreeMap;
 
 use cluster::{
-    ClusterSpec, FaultAction, FaultPlan, FaultTimeline, FluidMachine, InstantKind, MachineId,
-    ResourceSel, StreamDemand, StreamId, TraceSet,
+    ClusterSpec, DeadlineCache, FaultAction, FaultPlan, FaultTimeline, FluidMachine, InstantKind,
+    MachineId, ResourceSel, StreamDemand, StreamId, TraceSet,
 };
 use dataflow::runtime::{Decision, Runtime, RuntimeConfig};
 use dataflow::{
@@ -28,9 +28,12 @@ use simcore::stats::median;
 use simcore::{EventQueue, Fabric, FlowAllocator, FlowId, FxHashMap, HierFabric, MaxMinPolicy};
 use simcore::{ResourceKind, SimDuration, SimStats, SimTime};
 
-use crate::decompose::{decompose_into, DecomposeCtx, SenderShare};
+#[cfg(debug_assertions)]
+use crate::decompose::{decompose, DecomposeCtx, SenderShare};
 use crate::metrics::{MonotaskRecord, Purpose};
-use crate::monotask::{MonoOp, MonotaskDag, MultitaskKey};
+#[cfg(debug_assertions)]
+use crate::monotask::MonotaskDag;
+use crate::monotask::{MonoOp, MultitaskKey};
 use crate::scheduler::MachineScheduler;
 use crate::template::{StageTemplate, TemplateSender};
 
@@ -130,13 +133,6 @@ pub struct MonoConfig {
     /// (guards against copy storms on tiny monotasks). Only meaningful with
     /// `mono_speculation_multiplier`; `None` means no floor.
     pub mono_speculation_min_runtime: Option<f64>,
-    /// Cache per-stage control decisions as execution templates
-    /// ([`crate::template`]) and stamp each task's monotask DAG from them,
-    /// instead of re-deriving sender shares and re-expanding the DAG per
-    /// task. Bit-identical to the untemplated path (proptested); `false`
-    /// re-derives everything per task — the A/B baseline for
-    /// `scale_sweep --templates off`.
-    pub execution_templates: bool,
     /// Partition recovery: simulated seconds a fetch may sit at ~zero rate
     /// on a cut fabric pair before the timeout/retry machinery engages.
     /// `None` (the default) disables timeouts entirely — stalled fetches
@@ -149,15 +145,9 @@ pub struct MonoConfig {
     /// Base of the deterministic exponential backoff between fetch retries:
     /// retry `k` waits `base × 2^(k-1)` simulated seconds.
     pub fetch_backoff_base_secs: f64,
-    /// Key speculation's duration populations by the machine that served the
-    /// monotask, and take the straggler threshold from the median of
-    /// per-machine medians — a partitioned or degraded machine then cannot
-    /// poison the global median. `false` (the default) keeps the single
-    /// global pool and is bit-identical to builds predating the knob.
-    pub per_machine_duration_pools: bool,
     /// Arm the performance-clarity trace layer and name where its
     /// Perfetto-loadable Chrome Trace Event JSON should be written. `Some`
-    /// collects one [`dataflow::RunInstant`] per fault firing and recovery
+    /// collects one [`cluster::RunInstant`] per fault firing and recovery
     /// decision into [`MonoRunOutput::instants`]; the `mt-trace` crate's
     /// `export_mono` (or the `trace_export` bench bin) then serializes the
     /// run to this path. Collection is observation-only: `None` — the
@@ -186,11 +176,9 @@ impl Default for MonoConfig {
             max_task_retries: 4,
             mono_speculation_multiplier: None,
             mono_speculation_min_runtime: None,
-            execution_templates: true,
             fetch_timeout_secs: None,
             fetch_max_retries: 3,
             fetch_backoff_base_secs: 1.0,
-            per_machine_duration_pools: false,
             trace_path: None,
         }
     }
@@ -475,20 +463,9 @@ struct Exec {
     /// Deterministic wake-ups at projected threshold-crossing instants, so a
     /// straggler is caught even when no completion event lands near it.
     spec_timers: EventQueue<()>,
-    /// Whether the execution-template layer is active
-    /// (`cfg.execution_templates`).
-    templates_on: bool,
     /// Captured control decisions per `[job][stage]` (`None` until the
     /// stage's first shuffle-input task launches).
     templates: Vec<Vec<Option<StageTemplate>>>,
-    /// Scratch placement context reused across launches (untemplated path).
-    scratch_ctx: DecomposeCtx,
-    /// Scratch DAG reused by the untemplated decompose path.
-    scratch_dag: MonotaskDag,
-    /// Per-(job, stage, purpose, machine) duration populations, used instead
-    /// of `durations` when `cfg.per_machine_duration_pools` — fetch samples
-    /// key by the *sender*, everything else by the serving machine.
-    durations_pm: BTreeMap<(u32, u32, Purpose, u32), Vec<f64>>,
     /// Whether `cfg.trace_path` armed the trace layer's instant collection.
     trace_on: bool,
     /// Timestamped fault and recovery instants, in emission order
@@ -698,14 +675,10 @@ pub fn run_with_faults(
         spec_on: cfg.mono_speculation_multiplier.is_some(),
         durations: BTreeMap::new(),
         spec_timers: EventQueue::new(),
-        templates_on: cfg.execution_templates,
         templates: jobs
             .iter()
             .map(|(spec, _)| vec![None; spec.stages.len()])
             .collect(),
-        scratch_ctx: DecomposeCtx::default(),
-        scratch_dag: MonotaskDag::default(),
-        durations_pm: BTreeMap::new(),
         cold: FxHashMap::default(),
         trace_on: cfg.trace_path.is_some(),
         instants: Vec::new(),
@@ -773,9 +746,7 @@ impl Exec {
                     attempt,
                 },
                 Decision::ShuffleLost { job, stage } => {
-                    if self.templates_on {
-                        self.invalidate_consumers(job, stage);
-                    }
+                    self.invalidate_consumers(job, stage);
                     continue;
                 }
             };
@@ -807,13 +778,7 @@ impl Exec {
         // per allocator per event and must not allocate.
         let mut done_flows: Vec<FlowId> = Vec::new();
         let mut done_streams: Vec<StreamId> = Vec::new();
-        // Per-machine next-completion cache keyed on the allocator epoch.
-        // Most events touch a handful of machines; the rest keep their cached
-        // deadline, so the per-event sweep and the speculative completion
-        // poll stop interrogating every allocator on every event.
-        let n_machines = self.n_machines();
-        let mut next_cache: Vec<Option<SimTime>> = vec![None; n_machines];
-        let mut epoch_cache: Vec<u64> = vec![u64::MAX; n_machines];
+        let mut deadlines = DeadlineCache::new(self.n_machines());
         loop {
             // One batch per event instant: the completion wave (empty on the
             // first iteration), then dispatch to fixpoint — assignment opens
@@ -837,9 +802,7 @@ impl Exec {
             if self.spec_on {
                 // Drain due speculation wake-ups: they carry no payload, the
                 // fixpoint's check_speculation sweep does the actual work.
-                while self.spec_timers.peek_time().is_some_and(|t| t <= self.now) {
-                    self.spec_timers.pop();
-                }
+                while self.spec_timers.pop_due(self.now).is_some() {}
             }
             if let Some(fabric) = &mut self.fabric {
                 fabric.advance(self.now);
@@ -850,13 +813,8 @@ impl Exec {
                 }
             }
             for m in 0..self.n_machines() {
-                if !self.rt.alive[m] {
-                    continue;
-                }
-                // A machine whose cached deadline (still valid: same epoch)
-                // lies in the future cannot have a completion due now.
                 let fluid = &mut self.machines[m].fluid;
-                if epoch_cache[m] == fluid.epoch() && next_cache[m].is_none_or(|t| t > self.now) {
+                if !self.rt.alive[m] || !deadlines.may_complete(m, fluid, self.now) {
                     continue;
                 }
                 fluid.advance(self.now);
@@ -911,10 +869,6 @@ impl Exec {
                     net_queued: net_q,
                 });
             }
-            // Next completion anywhere. Only machines whose allocator epoch
-            // moved this event re-derive their deadline; epochs only move on
-            // flow-set mutations, and deadlines only move on reallocations,
-            // which mutations trigger.
             // Under fault injection, stop at the last job completion instead
             // of sitting through the remaining scheduled fault actions (e.g.
             // a degrade window that outlives the workload). Speculation runs
@@ -923,61 +877,28 @@ impl Exec {
             if (self.faults_on || self.spec_on) && self.rt.jobs.iter().all(|j| j.done) {
                 break;
             }
-            let mut next: Option<SimTime> = None;
-            for (m, machine) in self.machines.iter_mut().enumerate() {
-                if !self.rt.alive[m] {
-                    next_cache[m] = None;
-                    epoch_cache[m] = machine.fluid.epoch();
-                    continue;
-                }
-                let epoch = machine.fluid.epoch();
-                if epoch_cache[m] != epoch {
-                    next_cache[m] = machine.fluid.next_completion(self.now);
-                    epoch_cache[m] = epoch;
-                }
-                if let Some(t) = next_cache[m] {
-                    next = Some(match next {
-                        Some(b) => b.min(t),
-                        None => t,
-                    });
-                }
-            }
-            if let Some(fabric) = &mut self.fabric {
-                if let Some(t) = fabric.next_completion(self.now) {
-                    next = Some(match next {
-                        Some(b) => b.min(t),
-                        None => t,
-                    });
-                }
-            }
-            if self.faults_on {
-                if let Some(t) = self.faults.next_time() {
-                    next = Some(match next {
-                        Some(b) => b.min(t),
-                        None => t,
-                    });
-                }
-            }
-            if self.spec_on {
-                if let Some(t) = self.spec_timers.peek_time() {
-                    next = Some(match next {
-                        Some(b) => b.min(t),
-                        None => t,
-                    });
-                }
-            }
-            if self.rt.partitions_on() {
-                if let Some(t) = self.rt.next_fetch_timer() {
-                    next = Some(match next {
-                        Some(b) => b.min(t),
-                        None => t,
-                    });
-                }
-                // Flows parked by a cut pair report a FAR_FUTURE deadline:
-                // "never" is not a real next event.
-                if next == Some(SimTime::FAR_FUTURE) {
-                    next = None;
-                }
+            // Next event anywhere: a machine or fabric completion, a fault
+            // action, a speculation wake-up or a fetch timer. Sources a run
+            // does not use are empty.
+            let machines = (self.machines.iter_mut())
+                .zip(&self.rt.alive)
+                .map(|(x, &alive)| (&mut x.fluid, alive));
+            let mut next = [
+                deadlines.earliest(machines, self.now),
+                self.fabric
+                    .as_mut()
+                    .and_then(|f| f.next_completion(self.now)),
+                self.faults.next_time(),
+                self.spec_timers.peek_time(),
+                self.rt.next_fetch_timer(),
+            ]
+            .into_iter()
+            .flatten()
+            .min();
+            // Flows parked by a cut pair report a FAR_FUTURE deadline: "never"
+            // is not a real next event.
+            if self.rt.partitions_on() && next == Some(SimTime::FAR_FUTURE) {
+                next = None;
             }
             let Some(t) = next else {
                 if self.rt.jobs.iter().all(|j| j.done) {
@@ -1502,12 +1423,13 @@ impl Exec {
 
     /// Builds the monotask DAG for one task and enqueues its roots.
     ///
-    /// With execution templates on, shuffle-input tasks stamp their nodes
-    /// from the stage's captured [`StageTemplate`] (building it on first use
-    /// or after invalidation); everything that varies per task — straggle
-    /// factors, disk cursors, enqueue order, stream ids — is derived exactly
-    /// as the untemplated path derives it, which `tests/template_props.rs`
-    /// pins bit-exactly.
+    /// Every task's nodes are stamped from an execution template: a
+    /// shuffle-input task reads the stage's captured [`StageTemplate`]
+    /// (building it on first use or after invalidation); everything that
+    /// varies per task — straggle factors, disk cursors, enqueue order,
+    /// stream ids — is stamped at launch. Debug builds check each launch
+    /// against [`crate::decompose::decompose`] (see
+    /// [`Self::decompose_reference`]).
     fn start_multitask(&mut self, m: usize, ji: usize, si: usize, ti: usize) {
         let t_start = std::time::Instant::now();
         let n_disks = self.machines[m].fluid.spec().disks.len();
@@ -1552,52 +1474,19 @@ impl Exec {
         } else {
             0
         };
-        let is_shuffle = matches!(task.input, InputSpec::ShuffleFetch { .. });
-        let t_built;
-        let nodes = if self.templates_on {
-            if is_shuffle {
-                if self.template_valid(ji, si) {
-                    self.rt.jobs[ji].stages[si].control.template_hits += 1;
-                } else {
-                    self.build_template(ji, si);
-                }
+        if matches!(task.input, InputSpec::ShuffleFetch { .. }) {
+            if self.template_valid(ji, si) {
+                self.rt.jobs[ji].stages[si].control.template_hits += 1;
+            } else {
+                self.build_template(ji, si);
             }
-            t_built = std::time::Instant::now();
-            self.stamp_nodes(m, ji, si, &task, input_disk, write_disk)
-        } else {
-            // Untemplated baseline: re-derive sender shares and re-expand the
-            // DAG for every task, through reusable scratch buffers.
-            let mut ctx = std::mem::take(&mut self.scratch_ctx);
-            ctx.machine = m;
-            ctx.input_disk = input_disk;
-            ctx.write_disk = write_disk;
-            ctx.senders.clear();
-            if is_shuffle {
-                self.sender_shares_into(ji, si, &mut ctx.senders);
-            }
-            let mut dag = std::mem::take(&mut self.scratch_dag);
-            decompose_into(&task, &ctx, &mut dag);
-            t_built = std::time::Instant::now();
-            let nodes: Vec<MonoNode> = dag
-                .nodes
-                .drain(..)
-                .map(|n| {
-                    debug_assert!(
-                        n.dependents.len() <= 1,
-                        "decomposition produces at most one dependent per node"
-                    );
-                    MonoNode {
-                        deps_remaining: u32::try_from(n.deps_remaining)
-                            .expect("node count fits 32 bits"),
-                        dependent: n.dependents.first().map(|&d| d as u32),
-                        ..MonoNode::new(n.op, n.purpose, self.now)
-                    }
-                })
-                .collect();
-            self.scratch_ctx = ctx;
-            self.scratch_dag = dag;
-            nodes
-        };
+        }
+        let t_built = std::time::Instant::now();
+        #[cfg(debug_assertions)]
+        let reference = self.decompose_reference(m, ji, si, &task, input_disk, write_disk);
+        let nodes = self.stamp_nodes(m, ji, si, &task, input_disk, write_disk);
+        #[cfg(debug_assertions)]
+        self.check_stamp(&reference, &nodes);
         let mt_idx = self.mts.len();
         let remaining = nodes.len();
         let input_block = match task.input {
@@ -1659,17 +1548,13 @@ impl Exec {
             .all(|(d, &e)| self.rt.jobs[ji].stages[d.0 as usize].shuffle_epoch == e)
     }
 
-    /// Captures (or recaptures) the `(job, stage)` sender layout: the control
-    /// decision every task of the stage shares. Counts a template miss, plus
-    /// an invalidation when a stale capture is replaced.
-    fn build_template(&mut self, ji: usize, si: usize) {
+    /// The `(job, stage)` sender layout derived from the producers' current
+    /// shuffle tables: the control decision every task of the stage shares.
+    fn sender_layout(&self, ji: usize, si: usize) -> StageTemplate {
         let n_tasks = self.rt.jobs[ji].spec.stages[si].tasks.len() as f64;
-        let n_deps = self.rt.jobs[ji].spec.stages[si].deps.len();
-        let stale = self.templates[ji][si].take().is_some();
         let mut tpl = StageTemplate::default();
-        for di in 0..n_deps {
-            let dep = self.rt.jobs[ji].spec.stages[si].deps[di].0 as usize;
-            let drun = &self.rt.jobs[ji].stages[dep];
+        for d in &self.rt.jobs[ji].spec.stages[si].deps {
+            let drun = &self.rt.jobs[ji].stages[d.0 as usize];
             debug_assert!(drun.done, "fetching from unfinished stage");
             tpl.dep_epochs.push(drun.shuffle_epoch);
             let total: f64 = drun.shuffle_by_machine.iter().sum();
@@ -1678,11 +1563,8 @@ impl Exec {
             }
             let per_task = total / n_tasks;
             let via_disk = !drun.shuffle_in_memory;
-            for s in 0..drun.shuffle_by_machine.len() {
-                // Same arithmetic as the untemplated sweep, so the per-task
-                // byte shares are bit-equal f64s.
-                let frac = drun.shuffle_by_machine[s] / total;
-                let b = per_task * frac;
+            for (s, &bytes) in drun.shuffle_by_machine.iter().enumerate() {
+                let b = per_task * (bytes / total);
                 if b <= 0.0 {
                     continue;
                 }
@@ -1693,6 +1575,14 @@ impl Exec {
                 });
             }
         }
+        tpl
+    }
+
+    /// Captures (or recaptures) the `(job, stage)` sender layout. Counts a
+    /// template miss, plus an invalidation when a stale capture is replaced.
+    fn build_template(&mut self, ji: usize, si: usize) {
+        let stale = self.templates[ji][si].take().is_some();
+        let tpl = self.sender_layout(ji, si);
         let run = &mut self.rt.jobs[ji].stages[si];
         run.control.template_misses += 1;
         run.control.template_invalidations += u64::from(stale);
@@ -1706,9 +1596,10 @@ impl Exec {
     }
 
     /// Stamps one task's monotask nodes: compute at index 0, input nodes in
-    /// template/sender order, the output write last — the exact node layout
-    /// and dependency wiring [`crate::decompose::decompose`] produces, done
-    /// arithmetically instead of via DAG construction.
+    /// template/sender order, the output write last — the node layout and
+    /// dependency wiring of [`crate::decompose::decompose`], done
+    /// arithmetically instead of via DAG construction. Debug builds assert
+    /// the two agree on every launch.
     fn stamp_nodes(
         &mut self,
         m: usize,
@@ -1747,8 +1638,7 @@ impl Exec {
                     .as_ref()
                     .expect("template ensured before stamping");
                 for e in &tpl.senders {
-                    // The serve-disk cursor advances exactly as the
-                    // untemplated sweep advances it: once per positive
+                    // The serve-disk cursor advances once per positive
                     // share, local and in-memory shares included.
                     let nd = self.machines[e.machine].fluid.spec().disks.len().max(1);
                     let c = self.machines[e.machine].serve_cursor;
@@ -1814,41 +1704,77 @@ impl Exec {
         nodes
     }
 
-    /// Per-sender shuffle shares for one task of `(job, stage)`, appended to
-    /// `shares` — the untemplated baseline [`Self::build_template`] caches.
-    fn sender_shares_into(&mut self, ji: usize, si: usize, shares: &mut Vec<SenderShare>) {
-        let n_machines = self.n_machines();
-        let n_tasks = self.rt.jobs[ji].spec.stages[si].tasks.len() as f64;
-        let n_deps = self.rt.jobs[ji].spec.stages[si].deps.len();
-        for di in 0..n_deps {
-            let dep = self.rt.jobs[ji].spec.stages[si].deps[di].0 as usize;
-            let drun = &self.rt.jobs[ji].stages[dep];
-            debug_assert!(drun.done, "fetching from unfinished stage");
-            let total: f64 = drun.shuffle_by_machine.iter().sum();
-            if total <= 0.0 {
-                continue;
-            }
-            let per_task = total / n_tasks;
-            let via_disk = !drun.shuffle_in_memory;
-            for s in 0..n_machines {
-                let frac = drun.shuffle_by_machine[s] / total;
-                let b = per_task * frac;
-                if b <= 0.0 {
-                    continue;
-                }
-                let disk = {
-                    let nd = self.machines[s].fluid.spec().disks.len().max(1);
-                    let c = self.machines[s].serve_cursor;
-                    self.machines[s].serve_cursor = c + 1;
-                    c % nd
-                };
-                shares.push(SenderShare {
-                    machine: s,
-                    disk,
-                    bytes: b,
-                    via_disk,
+    /// Debug-build reference for execution templates, kept the way
+    /// `slowcheck` keeps the quadratic allocators. Re-derives the stage's
+    /// sender layout from the live shuffle tables and asserts the cached
+    /// template still equals it (epoch invalidation missed nothing), then
+    /// expands the task through [`crate::decompose::decompose`] with the
+    /// serve disks the per-machine cursors hand out. Reads the cursors
+    /// without advancing them: the result carries the values stamping must
+    /// leave behind.
+    #[cfg(debug_assertions)]
+    fn decompose_reference(
+        &self,
+        m: usize,
+        ji: usize,
+        si: usize,
+        task: &TaskSpec,
+        input_disk: usize,
+        write_disk: usize,
+    ) -> (MonotaskDag, FxHashMap<usize, usize>) {
+        let mut ctx = DecomposeCtx {
+            machine: m,
+            input_disk,
+            write_disk,
+            senders: Vec::new(),
+        };
+        let mut cursors = FxHashMap::default();
+        if let InputSpec::ShuffleFetch { .. } = task.input {
+            let layout = self.sender_layout(ji, si);
+            let cached = self.templates[ji][si].as_ref();
+            assert!(
+                cached.is_some_and(|t| *t == layout),
+                "stale execution template for job {ji} stage {si}: {cached:?} vs {layout:?}"
+            );
+            for e in &layout.senders {
+                let cursor = cursors
+                    .entry(e.machine)
+                    .or_insert(self.machines[e.machine].serve_cursor);
+                let nd = self.machines[e.machine].fluid.spec().disks.len().max(1);
+                ctx.senders.push(SenderShare {
+                    machine: e.machine,
+                    disk: *cursor % nd,
+                    bytes: e.bytes,
+                    via_disk: e.via_disk,
                 });
+                *cursor += 1;
             }
+        }
+        (decompose(task, &ctx), cursors)
+    }
+
+    /// Asserts stamped `nodes` match the [`Self::decompose_reference`]
+    /// expansion node for node, and that stamping advanced the serve cursors
+    /// exactly as the reference did.
+    #[cfg(debug_assertions)]
+    fn check_stamp(
+        &self,
+        (dag, cursors): &(MonotaskDag, FxHashMap<usize, usize>),
+        nodes: &[MonoNode],
+    ) {
+        assert_eq!(nodes.len(), dag.nodes.len(), "stamped node count");
+        for (i, (n, r)) in nodes.iter().zip(&dag.nodes).enumerate() {
+            assert!(
+                n.op == r.op
+                    && n.purpose == r.purpose
+                    && n.deps_remaining as usize == r.deps_remaining
+                    && n.dependent.map(|d| d as usize) == r.dependents.first().copied()
+                    && r.dependents.len() <= 1,
+                "stamped node {i} diverges from decompose(): {n:?} vs {r:?}"
+            );
+        }
+        for (&s, &c) in cursors {
+            assert_eq!(self.machines[s].serve_cursor, c, "serve cursor of {s}");
         }
     }
 
@@ -2170,21 +2096,7 @@ impl Exec {
         };
         let d = self.now.since(anchor).as_secs_f64();
         let key = (self.mts[mt].key.job.0, self.mts[mt].key.stage.0, n.purpose);
-        if self.cfg.per_machine_duration_pools {
-            // Fetch samples are attributed to the *sender* (the serve chain is
-            // where a degraded machine shows up); everything else to the
-            // machine that served the monotask.
-            let pm = match n.op {
-                MonoOp::NetFetch { from, .. } => from,
-                _ => self.mts[mt].machine,
-            } as u32;
-            self.durations_pm
-                .entry((key.0, key.1, key.2, pm))
-                .or_default()
-                .push(d);
-        } else {
-            self.durations.entry(key).or_default().push(d);
-        }
+        self.durations.entry(key).or_default().push(d);
     }
 
     /// One sweep of the monotask-level speculation policy (§6.6 applied to
@@ -2244,31 +2156,15 @@ impl Exec {
                     }
                 };
                 let key = (self.mts[mt].key.job.0, self.mts[mt].key.stage.0, n.purpose);
-                let (med, enough) = if self.cfg.per_machine_duration_pools {
-                    // Median of per-machine medians: a single partitioned or
-                    // degraded machine contributes one vote, not a tail that
-                    // drags the whole population's median.
-                    let total = self.rt.jobs[key.0 as usize].stages[key.1 as usize].total;
-                    let lo = (key.0, key.1, key.2, 0u32);
-                    let hi = (key.0, key.1, key.2, u32::MAX);
-                    let mut meds: Vec<f64> = Vec::new();
-                    let mut count = 0usize;
-                    for (_, samples) in self.durations_pm.range(lo..=hi) {
-                        meds.push(median(samples));
-                        count += samples.len();
+                let (med, enough) = match self.durations.get(&key) {
+                    Some(samples) => {
+                        let total = self.rt.jobs[key.0 as usize].stages[key.1 as usize].total;
+                        (
+                            median(samples),
+                            samples.len() >= 2 && samples.len() * 2 >= total,
+                        )
                     }
-                    (median(&meds), count >= 2 && count * 2 >= total)
-                } else {
-                    match self.durations.get(&key) {
-                        Some(samples) => {
-                            let total = self.rt.jobs[key.0 as usize].stages[key.1 as usize].total;
-                            (
-                                median(samples),
-                                samples.len() >= 2 && samples.len() * 2 >= total,
-                            )
-                        }
-                        None => (0.0, false),
-                    }
+                    None => (0.0, false),
                 };
                 if !enough || med <= 0.0 {
                     continue;

@@ -20,7 +20,7 @@ pub struct MultitaskKey {
 }
 
 /// The single-resource operation a monotask performs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MonoOp {
     /// Runs on one CPU core. The split is kept for the performance model
     /// (§6.3 subtracts deserialization time in what-if analyses).
@@ -101,7 +101,8 @@ impl Monotask {
     }
 }
 
-/// A multitask's full DAG, produced by [`crate::decompose`] on the worker.
+/// A multitask's full DAG, produced by [`crate::decompose::decompose`] on the
+/// worker.
 #[derive(Clone, Debug, Default)]
 pub struct MonotaskDag {
     /// The DAG nodes; edges are [`Monotask::dependents`] +
@@ -110,12 +111,6 @@ pub struct MonotaskDag {
 }
 
 impl MonotaskDag {
-    /// Empties the DAG, keeping the node allocation for reuse
-    /// ([`crate::decompose_into`]'s scratch-buffer contract).
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-    }
-
     /// Adds a node, returning its local index.
     pub fn push(&mut self, m: Monotask) -> usize {
         self.nodes.push(m);

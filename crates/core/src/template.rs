@@ -12,8 +12,9 @@
 //! one input node per positive sender share in capture order, the output
 //! write last. Everything that genuinely varies per task (the executing
 //! machine, serve-disk and write-disk cursors, straggle factors, stream ids)
-//! is stamped at instantiation time, which is what keeps templated runs
-//! bit-identical to the untemplated path.
+//! is stamped at instantiation time. Stamping is the only way the executor
+//! builds a task's DAG; [`crate::decompose::decompose`] stays as the
+//! reference, and debug builds assert every launch against it.
 //!
 //! Validity is epoch-based: every producing stage carries a counter bumped
 //! whenever its shuffle-byte table changes (a task completes, or a crash's
@@ -24,7 +25,7 @@
 
 /// One sender entry of a captured shuffle layout: a machine holding a
 /// positive share of every task's fetch.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TemplateSender {
     /// Sender machine.
     pub machine: usize,
@@ -38,14 +39,12 @@ pub struct TemplateSender {
 /// layout plus the producer epochs it was derived from. Immutable once
 /// captured — invalidation replaces the whole template.
 ///
-/// The serve *disk* for each sender is deliberately not cached: the
-/// untemplated path assigns it from a per-machine round-robin cursor at
-/// launch time, and replaying that cursor per instantiation (one advance per
-/// positive share, in capture order) is required for bit-identity.
-#[derive(Clone, Debug, Default)]
+/// The serve *disk* for each sender is deliberately not cached: it comes
+/// from a per-machine round-robin cursor that advances once per positive
+/// share at every launch, in capture order.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StageTemplate {
-    /// Positive per-task sender shares, dependency-major and machine-minor —
-    /// the exact order the untemplated sweep visits them.
+    /// Positive per-task sender shares, dependency-major and machine-minor.
     pub senders: Vec<TemplateSender>,
     /// `shuffle_epoch` of each dependency (in spec order) at capture time;
     /// the template is valid while every producer's epoch still matches.

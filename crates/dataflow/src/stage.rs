@@ -12,7 +12,7 @@ use crate::types::{BlockId, StageId};
 
 /// CPU work of one task, split the way a compute monotask reports it (§6.3):
 /// deserialization, operator computation, serialization.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CpuWork {
     /// Seconds spent deserializing input.
     pub deser: f64,

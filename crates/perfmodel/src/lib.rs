@@ -20,7 +20,7 @@
 //! * [`strawman`] — the models available *without* monotasks: the slot-based
 //!   model (Fig 15), the measured-aggregate Spark model (Fig 17), and
 //!   slot-share resource attribution for concurrent jobs (Fig 16).
-//! * [`replay`] — fault-aware what-ifs (DESIGN.md §10): predicts a faulty
+//! * [`replay`](mod@replay) — fault-aware what-ifs (DESIGN.md §10): predicts a faulty
 //!   run's makespan from a fault-free profile and a [`cluster::FaultPlan`],
 //!   with per-event penalty attribution.
 

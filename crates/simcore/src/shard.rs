@@ -489,7 +489,7 @@ impl HierFabric {
     ///
     /// This is the epoch boundary of the sharded design: every rack's
     /// collection runs independently (on scoped worker threads when at least
-    /// [`PAR_RACK_THRESHOLD`] racks are due), publishes into its own outbox,
+    /// `PAR_RACK_THRESHOLD` racks are due), publishes into its own outbox,
     /// and the outboxes — racks in index order, then the core — are merged
     /// sequentially in total `(time, shard, seq)` order. The merged stream
     /// is a pure function of per-shard state, so any shard count produces

@@ -3,8 +3,9 @@
 use std::collections::{HashMap, HashSet};
 
 use cluster::{
-    BufferCache, CachePolicy, ClusterSpec, DiskId, FaultAction, FaultPlan, FaultTimeline,
-    FluidMachine, InstantKind, MachineId, StreamDemand, StreamId, TraceSet, WriteOutcome,
+    BufferCache, CachePolicy, ClusterSpec, DeadlineCache, DiskId, FaultAction, FaultPlan,
+    FaultTimeline, FluidMachine, InstantKind, MachineId, StreamDemand, StreamId, TraceSet,
+    WriteOutcome,
 };
 use dataflow::runtime::{Decision, Runtime, RuntimeConfig};
 use dataflow::{BlockMap, InputSpec, JobId, JobReport, JobSpec, RunError, StageId, TaskId};
@@ -43,11 +44,6 @@ pub struct SparkConfig {
     /// Base of the deterministic exponential backoff between fetch retries:
     /// retry `k` waits `base × 2^(k-1)` seconds.
     pub fetch_backoff_base_secs: f64,
-    /// Compute the speculation threshold as the median of per-machine
-    /// duration medians instead of the global attempt median, so one
-    /// degraded machine cannot drag the threshold up. Off by default to
-    /// preserve the historic estimator bit-for-bit.
-    pub per_machine_duration_pools: bool,
     /// Arms the trace layer: when set, the run collects instant events
     /// ([`cluster::RunInstant`]) for trace export. Observation-only — the
     /// schedule is bit-identical whether or not a path is set. The executor
@@ -66,7 +62,6 @@ impl Default for SparkConfig {
             fetch_timeout_secs: None,
             fetch_max_retries: 3,
             fetch_backoff_base_secs: 1.0,
-            per_machine_duration_pools: false,
             trace_path: None,
         }
     }
@@ -140,16 +135,6 @@ pub struct SparkRunOutput {
     /// Instant events (faults, retries, speculation) collected when
     /// [`SparkConfig::trace_path`] is set; empty otherwise.
     pub instants: Vec<cluster::RunInstant>,
-}
-
-/// Completed attempt durations of one stage, for the speculation median.
-#[derive(Debug)]
-struct StagePool {
-    /// Every completed attempt, in seconds.
-    all: Vec<f64>,
-    /// Split by executing machine (filled only with
-    /// `per_machine_duration_pools` on).
-    per_machine: Vec<Vec<f64>>,
 }
 
 /// A pending disk write at the end of a task.
@@ -302,8 +287,9 @@ struct Exec {
     /// Job/stage state, retries and partition bookkeeping shared with the
     /// monotasks executor.
     rt: Runtime,
-    /// Speculation duration samples per `[job][stage]`.
-    pools: Vec<Vec<StagePool>>,
+    /// Completed attempt durations per `[job][stage]`, in seconds: the
+    /// speculation median's population.
+    pools: Vec<Vec<Vec<f64>>>,
     tasks: Vec<TaskRun>,
     records: Vec<TaskRecord>,
     traces: TraceSet,
@@ -418,10 +404,6 @@ pub fn run_with_faults(
         fetch_max_retries: cfg.fetch_max_retries,
         fetch_backoff_base_secs: cfg.fetch_backoff_base_secs,
     };
-    let pool = || StagePool {
-        all: Vec::new(),
-        per_machine: vec![Vec::new(); n_machines],
-    };
     let mut exec = Exec {
         cfg: cfg.clone(),
         slots,
@@ -429,7 +411,7 @@ pub fn run_with_faults(
         rt: Runtime::new(jobs, n_machines, rt_cfg, can_host),
         pools: jobs
             .iter()
-            .map(|(spec, _)| spec.stages.iter().map(|_| pool()).collect())
+            .map(|(spec, _)| vec![Vec::new(); spec.stages.len()])
             .collect(),
         tasks: Vec::new(),
         records: Vec::new(),
@@ -508,15 +490,7 @@ impl Exec {
         // Completion buffer reused across events: the speculative poll runs
         // per machine per event and must not allocate.
         let mut done_streams: Vec<StreamId> = Vec::new();
-        // Per-machine next-completion cache keyed by allocation epoch (the
-        // same scheme the monotasks executor uses): a machine whose rates
-        // did not change since the last sweep keeps its cached deadline, so
-        // the per-event cost scales with the machines that changed, not the
-        // cluster size. Bit-identical — the cache only skips recomputing a
-        // value the allocator would return unchanged.
-        let n_machines = self.n_machines();
-        let mut next_cache: Vec<Option<SimTime>> = vec![None; n_machines];
-        let mut epoch_cache: Vec<u64> = vec![u64::MAX; n_machines];
+        let mut deadlines = DeadlineCache::new(self.n_machines());
         loop {
             // One batch per event instant: flush timers and finished streams
             // first (their handlers cascade into follow-up inserts — next task
@@ -541,17 +515,10 @@ impl Exec {
             }
             // Speculation wake-ups carry no payload; draining them is enough —
             // the assignment sweep below re-checks every straggler.
-            while self.spec_timers.peek_time() == Some(self.now) {
-                self.spec_timers.pop();
-            }
+            while self.spec_timers.pop_due(self.now).is_some() {}
             for m in 0..self.n_machines() {
-                if !self.rt.alive[m] {
-                    continue;
-                }
-                // A machine whose cached deadline (still valid: same epoch)
-                // lies in the future cannot have a completion due now.
                 let fluid = &mut self.machines[m].fluid;
-                if epoch_cache[m] == fluid.epoch() && next_cache[m].is_none_or(|t| t > self.now) {
+                if !self.rt.alive[m] || !deadlines.may_complete(m, fluid, self.now) {
                     continue;
                 }
                 fluid.advance(self.now);
@@ -577,39 +544,21 @@ impl Exec {
                 break;
             }
             // Next event: stream completion, flush timer, speculation
-            // wake-up, or scheduled fault action.
-            let mut next: Option<SimTime> = None;
-            for (m, machine) in self.machines.iter_mut().enumerate() {
-                if !self.rt.alive[m] {
-                    next_cache[m] = None;
-                    epoch_cache[m] = machine.fluid.epoch();
-                    continue;
-                }
-                let epoch = machine.fluid.epoch();
-                if epoch_cache[m] != epoch {
-                    next_cache[m] = machine.fluid.next_completion(self.now);
-                    epoch_cache[m] = epoch;
-                }
-                if let Some(t) = next_cache[m] {
-                    next = Some(next.map_or(t, |b: SimTime| b.min(t)));
-                }
-            }
-            if let Some(t) = self.timers.peek_time() {
-                next = Some(next.map_or(t, |b: SimTime| b.min(t)));
-            }
-            if let Some(t) = self.spec_timers.peek_time() {
-                next = Some(next.map_or(t, |b: SimTime| b.min(t)));
-            }
-            if self.faults_on {
-                if let Some(t) = self.faults.next_time() {
-                    next = Some(next.map_or(t, |b: SimTime| b.min(t)));
-                }
-            }
-            if self.rt.partitions_on() {
-                if let Some(t) = self.rt.next_fetch_timer() {
-                    next = Some(next.map_or(t, |b: SimTime| b.min(t)));
-                }
-            }
+            // wake-up, scheduled fault action or fetch timer. Sources a run
+            // does not use are empty.
+            let machines = (self.machines.iter_mut())
+                .zip(&self.rt.alive)
+                .map(|(x, &alive)| (&mut x.fluid, alive));
+            let next = [
+                deadlines.earliest(machines, self.now),
+                self.timers.peek_time(),
+                self.spec_timers.peek_time(),
+                self.faults.next_time(),
+                self.rt.next_fetch_timer(),
+            ]
+            .into_iter()
+            .flatten()
+            .min();
             let Some(t) = next else {
                 if self.rt.partitions_on() {
                     if let Some(e) = self.partition_starvation_error() {
@@ -987,7 +936,7 @@ impl Exec {
             if !self.stage_has_enough_samples(t.job, t.stage) {
                 continue;
             }
-            let med = self.stage_median(t.job, t.stage);
+            let med = median(&self.pools[t.job][t.stage]);
             if med > 0.0 && self.now.since(t.start).as_secs_f64() > mult * med {
                 return Some(key);
             }
@@ -995,33 +944,10 @@ impl Exec {
         None
     }
 
-    /// Straggler threshold median for a stage: the global attempt median,
-    /// or — with per-machine pools on — the median of per-machine medians,
-    /// so one degraded machine cannot drag the threshold up.
-    fn stage_median(&self, ji: usize, si: usize) -> f64 {
-        let pool = &self.pools[ji][si];
-        if !self.cfg.per_machine_duration_pools {
-            return median(&pool.all);
-        }
-        let meds: Vec<f64> = pool
-            .per_machine
-            .iter()
-            .filter(|v| !v.is_empty())
-            .map(|v| median(v))
-            .collect();
-        median(&meds)
-    }
-
     /// Enough samples to trust the speculation median: half the stage
-    /// complete, and with per-machine pools on, at least two machines
-    /// represented (a single machine's pool carries no comparison signal).
+    /// complete.
     fn stage_has_enough_samples(&self, ji: usize, si: usize) -> bool {
-        let pool = &self.pools[ji][si];
-        if pool.all.len() * 2 < self.rt.jobs[ji].stages[si].total {
-            return false;
-        }
-        !self.cfg.per_machine_duration_pools
-            || pool.per_machine.iter().filter(|v| !v.is_empty()).count() >= 2
+        self.pools[ji][si].len() * 2 >= self.rt.jobs[ji].stages[si].total
     }
 
     /// Builds the task's pipelined phases and starts the first one.
@@ -1361,11 +1287,7 @@ impl Exec {
         }
         self.rt.complete_task(ji, si, ti, machine, self.now);
         if let Some(mult) = self.cfg.speculation_multiplier {
-            let pool = &mut self.pools[ji][si];
-            pool.all.push(elapsed);
-            if self.cfg.per_machine_duration_pools {
-                pool.per_machine[machine].push(elapsed);
-            }
+            self.pools[ji][si].push(elapsed);
             self.schedule_speculation_wakeups(ji, si, mult);
         }
     }
@@ -1404,7 +1326,7 @@ impl Exec {
         if self.rt.jobs[ji].stages[si].done || !self.stage_has_enough_samples(ji, si) {
             return;
         }
-        let med = self.stage_median(ji, si);
+        let med = median(&self.pools[ji][si]);
         if med <= 0.0 {
             return;
         }

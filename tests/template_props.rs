@@ -1,9 +1,13 @@
-//! Execution-template correctness: plan-once/stamp-many is an *optimization*,
-//! so a templated run must be bit-identical to the untemplated control path —
-//! same makespan bits, same event count, byte-identical monotask records —
-//! under arbitrary workloads, fault plans, and speculation settings. Crashes
-//! that move shuffle placement must invalidate the cached template, count the
-//! invalidation, and rebuild deterministically.
+//! Execution-template correctness. Stamping from a stage's captured
+//! template is the only way the executor builds a task's monotask DAG, and
+//! debug builds check every launch against the `decompose()` reference:
+//! the stamped nodes must equal the reference expansion, and every
+//! shuffle-input launch re-derives the stage's sender layout to prove the
+//! cached template is not stale. These tests drive that oracle across
+//! random workloads, fault plans and speculation settings, and pin the
+//! template bookkeeping: one build per stage when nothing fails, and a crash
+//! that moves shuffle placement invalidates, counts and rebuilds the template
+//! deterministically.
 
 mod testsupport;
 
@@ -17,31 +21,17 @@ fn cluster() -> cluster::ClusterSpec {
     testsupport::cluster(4)
 }
 
-/// Paired configs differing only in the template knob.
-fn on_off(speculate: bool) -> (MonoConfig, MonoConfig) {
-    let on = MonoConfig {
-        collect_traces: false,
-        mono_speculation_multiplier: speculate.then_some(1.5),
-        mono_speculation_min_runtime: speculate.then_some(0.05),
-        ..MonoConfig::default()
-    };
-    let off = MonoConfig {
-        execution_templates: false,
-        ..on.clone()
-    };
-    (on, off)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// Templates on vs off: bit-identical makespans (`f64::to_bits`),
-    /// identical event counts, byte-identical records, and identical stage
-    /// windows and recovery counters, across random topologies × fault
-    /// plans × speculation settings. Only the template bookkeeping itself
-    /// may differ between the two runs.
+    /// Random topologies × fault plans × speculation settings, run twice
+    /// with the stamping oracle armed (debug builds): a stamped DAG that
+    /// diverges from `decompose()`, or a template that outlived a placement
+    /// change, panics inside the run. The two runs must also agree bit for
+    /// bit, and every task of a stage either consults the template cache or
+    /// none does.
     #[test]
-    fn templates_are_bit_identical_to_the_untemplated_path(
+    fn stamped_dags_match_decompose_under_faults_and_speculation(
         rj in random_job(),
         seed in 0u64..1000,
         intensity in 0.0f64..2.0,
@@ -50,17 +40,16 @@ proptest! {
         let (cluster, job, blocks) = rj.build_replicated(2);
         let tasks_per_stage = job.stages.iter().map(|s| s.tasks.len()).max().unwrap_or(1);
         let plan = sweep_plan(seed, &cluster, 60.0, job.stages.len(), tasks_per_stage, intensity);
-        let (cfg_on, cfg_off) = on_off(speculate);
-        // The templated path is the default; the control path is the opt-out.
-        prop_assert!(MonoConfig::default().execution_templates);
-
-        let on = monotasks_core::run_with_faults(
-            &cluster, &[(job.clone(), blocks.clone())], &cfg_on, &plan,
-        );
-        let off = monotasks_core::run_with_faults(
-            &cluster, &[(job, blocks)], &cfg_off, &plan,
-        );
-        match (&on, &off) {
+        let cfg = MonoConfig {
+            collect_traces: false,
+            mono_speculation_multiplier: speculate.then_some(1.5),
+            mono_speculation_min_runtime: speculate.then_some(0.05),
+            ..MonoConfig::default()
+        };
+        let jobs = [(job, blocks)];
+        let a = monotasks_core::run_with_faults(&cluster, &jobs, &cfg, &plan);
+        let b = monotasks_core::run_with_faults(&cluster, &jobs, &cfg, &plan);
+        match (&a, &b) {
             (Ok(x), Ok(y)) => {
                 prop_assert_eq!(
                     x.makespan.as_secs_f64().to_bits(),
@@ -68,23 +57,16 @@ proptest! {
                 );
                 prop_assert_eq!(x.stats.events, y.stats.events);
                 prop_assert_eq!(format!("{:?}", x.records), format!("{:?}", y.records));
-                prop_assert_eq!(x.jobs.len(), y.jobs.len());
-                for (ja, jb) in x.jobs.iter().zip(&y.jobs) {
-                    prop_assert_eq!(ja.recovery, jb.recovery);
-                    prop_assert_eq!(ja.stages.len(), jb.stages.len());
-                    for (sa, sb) in ja.stages.iter().zip(&jb.stages) {
-                        prop_assert_eq!(sa.start, sb.start);
-                        prop_assert_eq!(sa.end, sb.end);
-                        prop_assert_eq!(sa.control.tasks_started, sb.control.tasks_started);
-                        // The opt-out path must not touch the template cache.
-                        prop_assert_eq!(sb.control.template_hits, 0);
-                        prop_assert_eq!(sb.control.template_misses, 0);
-                        prop_assert_eq!(sb.control.template_invalidations, 0);
+                for job in &x.jobs {
+                    for s in &job.stages {
+                        let c = s.control;
+                        let looked_up = c.template_hits + c.template_misses;
+                        prop_assert!(looked_up == 0 || looked_up == c.tasks_started, "{:?}", c);
                     }
                 }
             }
             (Err(x), Err(y)) => prop_assert_eq!(x, y),
-            _ => prop_assert!(false, "templates changed recoverability"),
+            _ => prop_assert!(false, "recoverability differs between identical runs"),
         }
     }
 }
@@ -111,24 +93,19 @@ fn fault_free_reduce_stage_builds_one_template() {
 
 /// A crash while the reduce stage is consuming shuffle output destroys map
 /// outputs and moves placement: the cached template must be dropped (counted
-/// as an invalidation), rebuilt deterministically, and the recovered run must
-/// still match the untemplated path bit for bit under the same fault plan.
+/// as an invalidation) and rebuilt deterministically.
 #[test]
 fn mid_stage_crash_invalidates_and_rebuilds_the_template() {
-    let (job, blocks) = sort4();
-    let free = monotasks_core::try_run(
-        &cluster(),
-        &[(job.clone(), blocks.clone())],
-        &MonoConfig::default(),
-    )
-    .expect("fault-free run");
+    let jobs = [sort4()];
+    let free =
+        monotasks_core::try_run(&cluster(), &jobs, &MonoConfig::default()).expect("fault-free run");
     let plan = mid_shuffle_crash(1, free.makespan.as_secs_f64() * 0.5);
-    let run = |cfg: MonoConfig| {
-        monotasks_core::run_with_faults(&cluster(), &[(job.clone(), blocks.clone())], &cfg, &plan)
+    let run = || {
+        monotasks_core::run_with_faults(&cluster(), &jobs, &MonoConfig::default(), &plan)
             .expect("one crash must be recoverable")
     };
 
-    let a = run(MonoConfig::default());
+    let a = run();
     let c = a.jobs[0].stage(StageId(1)).expect("reduce stage").control;
     assert!(
         c.template_invalidations >= 1,
@@ -144,21 +121,16 @@ fn mid_stage_crash_invalidates_and_rebuilds_the_template() {
     );
 
     // Rebuild is deterministic: identical reports modulo host wall time.
-    let b = run(MonoConfig::default());
+    // Debug builds also checked every stamped DAG of both runs against the
+    // `decompose()` reference, including the post-crash rebuild.
+    let b = run();
     assert_eq!(
         testsupport::jobs_debug_sans_host_time(&a.jobs),
         testsupport::jobs_debug_sans_host_time(&b.jobs)
     );
-
-    // And bit-identical to the untemplated path under the same plan.
-    let off = run(MonoConfig {
-        execution_templates: false,
-        ..MonoConfig::default()
-    });
     assert_eq!(
         a.makespan.as_secs_f64().to_bits(),
-        off.makespan.as_secs_f64().to_bits()
+        b.makespan.as_secs_f64().to_bits()
     );
-    assert_eq!(a.stats.events, off.stats.events);
-    assert_eq!(format!("{:?}", a.records), format!("{:?}", off.records));
+    assert_eq!(format!("{:?}", a.records), format!("{:?}", b.records));
 }
