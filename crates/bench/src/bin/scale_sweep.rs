@@ -17,7 +17,12 @@
 //! applied to the simulator itself), template hit/miss/invalidation counts
 //! with a nested per-stage breakdown, and, when the same run also measured
 //! the exact allocator at that scale, the makespan drift the approximation
-//! introduced.
+//! introduced. Each row also carries the point's peak host memory
+//! (`peak_rss_mb`, the process's `VmHWM`, reset before the point by writing
+//! `5` to `/proc/self/clear_refs`; `null` where `/proc` does not offer
+//! that) and `host_bytes_per_monotask`, that peak over the monotasks the
+//! run completed. The peak includes whatever the allocator kept resident
+//! from earlier points of the same sweep.
 //!
 //! Usage:
 //!   scale_sweep [--out PATH] [--points 5,20,50] [--workload sort|bdb]
@@ -46,7 +51,9 @@
 //! measured with execution templates off (BENCH_PR6.json's A/B columns) are
 //! ignored. `--check` also requires each point's simulated makespan to equal
 //! the baseline's to within print precision — simulated results are
-//! deterministic, so a changed makespan is a behaviour change, not drift. `--max-drift` additionally compares each approximate point's
+//! deterministic, so a changed makespan is a behaviour change, not drift.
+//! It reads no other field, so baselines without the memory fields check
+//! the same way. `--max-drift` additionally compares each approximate point's
 //! simulated makespan against the committed *exact* makespan at the same
 //! scale — makespans are bit-deterministic across hosts, so this doubles as
 //! the CI drift ceiling for the ε/Δ mode. `--max-control` caps the total
@@ -147,6 +154,42 @@ struct Point {
     /// Makespan drift vs the exact allocator at the same point, when this
     /// run measured it too (ε = Δ = 0 points have none by definition).
     drift_pct: Option<f64>,
+    /// Peak host memory over the point, MiB (`None` without `/proc`).
+    peak_rss_mb: Option<f64>,
+    /// Monotasks the run completed (one record each).
+    monotasks: usize,
+}
+
+/// Resets this process's `VmHWM` to its current RSS; false where Linux's
+/// `/proc/self/clear_refs` is unavailable.
+fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
+/// This process's peak resident set (`VmHWM`), MiB.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
+}
+
+impl Point {
+    /// Peak host bytes per completed monotask.
+    fn host_bytes_per_monotask(&self) -> Option<f64> {
+        let peak = self.peak_rss_mb?;
+        (self.monotasks > 0).then(|| peak * 1024.0 * 1024.0 / self.monotasks as f64)
+    }
+}
+
+/// `{:.1}` of a measured value, or `null`.
+fn json_opt(v: Option<f64>) -> String {
+    v.map_or_else(|| "null".into(), |v| format!("{v:.1}"))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -160,6 +203,7 @@ fn run_point(
     shards: usize,
     tasks_per_machine: usize,
 ) -> Point {
+    let peak_reset = reset_peak_rss();
     let cluster = if racks > 0 {
         ClusterSpec::with_racks(machines, MachineSpec::m2_4xlarge(), racks, oversub)
     } else {
@@ -226,6 +270,8 @@ fn run_point(
         template_invalidations: out.stats.template_invalidations,
         stages,
         drift_pct: None,
+        peak_rss_mb: if peak_reset { peak_rss_mb() } else { None },
+        monotasks: out.records.len(),
     }
 }
 
@@ -392,7 +438,7 @@ fn main() {
         "per-event control-plane cost proportional to what the event touches",
     );
     println!(
-        "{:>9} {:>7} {:>6} {:>5} {:>5} {:>6} {:>11} {:>9} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>6} {:>8}",
+        "{:>9} {:>7} {:>6} {:>5} {:>5} {:>6} {:>11} {:>9} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>6} {:>8} {:>8} {:>6}",
         "machines",
         "tasks",
         "eps",
@@ -411,7 +457,9 @@ fn main() {
         "build(s)",
         "inst(s)",
         "hit%",
-        "drift%"
+        "drift%",
+        "rss(MiB)",
+        "B/mt"
     );
     let mut points: Vec<Point> = Vec::new();
     for &m in &args.points {
@@ -462,7 +510,7 @@ fn main() {
                     }
                     let looked_up = p.template_hits + p.template_misses;
                     println!(
-                            "{:>9} {:>7} {:>6} {:>5} {:>5} {:>6} {:>11.1} {:>9.2} {:>10} {:>10} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>6} {:>8}",
+                            "{:>9} {:>7} {:>6} {:>5} {:>5} {:>6} {:>11.1} {:>9.2} {:>10} {:>10} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>6} {:>8} {:>8} {:>6}",
                             p.machines,
                             p.tasks,
                             p.epsilon,
@@ -488,6 +536,10 @@ fn main() {
                             p.drift_pct
                                 .map(|d| format!("{d:+.3}"))
                                 .unwrap_or_else(|| "-".into()),
+                            p.peak_rss_mb
+                                .map_or_else(|| "-".into(), |v| format!("{v:.1}")),
+                            p.host_bytes_per_monotask()
+                                .map_or_else(|| "-".into(), |v| format!("{v:.0}")),
                         );
                     points.push(p);
                 }
@@ -633,7 +685,8 @@ fn main() {
              \"wall_s\": {:.3}, \"events\": {}, \"reallocs\": {}, \"alloc_s\": {:.3}, \
              \"machine_alloc_s\": {:.3}, \"drain_s\": {:.3}, \"completion_s\": {:.3}, \
              \"control_s\": {:.3}, \"template_build_s\": {:.3}, \"instantiate_s\": {:.3}, \
-             \"template_hits\": {}, \"template_misses\": {}, \"template_invalidations\": {}{},\n",
+             \"template_hits\": {}, \"template_misses\": {}, \"template_invalidations\": {}, \
+             \"peak_rss_mb\": {}, \"host_bytes_per_monotask\": {}{},\n",
             p.workload.as_str(),
             p.machines,
             p.tasks,
@@ -655,6 +708,8 @@ fn main() {
             p.template_hits,
             p.template_misses,
             p.template_invalidations,
+            json_opt(p.peak_rss_mb),
+            json_opt(p.host_bytes_per_monotask()),
             drift,
         ));
         json.push_str("     \"stages\": [\n");

@@ -627,12 +627,13 @@ impl FluidMachine {
     /// Recomputes stream rates, capacities, used-rate accumulators, and
     /// completion deadlines. Called on every effective mutation.
     fn reallocate(&mut self) {
-        let drain_timer = Instant::now();
+        // Three clock reads: the drain's end instant is the allocation's
+        // start.
+        let drain_start = Instant::now();
         self.reallocs += 1;
         self.materialize();
-        let drained = drain_timer.elapsed().as_nanos() as u64;
-        self.drain_nanos += drained;
         let timer = Instant::now();
+        self.drain_nanos += (timer - drain_start).as_nanos() as u64;
         let mut caps = std::mem::take(&mut self.caps);
         self.capacities_into(&mut caps);
         self.caps = caps;

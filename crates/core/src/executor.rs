@@ -34,7 +34,7 @@ use crate::metrics::{MonotaskRecord, Purpose};
 #[cfg(debug_assertions)]
 use crate::monotask::MonotaskDag;
 use crate::monotask::{MonoOp, MultitaskKey};
-use crate::scheduler::MachineScheduler;
+use crate::scheduler::{MachineScheduler, QueuedRef};
 use crate::template::{StageTemplate, TemplateSender};
 
 /// How the worker picks a disk for a multitask's output write.
@@ -285,22 +285,109 @@ enum NetPhase {
     Transfer,
 }
 
+/// Which resource a node's op uses; see [`NodeOp`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum OpKind {
+    Compute,
+    DiskRead,
+    DiskWrite,
+    NetFetch,
+}
+
+/// A [`MonoOp`] as the hot node stores it: 16 bytes instead of 32. The
+/// compute op's [`dataflow::CpuWork`] lives once on [`MtState`] (node 0 is
+/// always the compute node), so [`Exec::op`] rebuilds the full op on demand.
+#[derive(Clone, Copy, Debug)]
+struct NodeOp {
+    /// Bytes moved (0 for compute).
+    bytes: f64,
+    /// The disk's machine for disk ops, the sender for fetches.
+    machine: u32,
+    /// The disk for disk ops, the sender's serve disk for fetches.
+    disk: u16,
+    kind: OpKind,
+    via_disk: bool,
+}
+
+impl NodeOp {
+    /// Packs `op`, checking its machine and disk fit the narrow fields.
+    fn pack(op: MonoOp) -> NodeOp {
+        let (kind, machine, disk, bytes, via_disk) = match op {
+            MonoOp::Compute { .. } => (OpKind::Compute, 0, 0, 0.0, false),
+            MonoOp::DiskRead {
+                machine,
+                disk,
+                bytes,
+            } => (OpKind::DiskRead, machine, disk, bytes, false),
+            MonoOp::DiskWrite {
+                machine,
+                disk,
+                bytes,
+            } => (OpKind::DiskWrite, machine, disk, bytes, false),
+            MonoOp::NetFetch {
+                from,
+                remote_disk,
+                bytes,
+                via_disk,
+            } => (OpKind::NetFetch, from, remote_disk, bytes, via_disk),
+        };
+        NodeOp {
+            bytes,
+            machine: u32::try_from(machine).expect("machine index fits 32 bits"),
+            disk: u16::try_from(disk).expect("disk index fits 16 bits"),
+            kind,
+            via_disk,
+        }
+    }
+
+    /// The full op, given the compute work a compute node runs.
+    fn unpack(self, work: dataflow::CpuWork) -> MonoOp {
+        let (machine, disk, bytes) = (self.machine as usize, self.disk as usize, self.bytes);
+        match self.kind {
+            OpKind::Compute => MonoOp::Compute { work },
+            OpKind::DiskRead => MonoOp::DiskRead {
+                machine,
+                disk,
+                bytes,
+            },
+            OpKind::DiskWrite => MonoOp::DiskWrite {
+                machine,
+                disk,
+                bytes,
+            },
+            OpKind::NetFetch => MonoOp::NetFetch {
+                from: machine,
+                remote_disk: disk,
+                bytes,
+                via_disk: self.via_disk,
+            },
+        }
+    }
+
+    fn is_fetch(self) -> bool {
+        self.kind == OpKind::NetFetch
+    }
+
+    /// The sender of a fetch.
+    fn fetch_from(self) -> Option<usize> {
+        self.is_fetch().then_some(self.machine as usize)
+    }
+}
+
 /// Per-monotask state the event loop touches on every dispatch and
 /// completion. Hot nodes are the one structure allocated per monotask (a
 /// shuffle creates maps × reduces of them), so everything only speculation
-/// or partitions need lives in [`ColdNode`] instead.
+/// or partitions need lives in [`ColdNode`], and everything the decompose
+/// layout implies lives on [`MtState`]: the compute work, a fetch group's
+/// admission time, and the DAG edges (inputs feed node 0, and node 0 feeds
+/// the write node, see [`Exec::dependent`]).
 #[derive(Debug)]
 struct MonoNode {
-    op: MonoOp,
+    op: NodeOp,
     queued: SimTime,
     started: SimTime,
-    serve_queued: SimTime,
     serve_started: SimTime,
     deps_remaining: u32,
-    /// The single DAG successor, if any. Decomposition only ever produces
-    /// chains into/out of the compute node (inputs → compute → write), so a
-    /// full adjacency list would be a per-node allocation for nothing.
-    dependent: Option<u32>,
     purpose: Purpose,
     net_phase: NetPhase,
     /// `DONE | RUNNING | CANCELLED | COPY` bits.
@@ -308,7 +395,7 @@ struct MonoNode {
 }
 
 // The hot node's size is the per-monotask host cost; keep it in check.
-const _: () = assert!(std::mem::size_of::<MonoNode>() <= 80);
+const _: () = assert!(std::mem::size_of::<MonoNode>() <= 48);
 
 /// Completed (or won by its copy).
 const DONE: u8 = 1;
@@ -325,13 +412,11 @@ impl MonoNode {
     /// A node enqueued at `now` with no DAG edges and no flags set.
     fn new(op: MonoOp, purpose: Purpose, now: SimTime) -> MonoNode {
         MonoNode {
-            op,
+            op: NodeOp::pack(op),
             queued: now,
             started: now,
-            serve_queued: now,
             serve_started: now,
             deps_remaining: 0,
-            dependent: None,
             purpose,
             net_phase: NetPhase::Waiting,
             flags: 0,
@@ -393,6 +478,14 @@ struct MtState {
     key: MultitaskKey,
     machine: usize,
     nodes: Vec<MonoNode>,
+    /// CPU work of the compute node (node 0), straggle included.
+    work: dataflow::CpuWork,
+    /// Index of the output write node, if any. Speculative copies are
+    /// appended after it.
+    write: Option<u32>,
+    /// When the receiver admitted the fetch group: the serve chain of every
+    /// via-disk fetch starts here.
+    serve_queued: SimTime,
     remaining: usize,
     fetches_outstanding: usize,
     /// Abandoned by a crash; stale scheduler-queue entries are skipped lazily.
@@ -474,11 +567,15 @@ struct Exec {
 }
 
 /// Encodes a `(multitask, node)` reference as a fluid stream id: 32 bits
-/// each, so ids order by `(mt, node)`. Neither field can overflow in
-/// practice: 2^32 multitasks or nodes would not fit in host memory.
+/// each, so ids order by `(mt, node)`. Both indices fit: `start_multitask`
+/// checks them once per launch.
 fn stream_id(mt: usize, node: usize) -> StreamId {
-    debug_assert!((mt as u64) >> 32 == 0 && (node as u64) >> 32 == 0);
     StreamId(((mt as u64) << 32) | node as u64)
+}
+
+/// A scheduler-queue reference to `(mt, node)`; indices checked at launch.
+fn qref(mt: usize, node: usize) -> QueuedRef {
+    (mt as u32, node as u32)
 }
 
 fn decode(id: StreamId) -> (usize, usize) {
@@ -700,6 +797,46 @@ impl Exec {
     /// Cold state of node `(mt, node)`, created on first write.
     fn cold_mut(&mut self, mt: usize, node: usize) -> &mut ColdNode {
         self.cold.entry((mt, node)).or_default()
+    }
+
+    /// Node `(mt, node)`'s full op. A compute copy runs clean: the straggle
+    /// factor models a degraded *attempt* (JIT pause, bad core), not
+    /// degraded data, so the copy divides it back out.
+    fn op(&self, mt: usize, node: usize) -> MonoOp {
+        let (m, n) = (&self.mts[mt], &self.mts[mt].nodes[node]);
+        let mut work = m.work;
+        if let (OpKind::Compute, true, Some(f)) = (n.op.kind, n.is_copy(), m.straggle) {
+            work.deser /= f;
+            work.compute /= f;
+            work.ser /= f;
+        }
+        n.op.unpack(work)
+    }
+
+    /// The single DAG successor of `(mt, node)`, from the decompose layout:
+    /// every input feeds the compute node 0, node 0 feeds the write, and the
+    /// write and speculative copies feed nothing.
+    fn dependent(&self, mt: usize, node: usize) -> Option<usize> {
+        let m = &self.mts[mt];
+        if node == 0 {
+            m.write.map(|w| w as usize)
+        } else if m.nodes[node].is_copy() || m.write == Some(node as u32) {
+            None
+        } else {
+            Some(0)
+        }
+    }
+
+    /// When `(mt, node)`'s serve chain was queued: its fetch group's
+    /// admission, or a copy's launch, which is also the copy's `queued` (a
+    /// copy goes straight to its queue, never through `enqueue_node`).
+    fn serve_queued(&self, mt: usize, node: usize) -> SimTime {
+        let n = &self.mts[mt].nodes[node];
+        if n.is_copy() {
+            n.queued
+        } else {
+            self.mts[mt].serve_queued
+        }
     }
 
     /// Records a trace instant at the current simulated time, after the
@@ -981,21 +1118,16 @@ impl Exec {
                 // aborting the whole multitask.
                 for node in 0..self.mts[mt].nodes.len() {
                     let n = &self.mts[mt].nodes[node];
-                    if n.is_copy()
-                        && !n.done()
-                        && !n.cancelled()
-                        && matches!(n.op, MonoOp::NetFetch { from, .. } if from == m)
-                    {
+                    if n.is_copy() && !n.done() && !n.cancelled() && n.op.fetch_from() == Some(m) {
                         self.cancel_node(mt, node);
                     }
                 }
             }
             let dead_fetch = !on_dead
-                && self.mts[mt].nodes.iter().any(|n| {
-                    !n.done()
-                        && !n.cancelled()
-                        && matches!(n.op, MonoOp::NetFetch { from, .. } if from == m)
-                });
+                && self.mts[mt]
+                    .nodes
+                    .iter()
+                    .any(|n| !n.done() && !n.cancelled() && n.op.fetch_from() == Some(m));
             if on_dead || dead_fetch {
                 self.abort_multitask(mt)?;
             }
@@ -1042,9 +1174,7 @@ impl Exec {
                 let (skip, is_copy, in_transfer) = {
                     let n = &self.mts[mt].nodes[node];
                     (
-                        n.done()
-                            || n.cancelled()
-                            || !matches!(n.op, MonoOp::NetFetch { from, .. } if from == src),
+                        n.done() || n.cancelled() || n.op.fetch_from() != Some(src),
                         n.is_copy(),
                         n.net_phase == NetPhase::Transfer && n.running(),
                     )
@@ -1088,11 +1218,7 @@ impl Exec {
             }
             for node in 0..self.mts[mt].nodes.len() {
                 let n = &self.mts[mt].nodes[node];
-                if n.done()
-                    || n.cancelled()
-                    || n.is_copy()
-                    || !matches!(n.op, MonoOp::NetFetch { from, .. } if from == src)
-                {
+                if n.done() || n.cancelled() || n.is_copy() || n.op.fetch_from() != Some(src) {
                     continue;
                 }
                 let Some(c) = self.cold.get_mut(&(mt, node)) else {
@@ -1134,9 +1260,8 @@ impl Exec {
             for node in 0..self.mts[mt].nodes.len() {
                 let (due, from) = {
                     let n = &self.mts[mt].nodes[node];
-                    let from = match n.op {
-                        MonoOp::NetFetch { from, .. } => from,
-                        _ => continue,
+                    let Some(from) = n.op.fetch_from() else {
+                        continue;
                     };
                     (
                         !n.done()
@@ -1213,7 +1338,7 @@ impl Exec {
             if n.done() || n.cancelled() || n.is_copy() {
                 continue;
             }
-            if !matches!(n.op, MonoOp::NetFetch { .. }) {
+            if !n.op.is_fetch() {
                 continue;
             }
             if let Some(c) = self.cold.get_mut(&(mt, node)) {
@@ -1258,10 +1383,7 @@ impl Exec {
                     continue;
                 }
                 let has = self.mts[mt].nodes.iter().any(|n| {
-                    !n.done()
-                        && !n.cancelled()
-                        && !n.is_copy()
-                        && matches!(n.op, MonoOp::NetFetch { from, .. } if from == s)
+                    !n.done() && !n.cancelled() && !n.is_copy() && n.op.fetch_from() == Some(s)
                 });
                 if has {
                     self.account_replanned_fetches(mt);
@@ -1291,7 +1413,7 @@ impl Exec {
                 if c.stall_since.is_none() && c.parked_bytes.is_none() {
                     continue;
                 }
-                if let MonoOp::NetFetch { from, .. } = n.op {
+                if let Some(from) = n.op.fetch_from() {
                     return Some(RunError::Unreachable {
                         job: mt.key.job,
                         stage: mt.key.stage,
@@ -1321,20 +1443,14 @@ impl Exec {
                 let n = &self.mts[mt].nodes[node];
                 (n.op, n.net_phase, n.done(), n.running(), n.cancelled())
             };
-            if let MonoOp::NetFetch { .. } = op {
-                if done || phase != NetPhase::Waiting {
-                    group_admitted = true;
-                }
+            if op.is_fetch() && (done || phase != NetPhase::Waiting) {
+                group_admitted = true;
             }
             // Discarded I/O: every byte-moving monotask this attempt started
             // (finished or in flight) is thrown away. Cancelled speculation
             // losers already charged theirs.
-            if self.faults_on
-                && !cancelled
-                && (done || running)
-                && !matches!(op, MonoOp::Compute { .. })
-            {
-                self.rt.jobs[ji].recovery.wasted_bytes += op.bytes();
+            if self.faults_on && !cancelled && (done || running) && op.kind != OpKind::Compute {
+                self.rt.jobs[ji].recovery.wasted_bytes += op.bytes;
             }
             if done {
                 continue;
@@ -1484,10 +1600,16 @@ impl Exec {
         let t_built = std::time::Instant::now();
         #[cfg(debug_assertions)]
         let reference = self.decompose_reference(m, ji, si, &task, input_disk, write_disk);
-        let nodes = self.stamp_nodes(m, ji, si, &task, input_disk, write_disk);
-        #[cfg(debug_assertions)]
-        self.check_stamp(&reference, &nodes);
+        let (nodes, write) = self.stamp_nodes(m, ji, si, &task, input_disk, write_disk);
         let mt_idx = self.mts.len();
+        // Scheduler queues and stream ids carry `(multitask, node)` as two
+        // u32s. Check both once here, in release builds too; each node may
+        // gain one speculative copy.
+        assert!(
+            u32::try_from(mt_idx).is_ok() && u32::try_from(2 * nodes.len()).is_ok(),
+            "multitask {mt_idx} with {} nodes overflows 32-bit monotask references",
+            nodes.len()
+        );
         let remaining = nodes.len();
         let input_block = match task.input {
             InputSpec::DiskBlock { block, .. } => Some(block),
@@ -1501,6 +1623,9 @@ impl Exec {
             },
             machine: m,
             nodes,
+            work: task.cpu,
+            write,
+            serve_queued: self.now,
             remaining,
             fetches_outstanding: 0,
             aborted: false,
@@ -1510,6 +1635,8 @@ impl Exec {
             input_block,
             straggle,
         });
+        #[cfg(debug_assertions)]
+        self.check_stamp(&reference, mt_idx);
         self.machines[m].assigned += 1;
         // Enqueue DAG roots, in node-index order.
         let mut has_fetches = false;
@@ -1517,12 +1644,11 @@ impl Exec {
             if self.mts[mt_idx].nodes[node].deps_remaining != 0 {
                 continue;
             }
-            match self.mts[mt_idx].nodes[node].op {
-                MonoOp::NetFetch { .. } => {
-                    has_fetches = true;
-                    self.mts[mt_idx].fetches_outstanding += 1;
-                }
-                _ => self.enqueue_node(mt_idx, node),
+            if self.mts[mt_idx].nodes[node].op.is_fetch() {
+                has_fetches = true;
+                self.mts[mt_idx].fetches_outstanding += 1;
+            } else {
+                self.enqueue_node(mt_idx, node);
             }
         }
         if has_fetches {
@@ -1596,10 +1722,11 @@ impl Exec {
     }
 
     /// Stamps one task's monotask nodes: compute at index 0, input nodes in
-    /// template/sender order, the output write last — the node layout and
-    /// dependency wiring of [`crate::decompose::decompose`], done
-    /// arithmetically instead of via DAG construction. Debug builds assert
-    /// the two agree on every launch.
+    /// template/sender order, the output write last — the node layout of
+    /// [`crate::decompose::decompose`], done arithmetically instead of via
+    /// DAG construction. Returns the nodes and the write node's index; the
+    /// layout implies every edge (see [`Exec::dependent`]). Debug builds
+    /// assert the two agree on every launch.
     fn stamp_nodes(
         &mut self,
         m: usize,
@@ -1608,7 +1735,7 @@ impl Exec {
         task: &TaskSpec,
         input_disk: usize,
         write_disk: usize,
-    ) -> Vec<MonoNode> {
+    ) -> (Vec<MonoNode>, Option<u32>) {
         let now = self.now;
         let blank = |op: MonoOp, purpose: Purpose| MonoNode::new(op, purpose, now);
         let cap = 2 + match task.input {
@@ -1691,17 +1818,15 @@ impl Exec {
             )),
             _ => None,
         };
-        if let Some((op, purpose)) = write {
-            let w = nodes.len();
-            nodes.push(blank(op, purpose));
-            nodes[w].deps_remaining = 1;
-            nodes[0].dependent = Some(w as u32);
-        }
+        let write = write.map(|(op, purpose)| {
+            nodes.push(MonoNode {
+                deps_remaining: 1,
+                ..blank(op, purpose)
+            });
+            n_inputs as u32 + 1
+        });
         nodes[0].deps_remaining = u32::try_from(n_inputs).expect("node count fits 32 bits");
-        for node in nodes.iter_mut().take(n_inputs + 1).skip(1) {
-            node.dependent = Some(0);
-        }
-        nodes
+        (nodes, write)
     }
 
     /// Debug-build reference for execution templates, kept the way
@@ -1753,22 +1878,20 @@ impl Exec {
         (decompose(task, &ctx), cursors)
     }
 
-    /// Asserts stamped `nodes` match the [`Self::decompose_reference`]
-    /// expansion node for node, and that stamping advanced the serve cursors
-    /// exactly as the reference did.
+    /// Asserts multitask `mt`'s stamped nodes match the
+    /// [`Self::decompose_reference`] expansion node for node — ops rebuilt
+    /// from the compact form, and edges derived from the layout — and that
+    /// stamping advanced the serve cursors exactly as the reference did.
     #[cfg(debug_assertions)]
-    fn check_stamp(
-        &self,
-        (dag, cursors): &(MonotaskDag, FxHashMap<usize, usize>),
-        nodes: &[MonoNode],
-    ) {
+    fn check_stamp(&self, (dag, cursors): &(MonotaskDag, FxHashMap<usize, usize>), mt: usize) {
+        let nodes = &self.mts[mt].nodes;
         assert_eq!(nodes.len(), dag.nodes.len(), "stamped node count");
         for (i, (n, r)) in nodes.iter().zip(&dag.nodes).enumerate() {
             assert!(
-                n.op == r.op
+                self.op(mt, i) == r.op
                     && n.purpose == r.purpose
                     && n.deps_remaining as usize == r.deps_remaining
-                    && n.dependent.map(|d| d as usize) == r.dependents.first().copied()
+                    && self.dependent(mt, i) == r.dependents.first().copied()
                     && r.dependents.len() <= 1,
                 "stamped node {i} diverges from decompose(): {n:?} vs {r:?}"
             );
@@ -1782,17 +1905,17 @@ impl Exec {
     fn enqueue_node(&mut self, mt: usize, node: usize) {
         self.mts[mt].nodes[node].queued = self.now;
         let machine = self.mts[mt].machine;
-        match self.mts[mt].nodes[node].op {
-            MonoOp::Compute { .. } => self.machines[machine].sched.enqueue_cpu((mt, node)),
+        match self.op(mt, node) {
+            MonoOp::Compute { .. } => self.machines[machine].sched.enqueue_cpu(qref(mt, node)),
             MonoOp::DiskRead { disk, .. } => {
                 self.machines[machine]
                     .sched
-                    .enqueue_disk(disk, (mt, node), false)
+                    .enqueue_disk(disk, qref(mt, node), false)
             }
             MonoOp::DiskWrite { disk, .. } => {
                 self.machines[machine]
                     .sched
-                    .enqueue_disk(disk, (mt, node), true)
+                    .enqueue_disk(disk, qref(mt, node), true)
             }
             MonoOp::NetFetch { .. } => unreachable!("fetches are admitted as groups"),
         }
@@ -1810,6 +1933,7 @@ impl Exec {
                 continue;
             }
             while let Some((mt, node)) = self.machines[m].sched.pop_cpu() {
+                let (mt, node) = (mt as usize, node as usize);
                 if self.mts[mt].aborted || self.mts[mt].nodes[node].cancelled() {
                     // Stale entry of a crash-aborted multitask or a cancelled
                     // speculation loser: drop it and give back the slot the
@@ -1832,9 +1956,9 @@ impl Exec {
                         self.machines[m].sched.pop_disk(d)
                     };
                     let Some((mt, node)) = popped else { break };
+                    let (mt, node) = (mt as usize, node as usize);
                     if self.mts[mt].aborted || self.mts[mt].nodes[node].cancelled() {
-                        let was_write =
-                            matches!(self.mts[mt].nodes[node].op, MonoOp::DiskWrite { .. });
+                        let was_write = self.mts[mt].nodes[node].op.kind == OpKind::DiskWrite;
                         self.machines[m].sched.finish_disk(d, was_write);
                         changed = true;
                         continue;
@@ -1857,7 +1981,7 @@ impl Exec {
     }
 
     fn start_cpu(&mut self, machine: usize, mt: usize, node: usize) {
-        let work = match self.mts[mt].nodes[node].op {
+        let work = match self.op(mt, node) {
             MonoOp::Compute { work } => work,
             ref op => panic!("CPU scheduler admitted non-compute monotask {op:?}"),
         };
@@ -1873,7 +1997,7 @@ impl Exec {
 
     fn start_disk(&mut self, machine: usize, disk: usize, mt: usize, node: usize) {
         let n_disks = self.machines[machine].fluid.spec().disks.len();
-        let (bytes, is_write) = match self.mts[mt].nodes[node].op {
+        let (bytes, is_write) = match self.op(mt, node) {
             MonoOp::DiskRead { bytes, .. } => {
                 self.mts[mt].nodes[node].started = self.now;
                 // Reserve the read buffer up front: the memory is committed
@@ -1915,20 +2039,21 @@ impl Exec {
             .nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| matches!(n.op, MonoOp::NetFetch { .. }))
+            .filter(|(_, n)| n.op.is_fetch())
             .map(|(i, _)| i)
             .collect();
         debug_assert!(!fetch_nodes.is_empty());
         // Reserve the whole group's receive buffers at admission (§3.5).
         let group_bytes: f64 = fetch_nodes
             .iter()
-            .map(|n| self.mts[mt].nodes[*n].op.bytes())
+            .map(|n| self.mts[mt].nodes[*n].op.bytes)
             .sum();
         let machine = self.mts[mt].machine;
         self.adjust_buffered(machine, group_bytes);
         self.mts[mt].buffered += group_bytes;
+        self.mts[mt].serve_queued = self.now;
         for node in fetch_nodes {
-            match self.mts[mt].nodes[node].op {
+            match self.op(mt, node) {
                 MonoOp::NetFetch {
                     from,
                     remote_disk,
@@ -1937,10 +2062,9 @@ impl Exec {
                 } => {
                     if via_disk {
                         self.mts[mt].nodes[node].net_phase = NetPhase::RemoteRead;
-                        self.mts[mt].nodes[node].serve_queued = self.now;
                         self.machines[from]
                             .sched
-                            .enqueue_disk(remote_disk, (mt, node), false);
+                            .enqueue_disk(remote_disk, qref(mt, node), false);
                     } else {
                         self.start_transfer(mt, node);
                     }
@@ -1954,15 +2078,12 @@ impl Exec {
     /// rx-only fluid stream on the receiver, or a sender+receiver flow on
     /// the max-min fabric in full-duplex mode.
     fn start_transfer(&mut self, mt: usize, node: usize) {
-        let bytes = self.mts[mt].nodes[node].op.bytes();
+        let bytes = self.mts[mt].nodes[node].op.bytes;
         self.mts[mt].nodes[node].net_phase = NetPhase::Transfer;
         self.mts[mt].nodes[node].started = self.now;
         self.mts[mt].nodes[node].set(RUNNING, true);
         let machine = self.mts[mt].machine;
-        let from = match self.mts[mt].nodes[node].op {
-            MonoOp::NetFetch { from, .. } => from,
-            _ => unreachable!("transfer on non-fetch node"),
-        };
+        let from = self.mts[mt].nodes[node].op.fetch_from().expect("a fetch");
         if self.rt.partitions_on() && self.rt.is_cut(from, machine) {
             // Starting straight into a cut pair: begin the stall clock now.
             // Fabric transfers still enter the allocator (their class runs at
@@ -2004,7 +2125,7 @@ impl Exec {
             self.copy_finished(mt, node);
             return;
         }
-        let op = self.mts[mt].nodes[node].op;
+        let op = self.op(mt, node);
         self.mts[mt].nodes[node].set(RUNNING, false);
         match op {
             MonoOp::Compute { work } => {
@@ -2051,14 +2172,13 @@ impl Exec {
                 NetPhase::RemoteRead => {
                     self.machines[from].sched.finish_disk(remote_disk, false);
                     // Emit the serve read as its own record on the sender.
-                    let n = &self.mts[mt].nodes[node];
                     self.records.push(MonotaskRecord {
                         multitask: self.mts[mt].key,
                         machine: from,
                         resource: ResourceKind::Disk,
                         purpose: Purpose::ReadShuffleServe,
-                        queued: n.serve_queued,
-                        started: n.serve_started,
+                        queued: self.mts[mt].serve_queued,
+                        started: self.mts[mt].nodes[node].serve_started,
                         ended: self.now,
                         bytes,
                         cpu: None,
@@ -2087,12 +2207,13 @@ impl Exec {
     /// is derived from.
     fn push_sample(&mut self, mt: usize, node: usize) {
         let n = &self.mts[mt].nodes[node];
-        let anchor = match n.op {
-            // A via-disk fetch's service spans the sender-side serve chain
-            // plus the transfer; anchoring at the serve enqueue matches the
-            // elapsed-time anchor eligibility uses.
-            MonoOp::NetFetch { via_disk: true, .. } => n.serve_queued,
-            _ => n.started,
+        // A via-disk fetch's service spans the sender-side serve chain plus
+        // the transfer; anchoring at the serve enqueue matches the
+        // elapsed-time anchor eligibility uses.
+        let anchor = if n.op.is_fetch() && n.op.via_disk {
+            self.serve_queued(mt, node)
+        } else {
+            n.started
         };
         let d = self.now.since(anchor).as_secs_f64();
         let key = (self.mts[mt].key.job.0, self.mts[mt].key.stage.0, n.purpose);
@@ -2125,7 +2246,7 @@ impl Exec {
                 {
                     continue;
                 }
-                let anchor = match n.op {
+                let anchor = match self.op(mt, node) {
                     // CPU and disk originals must be in service: queueing
                     // delay is contention, which the per-resource schedulers
                     // already make visible, not a straggler.
@@ -2152,7 +2273,7 @@ impl Exec {
                         // Anchored at the serve enqueue: a pile-up on a
                         // degraded serve disk is exactly the straggle a
                         // replica serve disk beats.
-                        n.serve_queued
+                        self.mts[mt].serve_queued
                     }
                 };
                 let key = (self.mts[mt].key.job.0, self.mts[mt].key.stage.0, n.purpose);
@@ -2199,23 +2320,14 @@ impl Exec {
     /// original's DAG node.
     fn launch_copy(&mut self, mt: usize, node: usize) -> bool {
         let home = self.mts[mt].machine;
-        let orig_op = self.mts[mt].nodes[node].op;
+        let orig_op = self.op(mt, node);
         let purpose = self.mts[mt].nodes[node].purpose;
         // Where the copy runs: its op, its net phase, and the disk queue (on
         // `enqueue_on.0`) or CPU queue it enters.
         let (copy_op, is_fetch_copy, enqueue_on) = match orig_op {
-            MonoOp::Compute { work } => {
-                // Duplicate the compute on this machine's CPU scheduler. The
-                // copy runs clean: the straggle factor models a degraded
-                // *attempt* (JIT pause, bad core), not degraded data.
-                let mut clean = work;
-                if let Some(f) = self.mts[mt].straggle {
-                    clean.deser /= f;
-                    clean.compute /= f;
-                    clean.ser /= f;
-                }
-                (MonoOp::Compute { work: clean }, false, None)
-            }
+            // Duplicate the compute on this machine's CPU scheduler; the copy
+            // runs clean (see `Exec::op`).
+            MonoOp::Compute { work } => (MonoOp::Compute { work }, false, None),
             MonoOp::DiskRead { disk, bytes, .. } => match purpose {
                 Purpose::ReadInput => {
                     // HDFS replica lookup: prefer another local disk, else
@@ -2342,10 +2454,10 @@ impl Exec {
             resource: res_index(&orig_op),
         });
         match copy_op {
-            MonoOp::Compute { .. } => self.machines[home].sched.enqueue_cpu((mt, idx)),
+            MonoOp::Compute { .. } => self.machines[home].sched.enqueue_cpu(qref(mt, idx)),
             _ => {
                 let (m, d) = enqueue_on.expect("non-compute copies carry a disk target");
-                self.machines[m].sched.enqueue_disk(d, (mt, idx), false);
+                self.machines[m].sched.enqueue_disk(d, qref(mt, idx), false);
             }
         }
         true
@@ -2360,7 +2472,7 @@ impl Exec {
             .cold(mt, copy)
             .and_then(|c| c.copy_of)
             .expect("copy_finished on an original");
-        let copy_op = self.mts[mt].nodes[copy].op;
+        let copy_op = self.op(mt, copy);
         if let MonoOp::NetFetch {
             from, remote_disk, ..
         } = copy_op
@@ -2389,7 +2501,7 @@ impl Exec {
         self.mts[mt].nodes[copy].set(RUNNING, false);
         let key = self.mts[mt].key;
         let ji = key.job.0 as usize;
-        let win_res = res_index(&self.mts[mt].nodes[orig].op);
+        let win_res = res_index(&self.op(mt, orig));
         self.rt.jobs[ji].recovery.mono_copy_wins[win_res] += 1;
         self.emit_instant(cluster::InstantKind::MonoCopyWin {
             job: key.job.0,
@@ -2400,7 +2512,7 @@ impl Exec {
         self.push_sample(mt, copy);
         // … then perform, exactly once for the pair, the completion
         // bookkeeping the original would have done.
-        match self.mts[mt].nodes[orig].op {
+        match self.op(mt, orig) {
             MonoOp::Compute { work } => {
                 let delta = self.compute_buffer_delta(mt);
                 self.adjust_buffered(home, delta);
@@ -2441,11 +2553,11 @@ impl Exec {
             return;
         }
         let op = n.op;
-        let phase = n.net_phase;
         let running = n.running();
-        let anchor = match (op, phase) {
-            (MonoOp::NetFetch { .. }, NetPhase::RemoteRead) => n.serve_started,
-            _ => n.started,
+        let anchor = if op.is_fetch() && n.net_phase == NetPhase::RemoteRead {
+            n.serve_started
+        } else {
+            n.started
         };
         self.mts[mt].nodes[node].set(CANCELLED, true);
         if !running {
@@ -2460,8 +2572,8 @@ impl Exec {
         // rule the slot-level engine charges), plus the elapsed service time.
         let ji = self.mts[mt].key.job.0 as usize;
         self.rt.jobs[ji].recovery.wasted_work_seconds += self.now.since(anchor).as_secs_f64();
-        if !matches!(op, MonoOp::Compute { .. }) {
-            self.rt.jobs[ji].recovery.wasted_bytes += op.bytes();
+        if op.kind != OpKind::Compute {
+            self.rt.jobs[ji].recovery.wasted_bytes += op.bytes;
         }
     }
 
@@ -2480,15 +2592,13 @@ impl Exec {
     /// miss means the stream never started or already drained.
     fn remove_stream(&mut self, mt: usize, node: usize) {
         let sid = stream_id(mt, node);
-        let on = match (
-            self.mts[mt].nodes[node].op,
-            self.mts[mt].nodes[node].net_phase,
-        ) {
+        let on = match (self.op(mt, node), self.mts[mt].nodes[node].net_phase) {
             (MonoOp::NetFetch { .. }, NetPhase::Waiting) => return,
             (MonoOp::NetFetch { from, .. }, NetPhase::RemoteRead) => from,
-            (MonoOp::NetFetch { .. }, NetPhase::Transfer) if self.fabric.is_some() => {
+            (MonoOp::NetFetch { from, .. }, NetPhase::Transfer) if self.fabric.is_some() => {
+                let to = self.mts[mt].machine;
                 if let Some(fabric) = &mut self.fabric {
-                    fabric.remove(self.now, FlowId(sid.0));
+                    fabric.remove(self.now, FlowId(sid.0), from, to);
                 }
                 return;
             }
@@ -2504,8 +2614,7 @@ impl Exec {
     /// Transfers hold none: the fetch group's slot is settled separately.
     fn release_slot(&mut self, mt: usize, node: usize) {
         let home = self.mts[mt].machine;
-        let n = &self.mts[mt].nodes[node];
-        match (n.op, n.net_phase) {
+        match (self.op(mt, node), self.mts[mt].nodes[node].net_phase) {
             (MonoOp::Compute { .. }, _) => self.machines[home].sched.finish_cpu(),
             (MonoOp::DiskRead { disk, .. }, _) => {
                 self.machines[home].sched.finish_disk(disk, false)
@@ -2531,16 +2640,16 @@ impl Exec {
     /// buffers and produced the serialized output. Speculative copy nodes
     /// are excluded — only one of each racing pair's buffers is real.
     fn compute_buffer_delta(&self, mt: usize) -> f64 {
-        let bytes = |f: fn(&MonoOp) -> bool| -> f64 {
+        let bytes = |f: fn(OpKind) -> bool| -> f64 {
             self.mts[mt]
                 .nodes
                 .iter()
-                .filter(|n| !n.is_copy() && f(&n.op))
-                .map(|n| n.op.bytes())
+                .filter(|n| !n.is_copy() && f(n.op.kind))
+                .map(|n| n.op.bytes)
                 .sum()
         };
-        bytes(|op| matches!(op, MonoOp::DiskWrite { .. }))
-            - bytes(|op| matches!(op, MonoOp::DiskRead { .. } | MonoOp::NetFetch { .. }))
+        bytes(|k| k == OpKind::DiskWrite)
+            - bytes(|k| matches!(k, OpKind::DiskRead | OpKind::NetFetch))
     }
 
     /// Adjusts a machine's in-flight buffer accounting and flips the §3.5
@@ -2603,12 +2712,11 @@ impl Exec {
                 self.cancel_node(mt, c);
             }
         }
-        if let Some(d) = self.mts[mt].nodes[node].dependent {
-            let d = d as usize;
+        if let Some(d) = self.dependent(mt, node) {
             self.mts[mt].nodes[d].deps_remaining -= 1;
             if self.mts[mt].nodes[d].deps_remaining == 0 {
                 debug_assert!(
-                    !matches!(self.mts[mt].nodes[d].op, MonoOp::NetFetch { .. }),
+                    !self.mts[mt].nodes[d].op.is_fetch(),
                     "fetches must be DAG roots"
                 );
                 self.enqueue_node(mt, d);

@@ -21,8 +21,9 @@
 use std::collections::VecDeque;
 
 /// A queued monotask reference: `(multitask index, node index)` in the
-/// executor's arena.
-pub type QueuedRef = (usize, usize);
+/// executor's arena, 32 bits each so a disk-queue entry is 16 bytes. The
+/// executor checks both indices fit when it launches a multitask.
+pub type QueuedRef = (u32, u32);
 
 /// One disk's admission queues.
 #[derive(Debug)]

@@ -55,11 +55,15 @@
 //!   `finish_cum - cum`. Removing or completing one flow touches one class,
 //!   not every flow. The global `delivered` total is maintained
 //!   incrementally as classes drain.
-//! * **Completion heaps.** Inside a class, completion order is the static
-//!   order of `finish_cum`, so members sit in a per-class binary min-heap
-//!   with lazy deletion (a serial number invalidates entries whose flow was
-//!   removed), and the earliest live member's finish mark is cached in
-//!   `min_finish`. Across classes, a global min-heap keyed on
+//! * **Completion heaps, and no per-flow map.** A flow exists only as its
+//!   entry in its class's binary min-heap, `(finish_cum, id, tag)` in 24
+//!   bytes: inside a class, completion order is the static order of
+//!   `finish_cum`, and the earliest member's finish mark is cached in
+//!   `min_finish`. Entries are deleted eagerly, so every entry is live and
+//!   no lookup ever validates one. [`FlowAllocator::remove`] therefore takes
+//!   the flow's endpoints, finds the class through `pair_index` and deletes
+//!   the entry in O(class) — a rare path (cancellation, crash abort,
+//!   parking). Across classes, a global min-heap keyed on
 //!   `(deadline, class)` with generation-based lazy invalidation makes
 //!   [`FlowAllocator::next_completion`] O(1) amortized and
 //!   [`FlowAllocator::take_completed`] O(due · log classes). A completion
@@ -161,18 +165,20 @@ impl PartialOrd for FinishCum {
     }
 }
 
-/// Per-flow state: everything else lives on the flow's class.
-#[derive(Clone, Copy, Debug)]
-struct FlowState {
-    /// Slab index of the `(src, dst)` class this flow belongs to (immutable
-    /// for the flow's lifetime — a flow never migrates between classes).
-    class: u32,
+/// A flow, as the one entry its class's member heap holds. Ordered by
+/// `(finish, id)`: ids are unique among live flows, so the tag never decides
+/// the order and the heap's pop sequence is a function of the member set.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Member {
     /// Value of the class's `cum` at which this flow completes.
-    finish_cum: f64,
-    /// Uniqueness guard for the class member heap: a re-inserted id gets a
-    /// fresh serial, so entries from its previous life are recognizably stale.
-    serial: u64,
+    finish: FinishCum,
+    id: FlowId,
+    /// Opaque caller tag (see [`FlowAllocator::insert_tagged`]).
+    tag: u32,
 }
+
+// A live flow costs one member entry (plus heap slack), so keep it small.
+const _: () = assert!(std::mem::size_of::<Reverse<Member>>() <= 24);
 
 /// One slot of a per-resource entry list, packed into a word so progressive
 /// filling streams 8 bytes per class with no side lookups: the class index,
@@ -238,9 +244,9 @@ struct FlowClass {
     /// `synced`; drain between `synced` and the allocator clock is virtual.
     cum: f64,
     synced: SimTime,
-    /// Cached `finish_cum` of the earliest live member (infinity if none).
-    /// Maintained on insert (min), removal of the minimum (recompute), and
-    /// completion (recompute) — so deadline refreshes never search the heap.
+    /// Cached finish mark of the earliest member (infinity if none).
+    /// Maintained on insert (min), removal (recompute), and completion
+    /// (recompute) — so deadline refreshes never touch the heap.
     min_finish: f64,
     /// Completion instant of the earliest member at the current rate.
     deadline: SimTime,
@@ -257,8 +263,8 @@ struct FlowClass {
     // ---- cold from here: touched on membership changes only ----
     src: NodeId,
     dst: NodeId,
-    /// Members by completion order; lazy deletion via the serial.
-    members: BinaryHeap<Reverse<(FinishCum, FlowId, u64)>>,
+    /// Members by completion order; every entry is a live flow.
+    members: BinaryHeap<Reverse<Member>>,
     /// Position inside the tx / rx resource entry lists.
     tx_slot: u32,
     rx_slot: u32,
@@ -282,8 +288,8 @@ pub struct FlowAllocator {
     /// product stays within `1 + ε`. Exactly `1.0` in exact mode, which
     /// collapses both mechanisms to bit-identical exact behaviour.
     eps_factor: f64,
-    /// Id → per-flow state.
-    index: BTreeMap<FlowId, FlowState>,
+    /// Flows in flight (Σ class sizes, cut classes included).
+    live: usize,
     /// Class slab; slots of destroyed classes (size 0) are recycled.
     classes: Vec<FlowClass>,
     /// Dense hot mirrors of the slab: current per-member rate and live size.
@@ -322,7 +328,6 @@ pub struct FlowAllocator {
     /// or generation mismatch) are skipped lazily.
     class_heap: BinaryHeap<Reverse<(SimTime, u32, u64)>>,
     gen_counter: u64,
-    serial_counter: u64,
     last_advance: SimTime,
     delivered: f64,
     epoch: u64,
@@ -374,7 +379,7 @@ impl FlowAllocator {
             rx_base: vec![rx_cap; nodes],
             policy,
             eps_factor: 1.0 + policy.epsilon / 3.0,
-            index: BTreeMap::new(),
+            live: 0,
             classes: Vec::new(),
             c_rate: Vec::new(),
             c_size: Vec::new(),
@@ -400,7 +405,6 @@ impl FlowAllocator {
             pending_dirty: Vec::new(),
             class_heap: BinaryHeap::new(),
             gen_counter: 0,
-            serial_counter: 0,
             last_advance: SimTime::ZERO,
             delivered: 0.0,
             epoch: 0,
@@ -534,7 +538,7 @@ impl FlowAllocator {
 
     /// Number of flows in flight.
     pub fn active_flows(&self) -> usize {
-        self.index.len()
+        self.live
     }
 
     /// Number of live `(src, dst)` flow classes.
@@ -559,9 +563,49 @@ impl FlowAllocator {
         self.delivered + pending
     }
 
-    /// Current rate of `flow`, if active.
-    pub fn rate(&self, flow: FlowId) -> Option<f64> {
-        self.index.get(&flow).map(|f| self.c_rate[f.class as usize])
+    /// Current per-flow rate on the `(src, dst)` pair, if a flow is active
+    /// there (every flow of a pair carries the same rate).
+    pub fn rate(&self, src: NodeId, dst: NodeId) -> Option<f64> {
+        self.pair_index
+            .get(&(src, dst))
+            .map(|&ci| self.c_rate[ci as usize])
+    }
+
+    /// Every active flow's current rate, by id. O(flows): walks the class
+    /// heaps, for tests and the [`FlowAllocator::reference_reallocate`]
+    /// comparison.
+    pub fn flow_rates(&self) -> BTreeMap<FlowId, f64> {
+        self.live_members()
+            .map(|(ci, m)| (m.id, self.c_rate[ci as usize]))
+            .collect()
+    }
+
+    /// Every live member with its class slot.
+    fn live_members(&self) -> impl Iterator<Item = (u32, &Member)> + '_ {
+        self.pair_index.values().flat_map(move |&ci| {
+            self.classes[ci as usize]
+                .members
+                .iter()
+                .map(move |m| (ci, &m.0))
+        })
+    }
+
+    /// Ids and tags of the flows on the `(src, dst)` pair, in no particular
+    /// order. O(class).
+    pub(crate) fn pair_members(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+    ) -> impl Iterator<Item = (FlowId, u32)> + '_ {
+        self.pair_index
+            .get(&(src, dst))
+            .into_iter()
+            .flat_map(move |&ci| {
+                self.classes[ci as usize]
+                    .members
+                    .iter()
+                    .map(|m| (m.0.id, m.0.tag))
+            })
     }
 
     /// Control-plane cost counters for this allocator.
@@ -675,7 +719,8 @@ impl FlowAllocator {
     ///
     /// # Panics
     ///
-    /// Panics on duplicate id, out-of-range node, or non-positive size.
+    /// Panics on out-of-range node or non-positive size. Debug builds also
+    /// panic on an id already in flight on the same pair.
     pub fn insert(
         &mut self,
         now: SimTime,
@@ -683,6 +728,21 @@ impl FlowAllocator {
         src: NodeId,
         dst: NodeId,
         bytes: f64,
+    ) -> u64 {
+        self.insert_tagged(now, id, src, dst, bytes, 0)
+    }
+
+    /// [`FlowAllocator::insert`] with an opaque `tag` stored on the flow's
+    /// class entry, which [`FlowAllocator::pair_members`] reports back. The
+    /// hierarchical fabric tags each core flow with its machine pair.
+    pub(crate) fn insert_tagged(
+        &mut self,
+        now: SimTime,
+        id: FlowId,
+        src: NodeId,
+        dst: NodeId,
+        bytes: f64,
+        tag: u32,
     ) -> u64 {
         assert!(bytes.is_finite() && bytes > 0.0, "bad flow size: {bytes}");
         assert!(src < self.nodes() && dst < self.nodes(), "bad node id");
@@ -700,21 +760,26 @@ impl FlowAllocator {
             now,
         );
         let class = &mut self.classes[i];
-        self.serial_counter += 1;
-        let state = FlowState {
-            class: ci,
-            finish_cum: class.cum + bytes,
-            serial: self.serial_counter,
-        };
-        let prev = self.index.insert(id, state);
-        assert!(prev.is_none(), "flow {id:?} inserted twice");
-        class
-            .members
-            .push(Reverse((FinishCum(state.finish_cum), id, state.serial)));
-        if state.finish_cum < class.min_finish {
-            class.min_finish = state.finish_cum;
+        debug_assert!(
+            class.members.iter().all(|m| m.0.id != id),
+            "flow {id:?} inserted twice"
+        );
+        let finish = class.cum + bytes;
+        // Grow by a quarter, not double: member heaps are the one fabric
+        // structure sized by the flows in flight.
+        if class.members.len() == class.members.capacity() {
+            class.members.reserve_exact(class.members.len() / 4 + 4);
+        }
+        class.members.push(Reverse(Member {
+            finish: FinishCum(finish),
+            id,
+            tag,
+        }));
+        if finish < class.min_finish {
+            class.min_finish = finish;
         }
         self.c_size[i] += 1;
+        self.live += 1;
         let n = self.nodes();
         if self.classes[i].cut {
             // A cut class stays withdrawn from filling (entry size 0, no
@@ -824,16 +889,22 @@ impl FlowAllocator {
         self.free_classes.push(ci);
     }
 
-    /// Removes a flow regardless of progress; returns remaining bytes if it
-    /// was active.
+    /// Removes flow `id` of the `(src, dst)` pair regardless of progress;
+    /// returns its remaining bytes if it was active there.
     ///
-    /// O(log flows): touches only the flow's own class (lazy drain), never
-    /// the rest of the flow set.
-    pub fn remove(&mut self, now: SimTime, id: FlowId) -> Option<f64> {
+    /// O(class): finds the class through the pair index and deletes the
+    /// flow's heap entry eagerly. Never touches the rest of the flow set.
+    pub fn remove(&mut self, now: SimTime, id: FlowId, src: NodeId, dst: NodeId) -> Option<f64> {
         self.advance(now);
-        let state = self.index.remove(&id)?;
-        let ci = state.class;
+        let &ci = self.pair_index.get(&(src, dst))?;
         let i = ci as usize;
+        let finish = self.classes[i]
+            .members
+            .iter()
+            .find(|m| m.0.id == id)?
+            .0
+            .finish
+            .0;
         Self::drain_class(
             &mut self.classes[i],
             self.c_rate[i],
@@ -842,34 +913,18 @@ impl FlowAllocator {
             now,
         );
         let class = &mut self.classes[i];
+        class.members.retain(|m| m.0.id != id);
         // The aggregate drain counted this flow at full rate; if it had
         // already finished (dust past its completion), give the overshoot
         // back so `delivered` stays exact.
-        let raw = state.finish_cum - class.cum;
+        let raw = finish - class.cum;
         if raw < 0.0 {
             self.delivered += raw;
         }
         self.c_size[i] -= 1;
-        // The member heap entry goes stale (serial mismatch); rebuild when
-        // stale entries dominate so memory stays O(live members). The live
-        // count is known exactly (`c_size`), so the rebuild allocates once.
-        if class.members.len() > 2 * self.c_size[i] as usize + 8 {
-            let index = &self.index;
-            let live = |e: &Reverse<(FinishCum, FlowId, u64)>| {
-                index.get(&e.0 .1).is_some_and(|f| f.serial == e.0 .2)
-            };
-            let mut kept: Vec<_> = Vec::with_capacity(self.c_size[i] as usize);
-            kept.extend(class.members.drain().filter(live));
-            class.members = BinaryHeap::from(kept);
-        }
-        // If the departing flow held the cached minimum finish mark, find the
-        // next live one (the flow is already out of `index`, so its heap
-        // entries are stale).
-        if state.finish_cum == class.min_finish {
-            class.min_finish =
-                Self::peek_finish(&mut class.members, &self.index, ci).unwrap_or(f64::INFINITY);
-        }
-        let (src, dst, cut) = (class.src, class.dst, class.cut);
+        self.live -= 1;
+        class.min_finish = class.members.peek().map_or(f64::INFINITY, |m| m.0.finish.0);
+        let cut = class.cut;
         let n = self.nodes();
         if !cut {
             // A cut class is already withdrawn from the resource flow counts.
@@ -945,33 +1000,20 @@ impl FlowAllocator {
             let slack = rate * quantum_secs;
             let class = &mut self.classes[i];
             // Collect members the drain has carried past their finish mark.
-            let mut died = false;
-            while let Some(&Reverse((finish, id, serial))) = class.members.peek() {
-                let live = self
-                    .index
-                    .get(&id)
-                    .is_some_and(|f| f.serial == serial && f.class == ci);
-                if !live {
-                    class.members.pop();
-                    continue;
-                }
-                let remaining = finish.0 - class.cum;
+            while let Some(&Reverse(m)) = class.members.peek() {
+                let remaining = m.finish.0 - class.cum;
                 if remaining > slack + BYTES_EPSILON {
                     break;
                 }
                 class.members.pop();
-                self.index.remove(&id);
                 self.delivered += remaining; // forgiven: ≤ rate·Δ + epsilon
                 self.c_size[i] -= 1;
+                self.live -= 1;
                 self.res_nflows[class.src] -= 1;
                 self.res_nflows[n + class.dst] -= 1;
-                done.push(id);
-                if self.c_size[i] == 0 {
-                    died = true;
-                    break;
-                }
+                done.push(m.id);
             }
-            if died {
+            if self.c_size[i] == 0 {
                 self.destroy_class(ci);
                 continue;
             }
@@ -981,14 +1023,10 @@ impl FlowAllocator {
             // completion by a whisker). A survivor's remaining bytes exceed
             // `slack`, so its new deadline lands strictly past the horizon.
             let class = &mut self.classes[i];
-            let next = match Self::peek_finish(&mut class.members, &self.index, ci) {
-                Some(finish) => {
-                    class.min_finish = finish;
-                    debug_assert!(rate > 0.0, "scheduled class with zero rate");
-                    now + SimDuration::from_secs_f64((finish - class.cum) / rate).max(min_step)
-                }
-                None => unreachable!("non-empty class without live members"),
-            };
+            let finish = class.members.peek().expect("non-empty class").0.finish.0;
+            class.min_finish = finish;
+            debug_assert!(rate > 0.0, "scheduled class with zero rate");
+            let next = now + SimDuration::from_secs_f64((finish - class.cum) / rate).max(min_step);
             self.gen_counter += 1;
             class.gen = self.gen_counter;
             class.deadline = next;
@@ -1000,24 +1038,6 @@ impl FlowAllocator {
             // The reallocation triggered here refreshes rates and deadlines.
             self.after_mutation();
         }
-    }
-
-    /// Earliest live member's `finish_cum`, popping stale entries.
-    fn peek_finish(
-        members: &mut BinaryHeap<Reverse<(FinishCum, FlowId, u64)>>,
-        index: &BTreeMap<FlowId, FlowState>,
-        ci: u32,
-    ) -> Option<f64> {
-        while let Some(&Reverse((finish, id, serial))) = members.peek() {
-            if index
-                .get(&id)
-                .is_some_and(|f| f.serial == serial && f.class == ci)
-            {
-                return Some(finish.0);
-            }
-            members.pop();
-        }
-        None
     }
 
     /// Earliest valid class deadline, lazily discarding stale heap entries.
@@ -1048,7 +1068,7 @@ impl FlowAllocator {
             "next_completion inside an open batch"
         );
         self.advance(now);
-        if self.index.is_empty() {
+        if self.live == 0 {
             return None;
         }
         let deadline = self.peek_deadline().expect("live flow without a deadline");
@@ -1377,15 +1397,14 @@ impl FlowAllocator {
         let mut rx_count = vec![0usize; n];
         // Flows of a cut pair carry rate zero and do not contend for ports.
         let ports: BTreeMap<FlowId, (NodeId, NodeId)> = self
-            .index
-            .iter()
-            .filter_map(|(&id, f)| {
-                let c = &self.classes[f.class as usize];
+            .live_members()
+            .filter_map(|(ci, m)| {
+                let c = &self.classes[ci as usize];
                 if c.cut {
-                    rates.insert(id, 0.0);
+                    rates.insert(m.id, 0.0);
                     None
                 } else {
-                    Some((id, (c.src, c.dst)))
+                    Some((m.id, (c.src, c.dst)))
                 }
             })
             .collect();
@@ -1440,9 +1459,9 @@ impl FlowAllocator {
     fn assert_matches_reference(&self) {
         let reference = self.reference_reallocate();
         let eps = self.policy.epsilon;
-        for (id, f) in &self.index {
-            let got = self.c_rate[f.class as usize];
-            let want = reference[id];
+        for (ci, m) in self.live_members() {
+            let (id, got) = (m.id, self.c_rate[ci as usize]);
+            let want = reference[&id];
             let tol = want.abs() * 1e-9 + 1e-12;
             if eps == 0.0 {
                 debug_assert!(
@@ -1460,9 +1479,9 @@ impl FlowAllocator {
         let n = self.nodes();
         let mut tx_used = vec![0.0; n];
         let mut rx_used = vec![0.0; n];
-        for f in self.index.values() {
-            let c = &self.classes[f.class as usize];
-            let r = self.c_rate[f.class as usize];
+        for (ci, _) in self.live_members() {
+            let c = &self.classes[ci as usize];
+            let r = self.c_rate[ci as usize];
             tx_used[c.src] += r;
             rx_used[c.dst] += r;
         }
@@ -1496,7 +1515,7 @@ mod tests {
         let mut fab = FlowAllocator::new(2, 100.0, 80.0);
         fab.insert(SimTime::ZERO, FlowId(1), 0, 1, 160.0);
         // Limited by the receiver at 80 B/s.
-        assert_eq!(fab.rate(FlowId(1)), Some(80.0));
+        assert_eq!(fab.rate(0, 1), Some(80.0));
         assert_eq!(fab.next_completion(SimTime::ZERO), Some(t(2.0)));
     }
 
@@ -1506,8 +1525,8 @@ mod tests {
         fab.insert(SimTime::ZERO, FlowId(1), 0, 2, 100.0);
         fab.insert(SimTime::ZERO, FlowId(2), 1, 2, 100.0);
         // Two senders into one receiver: 50 each.
-        assert_eq!(fab.rate(FlowId(1)), Some(50.0));
-        assert_eq!(fab.rate(FlowId(2)), Some(50.0));
+        assert_eq!(fab.rate(0, 2), Some(50.0));
+        assert_eq!(fab.rate(1, 2), Some(50.0));
         assert!((fab.rx_busy_fraction(2) - 1.0).abs() < 1e-9);
     }
 
@@ -1520,9 +1539,9 @@ mod tests {
         fab.insert(SimTime::ZERO, FlowId(1), 0, 1, 1e9);
         fab.insert(SimTime::ZERO, FlowId(2), 0, 2, 1e9);
         fab.insert(SimTime::ZERO, FlowId(3), 3, 2, 1e9);
-        let r1 = fab.rate(FlowId(1)).unwrap();
-        let r2 = fab.rate(FlowId(2)).unwrap();
-        let r3 = fab.rate(FlowId(3)).unwrap();
+        let r1 = fab.rate(0, 1).unwrap();
+        let r2 = fab.rate(0, 2).unwrap();
+        let r3 = fab.rate(3, 2).unwrap();
         assert!((r2 - 50.0).abs() < 1e-6, "r2={r2}");
         assert!((r3 - 50.0).abs() < 1e-6, "r3={r3}");
         assert!((r1 - 50.0).abs() < 1e-6, "r1={r1}");
@@ -1562,6 +1581,8 @@ mod tests {
         assert!((fab.total_delivered() - total).abs() < 1e-3);
     }
 
+    // Without a per-flow map the check is a class scan, so debug builds only.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "inserted twice")]
     fn duplicate_flow_panics() {
@@ -1582,9 +1603,9 @@ mod tests {
                 1e6 * (i + 1) as f64,
             );
         }
-        let reference = fab.reference_reallocate();
-        for (id, want) in reference {
-            let got = fab.rate(id).unwrap();
+        let rates = fab.flow_rates();
+        for (id, want) in fab.reference_reallocate() {
+            let got = rates[&id];
             assert!(
                 (got - want).abs() <= want.abs() * 1e-9 + 1e-12,
                 "{id:?}: {got} vs {want}"
@@ -1604,9 +1625,7 @@ mod tests {
         }
         let epoch = batched.commit(SimTime::ZERO);
         assert_eq!(epoch, plain.epoch());
-        for i in 0..32u64 {
-            assert_eq!(batched.rate(FlowId(i)), plain.rate(FlowId(i)));
-        }
+        assert_eq!(batched.flow_rates(), plain.flow_rates());
         // One reallocation for the whole batch vs one per insert.
         assert_eq!(batched.stats().reallocs, 1);
         assert_eq!(plain.stats().reallocs, 32);
@@ -1623,16 +1642,16 @@ mod tests {
         fab.insert(SimTime::ZERO, FlowId(1), 0, 1, 1e9);
         fab.insert(SimTime::ZERO, FlowId(2), 0, 2, 1e9);
         fab.insert(SimTime::ZERO, FlowId(3), 3, 2, 1e9);
-        let r1 = fab.rate(FlowId(1)).unwrap();
-        let r2 = fab.rate(FlowId(2)).unwrap();
-        let r3 = fab.rate(FlowId(3)).unwrap();
+        let r1 = fab.rate(0, 1).unwrap();
+        let r2 = fab.rate(0, 2).unwrap();
+        let r3 = fab.rate(3, 2).unwrap();
         assert!((fab.tx_busy_fraction(0) - (r1 + r2) / 100.0).abs() < 1e-12);
         assert!((fab.rx_busy_fraction(2) - (r2 + r3) / 100.0).abs() < 1e-12);
         assert!((fab.rx_busy_fraction(1) - r1 / 100.0).abs() < 1e-12);
         assert_eq!(fab.tx_busy_fraction(1), 0.0);
         // Removal updates the accumulators at the triggered reallocation.
-        fab.remove(SimTime::ZERO, FlowId(2));
-        let r1b = fab.rate(FlowId(1)).unwrap();
+        fab.remove(SimTime::ZERO, FlowId(2), 0, 2);
+        let r1b = fab.rate(0, 1).unwrap();
         assert!((fab.tx_busy_fraction(0) - r1b / 100.0).abs() < 1e-12);
     }
 
@@ -1644,7 +1663,7 @@ mod tests {
         // Both at 50 B/s → first completion would be t=2.
         assert_eq!(fab.next_completion(SimTime::ZERO), Some(t(2.0)));
         // Removing flow 1 speeds flow 2 up to 100 B/s → completion at t=1.
-        fab.remove(SimTime::ZERO, FlowId(1));
+        fab.remove(SimTime::ZERO, FlowId(1), 0, 2);
         assert_eq!(fab.next_completion(SimTime::ZERO), Some(t(1.0)));
         // And the stale t=2 entry never resurfaces.
         fab.advance(t(1.0));
@@ -1711,7 +1730,7 @@ mod tests {
         fab.insert(SimTime::ZERO, FlowId(1), 0, 1, 100.0);
         fab.insert(SimTime::ZERO, FlowId(2), 0, 1, 1000.0);
         fab.advance(t(1.0));
-        let rem = fab.remove(t(1.0), FlowId(1)).unwrap();
+        let rem = fab.remove(t(1.0), FlowId(1), 0, 1).unwrap();
         assert!((rem - 50.0).abs() < 1e-9, "rem={rem}");
         fab.insert(t(1.0), FlowId(1), 0, 1, 500.0);
         // Old entry would fire at the old finish mark; the new flow needs
@@ -1731,19 +1750,35 @@ mod tests {
     }
 
     #[test]
+    fn removing_a_flow_past_its_finish_returns_zero_and_keeps_delivered_exact() {
+        let mut fab = FlowAllocator::new(2, 100.0, 100.0);
+        fab.insert(SimTime::ZERO, FlowId(1), 0, 1, 100.0);
+        fab.insert(SimTime::ZERO, FlowId(2), 0, 1, 300.0);
+        // Both run at 50 B/s, so flow 1 is due at t=2; nothing collects it,
+        // and by t=3 the class drain has credited it 50 B past its size.
+        assert_eq!(fab.remove(t(3.0), FlowId(1), 0, 1), Some(0.0));
+        // 150 B to flow 2 plus flow 1's 100 B: the overshoot is given back.
+        assert_eq!(fab.total_delivered(), 250.0);
+        // Gone for good, and a wrong pair finds nothing.
+        assert_eq!(fab.remove(t(3.0), FlowId(1), 0, 1), None);
+        assert_eq!(fab.remove(t(3.0), FlowId(2), 1, 0), None);
+        assert_eq!(fab.active_flows(), 1);
+    }
+
+    #[test]
     fn port_scale_degrades_and_restores_rates() {
         let mut fab = FlowAllocator::new(2, 100.0, 100.0);
         fab.insert(SimTime::ZERO, FlowId(1), 0, 1, 1000.0);
-        assert_eq!(fab.rate(FlowId(1)), Some(100.0));
+        assert_eq!(fab.rate(0, 1), Some(100.0));
         // Degrading the sender's port halves the flow's rate...
         fab.set_port_scale(SimTime::ZERO, 0, 0.5);
-        assert_eq!(fab.rate(FlowId(1)), Some(50.0));
+        assert_eq!(fab.rate(0, 1), Some(50.0));
         // ...compounding degradations stay relative to the *nominal* rate...
         fab.set_port_scale(SimTime::ZERO, 0, 0.25);
-        assert_eq!(fab.rate(FlowId(1)), Some(25.0));
+        assert_eq!(fab.rate(0, 1), Some(25.0));
         // ...and restoring gives back exactly the nominal capacity.
         fab.set_port_scale(t(1.0), 0, 1.0);
-        assert_eq!(fab.rate(FlowId(1)), Some(100.0));
+        assert_eq!(fab.rate(0, 1), Some(100.0));
         // 25 B in the first second, then full speed: done at 1 + 975/100.
         assert_eq!(fab.next_completion(t(1.0)), Some(t(10.75)));
     }
@@ -1784,10 +1819,13 @@ mod tests {
         }
         let mut now = SimTime::ZERO;
         while exact.active_flows() > 0 {
-            for i in 0..16u64 {
-                let (a, b) = (exact.rate(FlowId(i)), approx.rate(FlowId(i)));
-                assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "flow {i}");
-            }
+            let bits = |f: &FlowAllocator| -> Vec<(FlowId, u64)> {
+                f.flow_rates()
+                    .into_iter()
+                    .map(|(id, r)| (id, r.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&exact), bits(&approx));
             now = exact.next_completion(now).unwrap();
             assert_eq!(approx.next_completion(now), Some(now));
             assert_eq!(exact.take_completed(now), approx.take_completed(now));
@@ -1805,17 +1843,20 @@ mod tests {
         let mut fab = FlowAllocator::new_with_policy(6, 1e3, 1e3, policy);
         // Churn: staggered inserts and removals force repeated fills whose
         // skipped share increases must stay within the contract.
+        let ends = |i: u64| ((i % 6) as usize, ((i * 5 + 2) % 6) as usize);
         for i in 0..48u64 {
-            let (src, dst) = ((i % 6) as usize, ((i * 5 + 2) % 6) as usize);
+            let (src, dst) = ends(i);
             fab.insert(SimTime::ZERO, FlowId(i), src, dst, 1e4 * (1 + i % 7) as f64);
             if i % 3 == 2 {
-                fab.remove(SimTime::ZERO, FlowId(i - 2));
+                let (src, dst) = ends(i - 2);
+                fab.remove(SimTime::ZERO, FlowId(i - 2), src, dst);
             }
+            let rates = fab.flow_rates();
             let reference = fab.reference_reallocate();
             let mut tx_used = [0.0; 6];
             let mut rx_used = [0.0; 6];
             for (id, want) in &reference {
-                let got = fab.rate(*id).unwrap();
+                let got = rates[id];
                 let tol = want * 1e-9 + 1e-12;
                 assert!(
                     got <= want + tol && got >= want * (1.0 - eps) - tol,
@@ -1823,13 +1864,10 @@ mod tests {
                     want * (1.0 - eps)
                 );
             }
-            for i in 0..48u64 {
-                if let Some(r) = fab.rate(FlowId(i)) {
-                    let f = fab.index[&FlowId(i)];
-                    let c = &fab.classes[f.class as usize];
-                    tx_used[c.src] += r;
-                    rx_used[c.dst] += r;
-                }
+            for (id, r) in rates {
+                let (src, dst) = ends(id.0);
+                tx_used[src] += r;
+                rx_used[dst] += r;
             }
             for p in 0..6 {
                 assert!(tx_used[p] <= 1e3 * (1.0 + 1e-9), "tx {p} over capacity");
@@ -1852,16 +1890,16 @@ mod tests {
     fn cut_pair_stalls_flow_and_heal_resumes() {
         let mut fab = FlowAllocator::new(2, 100.0, 100.0);
         fab.insert(SimTime::ZERO, FlowId(1), 0, 1, 1000.0);
-        assert_eq!(fab.rate(FlowId(1)), Some(100.0));
+        assert_eq!(fab.rate(0, 1), Some(100.0));
         // Cut at t=1: 900 B remain, rate pinned to zero, no completion.
         fab.set_pair_cut(t(1.0), 0, 1, true);
         assert!(fab.pair_cut(0, 1));
-        assert_eq!(fab.rate(FlowId(1)), Some(0.0));
+        assert_eq!(fab.rate(0, 1), Some(0.0));
         assert_eq!(fab.next_completion(t(1.0)), Some(SimTime::FAR_FUTURE));
         assert_eq!(fab.take_completed(t(2.0)), Vec::<FlowId>::new());
         // Heal at t=3: the flow resumes at full rate; 900 B at 100 B/s.
         fab.set_pair_cut(t(3.0), 0, 1, false);
-        assert_eq!(fab.rate(FlowId(1)), Some(100.0));
+        assert_eq!(fab.rate(0, 1), Some(100.0));
         assert_eq!(fab.next_completion(t(3.0)), Some(t(12.0)));
         assert_eq!(fab.take_completed(t(12.0)), vec![FlowId(1)]);
         assert!((fab.total_delivered() - 1000.0).abs() < 1e-3);
@@ -1877,18 +1915,18 @@ mod tests {
             fab.insert(SimTime::ZERO, FlowId(1), 0, 2, 1e6);
             fab.insert(SimTime::ZERO, FlowId(2), 1, 2, 1e6);
         }
-        assert_eq!(a.rate(FlowId(1)), Some(50.0));
+        assert_eq!(a.rate(0, 2), Some(50.0));
         // Cutting (0,2) hands the whole rx port to the surviving flow.
         a.set_pair_cut(t(1.0), 0, 2, true);
-        assert_eq!(a.rate(FlowId(1)), Some(0.0));
-        assert_eq!(a.rate(FlowId(2)), Some(100.0));
+        assert_eq!(a.rate(0, 2), Some(0.0));
+        assert_eq!(a.rate(1, 2), Some(100.0));
         a.set_pair_cut(t(1.0), 0, 2, false);
         b.advance(t(1.0));
-        for id in [FlowId(1), FlowId(2)] {
+        for (src, dst) in [(0, 2), (1, 2)] {
             assert_eq!(
-                a.rate(id).map(f64::to_bits),
-                b.rate(id).map(f64::to_bits),
-                "{id:?} not restored bit-exactly"
+                a.rate(src, dst).map(f64::to_bits),
+                b.rate(src, dst).map(f64::to_bits),
+                "pair {src}->{dst} not restored bit-exactly"
             );
         }
     }
@@ -1902,16 +1940,16 @@ mod tests {
         fab.set_pair_cut(SimTime::ZERO, 0, 1, true);
         assert_eq!(fab.stats().reallocs, reallocs);
         fab.insert(SimTime::ZERO, FlowId(1), 0, 1, 100.0);
-        assert_eq!(fab.rate(FlowId(1)), Some(0.0));
+        assert_eq!(fab.rate(0, 1), Some(0.0));
         assert_eq!(
             fab.next_completion(SimTime::ZERO),
             Some(SimTime::FAR_FUTURE)
         );
         // Removing a parked flow returns its untouched remaining bytes.
         fab.insert(SimTime::ZERO, FlowId(2), 0, 1, 70.0);
-        assert_eq!(fab.remove(SimTime::ZERO, FlowId(2)), Some(70.0));
+        assert_eq!(fab.remove(SimTime::ZERO, FlowId(2), 0, 1), Some(70.0));
         fab.set_pair_cut(t(1.0), 0, 1, false);
-        assert_eq!(fab.rate(FlowId(1)), Some(100.0));
+        assert_eq!(fab.rate(0, 1), Some(100.0));
         assert_eq!(fab.next_completion(t(1.0)), Some(t(2.0)));
     }
 
@@ -1920,16 +1958,16 @@ mod tests {
         let mut fab = FlowAllocator::new(2, 100.0, 100.0);
         fab.insert(SimTime::ZERO, FlowId(1), 0, 1, 1000.0);
         fab.set_port_scale(SimTime::ZERO, 0, 0.5);
-        assert_eq!(fab.rate(FlowId(1)), Some(50.0));
+        assert_eq!(fab.rate(0, 1), Some(50.0));
         fab.set_pair_cut(SimTime::ZERO, 0, 1, true);
-        assert_eq!(fab.rate(FlowId(1)), Some(0.0));
+        assert_eq!(fab.rate(0, 1), Some(0.0));
         // Scale changes while cut apply on heal, not to the parked class.
         fab.set_port_scale(t(1.0), 0, 0.25);
-        assert_eq!(fab.rate(FlowId(1)), Some(0.0));
+        assert_eq!(fab.rate(0, 1), Some(0.0));
         fab.set_pair_cut(t(2.0), 0, 1, false);
-        assert_eq!(fab.rate(FlowId(1)), Some(25.0));
+        assert_eq!(fab.rate(0, 1), Some(25.0));
         fab.set_port_scale(t(3.0), 0, 1.0);
-        assert_eq!(fab.rate(FlowId(1)), Some(100.0));
+        assert_eq!(fab.rate(0, 1), Some(100.0));
     }
 
     #[test]
@@ -1952,8 +1990,8 @@ mod tests {
         }
         fab.commit(SimTime::ZERO);
         fab.set_pair_cut(SimTime::ZERO, 0, 1, true);
-        assert_eq!(fab.rate(FlowId(0)), Some(0.0));
-        assert_eq!(fab.rate(FlowId(4)), Some(0.0));
+        // Flows 0 and 4 are the (0, 1) pair's.
+        assert_eq!(fab.rate(0, 1), Some(0.0));
         // Drive the rest to completion; the cut pair's flows never fire.
         let mut now = SimTime::ZERO;
         let mut done = Vec::new();
@@ -1989,9 +2027,9 @@ mod tests {
             );
         }
         fab.set_pair_cut(SimTime::ZERO, 1, 0, true);
-        let reference = fab.reference_reallocate();
-        for (id, want) in reference {
-            let got = fab.rate(id).unwrap();
+        let rates = fab.flow_rates();
+        for (id, want) in fab.reference_reallocate() {
+            let got = rates[&id];
             assert!(
                 (got - want).abs() <= want.abs() * 1e-9 + 1e-12,
                 "{id:?}: {got} vs {want}"

@@ -34,8 +34,6 @@
 //! merge degenerates to that allocator's own ascending-id output: the
 //! hierarchical path at `racks = 1` is bit-identical to the flat exact path.
 
-use std::collections::BTreeMap;
-
 use crate::events::EventQueue;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::maxmin::{FlowAllocator, FlowId, MaxMinPolicy, NodeId};
@@ -186,21 +184,16 @@ pub struct HierFabric {
     core: FlowAllocator,
     core_outbox: EventQueue<FlowId>,
     core_buf: Vec<FlowId>,
-    /// Machine endpoints of every live flow, parked ones included. BTreeMap
-    /// so every scan over it is in ascending-id order by construction.
-    flows: BTreeMap<FlowId, (NodeId, NodeId)>,
-    /// Cut inter-rack flows → remaining bytes. An inter-rack machine-pair cut
-    /// cannot be expressed as a core pair cut (that would cut the whole
-    /// rack-pair super-class), so affected flows are *parked*: withdrawn from
-    /// the core with their remaining bytes retained, re-inserted on heal.
-    parked: BTreeMap<FlowId, f64>,
+    /// Parked inter-rack flows by cut machine pair: `(id, remaining bytes)`.
+    /// An inter-rack machine-pair cut cannot be expressed as a core pair cut
+    /// (that would cut the whole rack-pair super-class), so affected flows
+    /// are *parked*: withdrawn from the core with their remaining bytes
+    /// retained, re-inserted on heal. Holds an entry exactly for the cut
+    /// pairs that have flows.
+    parked: FxHashMap<(NodeId, NodeId), Vec<(FlowId, f64)>>,
     /// Machine-level cuts whose endpoints straddle racks (intra-rack cuts are
     /// delegated to the rack allocator's own exact cut machinery).
     cut_pairs: FxHashSet<(NodeId, NodeId)>,
-    /// Live (un-parked) inter-rack flows by machine pair; lets a pair cut
-    /// find its flows without scanning the flow set. `None` until the first
-    /// inter-rack cut builds it, so cut-free runs never pay for it.
-    pair_flows: Option<FxHashMap<(NodeId, NodeId), Vec<FlowId>>>,
     intra_policy: MaxMinPolicy,
     core_policy: MaxMinPolicy,
     /// Worker-thread count for commit / collection fan-out; 1 = serial.
@@ -242,6 +235,10 @@ impl HierFabric {
         shards: usize,
     ) -> HierFabric {
         assert!(shards > 0, "need at least one shard");
+        assert!(
+            (0..map.n_racks()).all(|r| map.members(r).len() <= 1 << 16),
+            "a rack holds more than 65536 machines"
+        );
         let racks: Vec<RackShard> = (0..map.n_racks())
             .map(|r| RackShard {
                 alloc: FlowAllocator::new_with_policy(
@@ -262,10 +259,8 @@ impl HierFabric {
             core,
             core_outbox: EventQueue::new(),
             core_buf: Vec::new(),
-            flows: BTreeMap::new(),
-            parked: BTreeMap::new(),
+            parked: FxHashMap::default(),
             cut_pairs: FxHashSet::default(),
-            pair_flows: None,
             intra_policy,
             core_policy,
             shards,
@@ -299,7 +294,12 @@ impl HierFabric {
 
     /// Number of flows in flight (parked flows included).
     pub fn active_flows(&self) -> usize {
-        self.flows.len()
+        self.racks
+            .iter()
+            .map(|r| r.alloc.active_flows())
+            .sum::<usize>()
+            + self.core.active_flows()
+            + self.parked.values().map(Vec::len).sum::<usize>()
     }
 
     /// Live flow classes across every rack plus the core's super-classes.
@@ -329,12 +329,13 @@ impl HierFabric {
     /// Starts a flow of `bytes` from machine `src` to machine `dst`; returns
     /// the new epoch. Routes to `src`'s rack allocator when the endpoints
     /// share a rack, otherwise into the core as a `rack(src) → rack(dst)`
-    /// super-class member (or straight to the parked set if that machine
-    /// pair is currently cut).
+    /// super-class member tagged with its machine pair (or straight to the
+    /// parked set if that machine pair is currently cut).
     ///
     /// # Panics
     ///
-    /// Panics on duplicate id, out-of-range machine, or non-positive size.
+    /// Panics on out-of-range machine or non-positive size. Debug builds also
+    /// panic on an id already in flight on the same path.
     pub fn insert(
         &mut self,
         now: SimTime,
@@ -345,8 +346,6 @@ impl HierFabric {
     ) -> u64 {
         assert!(src < self.nodes() && dst < self.nodes(), "bad machine id");
         self.last_advance = now;
-        let prev = self.flows.insert(id, (src, dst));
-        assert!(prev.is_none(), "flow {id:?} inserted twice");
         let (rs, rd) = (self.map.rack_of(src), self.map.rack_of(dst));
         if rs == rd {
             self.racks[rs].alloc.insert(
@@ -358,67 +357,72 @@ impl HierFabric {
             );
         } else if self.cut_pairs.contains(&(src, dst)) {
             assert!(bytes.is_finite() && bytes > 0.0, "bad flow size: {bytes}");
-            self.parked.insert(id, bytes);
+            let parked = self.parked.entry((src, dst)).or_default();
+            debug_assert!(
+                parked.iter().all(|&(f, _)| f != id),
+                "flow {id:?} inserted twice"
+            );
+            parked.push((id, bytes));
         } else {
-            self.core.insert(now, id, rs, rd, bytes);
-            if let Some(index) = &mut self.pair_flows {
-                index.entry((src, dst)).or_default().push(id);
-            }
+            let tag = self.pair_tag(src, dst);
+            self.core.insert_tagged(now, id, rs, rd, bytes, tag);
         }
         self.epoch += 1;
         self.epoch
     }
 
-    /// Removes a flow regardless of progress; returns remaining bytes if it
-    /// was active. Parked flows return their parked remainder.
-    pub fn remove(&mut self, now: SimTime, id: FlowId) -> Option<f64> {
+    /// Removes flow `id` of machine pair `(src, dst)` regardless of
+    /// progress; returns remaining bytes if it was active. Parked flows
+    /// return their parked remainder.
+    pub fn remove(&mut self, now: SimTime, id: FlowId, src: NodeId, dst: NodeId) -> Option<f64> {
         self.last_advance = now;
-        let (src, dst) = self.flows.remove(&id)?;
-        self.epoch += 1;
         let (rs, rd) = (self.map.rack_of(src), self.map.rack_of(dst));
-        if rs == rd {
-            self.racks[rs].alloc.remove(now, id)
-        } else if let Some(bytes) = self.parked.remove(&id) {
+        let removed = if rs == rd {
+            let (ls, ld) = (self.map.local_of(src), self.map.local_of(dst));
+            self.racks[rs].alloc.remove(now, id, ls, ld)
+        } else if let Some(parked) = self.parked.get_mut(&(src, dst)) {
+            let pos = parked.iter().position(|&(f, _)| f == id)?;
+            let (_, bytes) = parked.swap_remove(pos);
+            if parked.is_empty() {
+                self.parked.remove(&(src, dst));
+            }
             Some(bytes)
         } else {
-            self.pair_flows_remove(src, dst, id);
-            self.core.remove(now, id)
+            self.core.remove(now, id, rs, rd)
+        };
+        if removed.is_some() {
+            self.epoch += 1;
         }
+        removed
     }
 
-    /// Current rate of `flow`, if active. Parked flows report rate zero,
-    /// exactly like a cut class in the flat allocator.
-    pub fn rate(&self, flow: FlowId) -> Option<f64> {
-        let &(src, dst) = self.flows.get(&flow)?;
+    /// Current per-flow rate on machine pair `(src, dst)`, if a flow is
+    /// active there. Parked flows report rate zero, exactly like a cut class
+    /// in the flat allocator. O(rack-pair class) for an inter-rack pair.
+    pub fn rate(&self, src: NodeId, dst: NodeId) -> Option<f64> {
         let (rs, rd) = (self.map.rack_of(src), self.map.rack_of(dst));
         if rs == rd {
-            self.racks[rs].alloc.rate(flow)
-        } else if self.parked.contains_key(&flow) {
+            self.racks[rs]
+                .alloc
+                .rate(self.map.local_of(src), self.map.local_of(dst))
+        } else if self.parked.contains_key(&(src, dst)) {
             Some(0.0)
         } else {
-            self.core.rate(flow)
+            let tag = self.pair_tag(src, dst);
+            let mut members = self.core.pair_members(rs, rd);
+            if members.any(|(_, t)| t == tag) {
+                self.core.rate(rs, rd)
+            } else {
+                None
+            }
         }
     }
 
-    /// Drops `id` from the inter-rack pair index, if built (removal is a
-    /// linear scan of a list that holds the handful of concurrent flows
-    /// between one machine pair).
-    fn pair_flows_remove(&mut self, src: NodeId, dst: NodeId, id: FlowId) {
-        let Some(index) = &mut self.pair_flows else {
-            return;
-        };
-        let std::collections::hash_map::Entry::Occupied(mut e) = index.entry((src, dst)) else {
-            panic!("inter-rack flow {id:?} missing from pair index");
-        };
-        let list = e.get_mut();
-        let pos = list
-            .iter()
-            .position(|&f| f == id)
-            .expect("flow in pair index");
-        list.remove(pos);
-        if list.is_empty() {
-            e.remove();
-        }
+    /// The core-entry tag of inter-rack machine pair `(src, dst)`: both
+    /// machines' indices within their racks, which together with the
+    /// rack-pair class name the machine pair.
+    fn pair_tag(&self, src: NodeId, dst: NodeId) -> u32 {
+        ((self.map.local_of(src) as u32) << 16) | self.map.local_of(dst) as u32
     }
 
     /// Opens a batched-update scope across every level; see
@@ -560,15 +564,6 @@ impl HierFabric {
             self.shard_epochs += 1;
             self.cross_shard_events += done.len() as u64;
             self.epoch += 1;
-            for &id in done.iter() {
-                let (src, dst) = self
-                    .flows
-                    .remove(&id)
-                    .expect("completed flow missing from the index");
-                if self.map.rack_of(src) != self.map.rack_of(dst) {
-                    self.pair_flows_remove(src, dst, id);
-                }
-            }
             done.sort_unstable();
         }
     }
@@ -645,62 +640,50 @@ impl HierFabric {
             self.epoch += 1;
             return;
         }
+        let tag = self.pair_tag(src, dst);
         if cut {
             if !self.cut_pairs.insert((src, dst)) {
                 return;
             }
-            if let Some(mut ids) = self.pair_index().remove(&(src, dst)) {
+            // The pair's flows are the rack-pair class members carrying its
+            // tag: one scan of that class, no per-flow index.
+            let mut ids: Vec<FlowId> = self
+                .core
+                .pair_members(rs, rd)
+                .filter(|&(_, t)| t == tag)
+                .map(|(id, _)| id)
+                .collect();
+            if !ids.is_empty() {
                 ids.sort_unstable();
                 self.core.begin_update();
+                let mut parked = Vec::with_capacity(ids.len());
                 for id in ids {
                     let remaining = self
                         .core
-                        .remove(now, id)
-                        .expect("pair-indexed flow missing from the core");
+                        .remove(now, id, rs, rd)
+                        .expect("tagged flow missing from the core");
                     // A flow cut within dust of its completion parks with one
                     // dust byte so heal can re-insert it; the dust is forgiven
                     // at completion exactly like the flat allocator's epsilon.
-                    self.parked
-                        .insert(id, remaining.max(crate::maxmin::BYTES_EPSILON));
+                    parked.push((id, remaining.max(crate::maxmin::BYTES_EPSILON)));
                 }
                 self.core.commit(now);
+                self.parked.insert((src, dst), parked);
             }
         } else {
             if !self.cut_pairs.remove(&(src, dst)) {
                 return;
             }
-            // `parked` is a BTreeMap, so the re-insertion order is ascending
-            // by id — deterministic regardless of how the flows were parked.
-            let ids: Vec<FlowId> = self
-                .parked
-                .iter()
-                .filter(|(id, _)| self.flows.get(id) == Some(&(src, dst)))
-                .map(|(&id, _)| id)
-                .collect();
+            // Re-insert in ascending id order, however the flows were parked.
+            let mut flows = self.parked.remove(&(src, dst)).unwrap_or_default();
+            flows.sort_unstable_by_key(|&(id, _)| id);
             self.core.begin_update();
-            for id in ids {
-                let bytes = self.parked.remove(&id).expect("id came from the map");
-                self.core.insert(now, id, rs, rd, bytes);
-                self.pair_index().entry((src, dst)).or_default().push(id);
+            for (id, bytes) in flows {
+                self.core.insert_tagged(now, id, rs, rd, bytes, tag);
             }
             self.core.commit(now);
         }
         self.epoch += 1;
-    }
-
-    /// The inter-rack pair index, built on first use by one ascending-id scan
-    /// of `flows` that skips intra-rack and parked flows.
-    fn pair_index(&mut self) -> &mut FxHashMap<(NodeId, NodeId), Vec<FlowId>> {
-        let (map, flows, parked) = (&self.map, &self.flows, &self.parked);
-        self.pair_flows.get_or_insert_with(|| {
-            let mut index: FxHashMap<(NodeId, NodeId), Vec<FlowId>> = FxHashMap::default();
-            for (&id, &(src, dst)) in flows {
-                if map.rack_of(src) != map.rack_of(dst) && !parked.contains_key(&id) {
-                    index.entry((src, dst)).or_default().push(id);
-                }
-            }
-            index
-        })
     }
 
     /// True when the directed machine pair `(src, dst)` is currently cut.
@@ -789,18 +772,10 @@ impl Fabric {
     }
 
     /// See [`FlowAllocator::remove`].
-    pub fn remove(&mut self, now: SimTime, id: FlowId) -> Option<f64> {
+    pub fn remove(&mut self, now: SimTime, id: FlowId, src: NodeId, dst: NodeId) -> Option<f64> {
         match self {
-            Fabric::Flat(f) => f.remove(now, id),
-            Fabric::Hier(h) => h.remove(now, id),
-        }
-    }
-
-    /// See [`FlowAllocator::rate`].
-    pub fn rate(&self, flow: FlowId) -> Option<f64> {
-        match self {
-            Fabric::Flat(f) => f.rate(flow),
-            Fabric::Hier(h) => h.rate(flow),
+            Fabric::Flat(f) => f.remove(now, id, src, dst),
+            Fabric::Hier(h) => h.remove(now, id, src, dst),
         }
     }
 
@@ -944,14 +919,14 @@ mod tests {
         let mut done = Vec::new();
         let mut clock = SimTime::ZERO;
         let mut next_id = 0u64;
-        let mut live: Vec<FlowId> = Vec::new();
+        let mut live: Vec<(FlowId, NodeId, NodeId)> = Vec::new();
         for step in 0..60u64 {
             clock += SimDuration::from_millis(200);
             fabric.begin_update();
             fabric.take_completed_into(clock, &mut done);
             for &id in &done {
                 obs.push((1, id.0));
-                live.retain(|&f| f != id);
+                live.retain(|&(f, _, _)| f != id);
             }
             // A deterministic little workload: fan-in, fan-out, and removal.
             for k in 0..3u64 {
@@ -961,19 +936,22 @@ mod tests {
                 let dst = ((step * 5 + k * 11 + 1) % machines as u64) as usize;
                 if src != dst {
                     fabric.insert(clock, id, src, dst, 1e6 * (1.0 + (k as f64)));
-                    live.push(id);
+                    live.push((id, src, dst));
                 }
             }
             if step % 7 == 3 {
-                if let Some(&victim) = live.first() {
-                    let rem = fabric.remove(clock, victim);
+                if let Some(&(victim, src, dst)) = live.first() {
+                    let rem = fabric.remove(clock, victim, src, dst);
                     obs.push((2, rem.map(f64::to_bits).unwrap_or(0)));
-                    live.retain(|&f| f != victim);
+                    live.retain(|&(f, _, _)| f != victim);
                 }
             }
             fabric.commit(clock);
-            for &id in &live {
-                obs.push((3, fabric.rate(id).map(f64::to_bits).unwrap_or(u64::MAX)));
+            for &(_, src, dst) in &live {
+                obs.push((
+                    3,
+                    fabric.rate(src, dst).map(f64::to_bits).unwrap_or(u64::MAX),
+                ));
             }
             obs.push((4, fabric.next_completion(clock).map(|x| x.0).unwrap_or(0)));
         }
@@ -1013,6 +991,7 @@ mod tests {
         let mut done_h = Vec::new();
         let mut clock = SimTime::ZERO;
         let mut next_id = 0u64;
+        let mut pairs = Vec::new();
         for step in 0..40u64 {
             clock += SimDuration::from_millis(150);
             flat.begin_update();
@@ -1028,14 +1007,15 @@ mod tests {
                 if src != dst {
                     flat.insert(clock, id, src, dst, 5e5);
                     h.insert(clock, id, src, dst, 5e5);
+                    pairs.push((src, dst));
                 }
             }
             flat.commit(clock);
             h.commit(clock);
-            for probe in 0..next_id {
-                let rf = flat.rate(FlowId(probe)).map(f64::to_bits);
-                let rh = h.rate(FlowId(probe)).map(f64::to_bits);
-                assert_eq!(rf, rh, "rate of flow {probe} diverged at step {step}");
+            for &(src, dst) in &pairs {
+                let rf = flat.rate(src, dst).map(f64::to_bits);
+                let rh = h.rate(src, dst).map(f64::to_bits);
+                assert_eq!(rf, rh, "rate of pair {src}->{dst} diverged at step {step}");
             }
             assert_eq!(flat.next_completion(clock), h.next_completion(clock));
         }
@@ -1051,14 +1031,14 @@ mod tests {
         // Machines 1 (rack 0) and 5 (rack 1): inter-rack.
         h.insert(t(0), FlowId(1), 1, 5, 1e6);
         h.insert(t(0), FlowId(2), 1, 6, 1e6);
-        assert!(h.rate(FlowId(1)).unwrap() > 0.0);
+        assert!(h.rate(1, 5).unwrap() > 0.0);
         h.set_pair_cut(t(1), 1, 5, true);
         assert!(h.pair_cut(1, 5));
-        assert_eq!(h.rate(FlowId(1)), Some(0.0), "cut flow is parked at zero");
-        assert!(h.rate(FlowId(2)).unwrap() > 0.0, "other pair unaffected");
+        assert_eq!(h.rate(1, 5), Some(0.0), "cut flow is parked at zero");
+        assert!(h.rate(1, 6).unwrap() > 0.0, "other pair unaffected");
         // A new flow on the cut pair parks immediately.
         h.insert(t(1), FlowId(3), 1, 5, 2e6);
-        assert_eq!(h.rate(FlowId(3)), Some(0.0));
+        assert_eq!(h.parked[&(1, 5)].len(), 2);
         // Parked flows never complete: next_completion never returns None
         // while they exist.
         let mut done = Vec::new();
@@ -1068,8 +1048,9 @@ mod tests {
         // Heal: both parked flows resume and eventually complete.
         h.set_pair_cut(t(51), 1, 5, false);
         assert!(!h.pair_cut(1, 5));
-        assert!(h.rate(FlowId(1)).unwrap() > 0.0);
-        assert!(h.rate(FlowId(3)).unwrap() > 0.0);
+        assert!(h.parked.is_empty());
+        assert!(h.rate(1, 5).unwrap() > 0.0);
+        assert_eq!(h.core.pair_members(0, 1).count(), 2);
         h.take_completed_into(t(200), &mut done);
         assert_eq!(done, vec![FlowId(1), FlowId(3)]);
         assert_eq!(h.active_flows(), 0);
@@ -1081,9 +1062,10 @@ mod tests {
     }
 
     #[test]
-    fn first_inter_rack_cut_builds_the_pair_index_and_parks_only_that_pair() {
+    fn inter_rack_cut_parks_exactly_that_pairs_flows_and_heal_restores_them() {
         // Racks {0..4}, {4..8}, {8..12}. Pair (0, 5) gets flows 9, 2, 7, 4 in
-        // that insertion order; 7 is removed before the cut.
+        // that insertion order; 7 is removed before the cut. Flow 6 (2 -> 5)
+        // and flow 10 share rack pairs with it but not its machine pair.
         let script: [(u64, NodeId, NodeId); 10] = [
             (9, 0, 5),
             (1, 0, 1),
@@ -1096,54 +1078,71 @@ mod tests {
             (8, 1, 9),
             (10, 10, 2),
         ];
+        let ends = |id: u64| script.iter().find(|f| f.0 == id).map(|f| (f.1, f.2));
         let build = || {
             let mut h = hier(12, 4, 1);
             for (id, src, dst) in script {
                 h.insert(t(0), FlowId(id), src, dst, 1e10 + id as f64);
             }
             for id in [7, 3] {
-                assert!(h.remove(t(1), FlowId(id)).is_some());
+                let (src, dst) = ends(id).unwrap();
+                assert!(h.remove(t(1), FlowId(id), src, dst).is_some());
             }
             h
         };
         let live = [1u64, 2, 4, 5, 6, 8, 9, 10];
         let twin = build();
         let mut h = build();
-        assert!(h.pair_flows.is_none(), "no index before a cut");
-        // An intra-rack cut goes to the rack allocator and builds nothing.
+        // An intra-rack cut goes to the rack allocator and parks nothing.
         h.set_pair_cut(t(2), 6, 7, true);
         h.set_pair_cut(t(2), 6, 7, false);
-        assert!(h.pair_flows.is_none());
+        assert!(h.parked.is_empty());
 
         h.set_pair_cut(t(2), 0, 5, true);
-        let parked: Vec<u64> = h.parked.keys().map(|f| f.0).collect();
+        let parked: Vec<u64> = h.parked[&(0, 5)].iter().map(|f| f.0 .0).collect();
         assert_eq!(parked, [2, 4, 9], "exactly the cut pair's live flows park");
+        assert_eq!(h.parked.len(), 1);
         for id in live {
-            let rate = h.rate(FlowId(id)).expect("live flow");
+            let (src, dst) = ends(id).unwrap();
+            let rate = h.rate(src, dst).expect("live flow");
             assert_eq!(rate == 0.0, parked.contains(&id), "flow {id}");
         }
-        assert!(h.pair_flows.as_ref().unwrap().get(&(0, 5)).is_none());
+        assert_eq!(h.active_flows(), twin.active_flows());
 
         h.set_pair_cut(t(3), 0, 5, false);
         assert!(h.parked.is_empty());
-        let healed: Vec<u64> = h.pair_flows.as_ref().unwrap()[&(0, 5)]
-            .iter()
-            .map(|f| f.0)
+        let mut healed: Vec<u64> = h
+            .core
+            .pair_members(0, 1)
+            .filter(|&(_, tag)| tag == h.pair_tag(0, 5))
+            .map(|(f, _)| f.0)
             .collect();
-        assert_eq!(healed, [2, 4, 9], "heal re-inserts in ascending id order");
+        healed.sort_unstable();
+        assert_eq!(healed, [2, 4, 9]);
         for id in live {
+            let (src, dst) = ends(id).unwrap();
             assert_eq!(
-                h.rate(FlowId(id)).map(f64::to_bits),
-                twin.rate(FlowId(id)).map(f64::to_bits),
+                h.rate(src, dst).map(f64::to_bits),
+                twin.rate(src, dst).map(f64::to_bits),
                 "flow {id} after heal"
             );
         }
-        // Once built, the index follows inserts and removals.
+        // A later cut sees later inserts and removals.
         h.insert(t(3), FlowId(11), 0, 5, 1e10);
-        assert!(h.remove(t(3), FlowId(2)).is_some());
+        assert!(h.remove(t(3), FlowId(2), 0, 5).is_some());
         h.set_pair_cut(t(4), 0, 5, true);
-        let parked: Vec<u64> = h.parked.keys().map(|f| f.0).collect();
+        let mut parked: Vec<u64> = h.parked[&(0, 5)].iter().map(|f| f.0 .0).collect();
+        parked.sort_unstable();
         assert_eq!(parked, [4, 9, 11]);
+        // Removing a parked flow returns its parked remainder.
+        let rem = h.parked[&(0, 5)]
+            .iter()
+            .find(|f| f.0 == FlowId(11))
+            .unwrap()
+            .1;
+        assert!(rem > 0.0 && rem < 1e10);
+        assert_eq!(h.remove(t(4), FlowId(11), 0, 5), Some(rem));
+        assert_eq!(h.remove(t(4), FlowId(11), 0, 5), None);
     }
 
     #[test]
@@ -1152,10 +1151,10 @@ mod tests {
         h.insert(t(0), FlowId(1), 0, 2, 1e6);
         h.set_pair_cut(t(0), 0, 2, true);
         assert!(h.pair_cut(0, 2));
-        assert_eq!(h.rate(FlowId(1)), Some(0.0));
+        assert_eq!(h.rate(0, 2), Some(0.0));
         assert_eq!(h.next_completion(t(0)), Some(SimTime::FAR_FUTURE));
         h.set_pair_cut(t(1), 0, 2, false);
-        assert!(h.rate(FlowId(1)).unwrap() > 0.0);
+        assert!(h.rate(0, 2).unwrap() > 0.0);
     }
 
     #[test]
@@ -1176,12 +1175,12 @@ mod tests {
         );
         h.insert(t(0), FlowId(1), 0, 1, 1e6); // intra
         h.insert(t(0), FlowId(2), 2, 5, 1e6); // inter
-        assert_eq!(h.rate(FlowId(1)), Some(1e8));
-        assert_eq!(h.rate(FlowId(2)), Some(5e7));
+        assert_eq!(h.rate(0, 1), Some(1e8));
+        assert_eq!(h.rate(2, 5), Some(5e7));
         // Two inter-rack flows between the same racks share the uplink.
         h.insert(t(0), FlowId(3), 3, 6, 1e6);
-        assert_eq!(h.rate(FlowId(2)), Some(2.5e7));
-        assert_eq!(h.rate(FlowId(3)), Some(2.5e7));
+        assert_eq!(h.rate(2, 5), Some(2.5e7));
+        assert_eq!(h.rate(3, 6), Some(2.5e7));
     }
 
     #[test]
@@ -1228,6 +1227,7 @@ mod tests {
             let mut clock = SimTime::ZERO;
             let mut rng = seed;
             let mut next_id = 0u64;
+            let mut pairs = Vec::new();
             for _ in 0..30 {
                 rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 clock += SimDuration::from_millis(50 + (rng >> 33) % 400);
@@ -1243,11 +1243,12 @@ mod tests {
                     let bytes = 1e5 + ((rng >> 3) % 1000) as f64 * 1e4;
                     flat.insert(clock, id, src, dst, bytes);
                     h.insert(clock, id, src, dst, bytes);
+                    pairs.push((src, dst));
                 }
-                for probe in next_id.saturating_sub(8)..next_id {
+                for &(src, dst) in pairs.iter().rev().take(8) {
                     prop_assert_eq!(
-                        flat.rate(FlowId(probe)).map(f64::to_bits),
-                        h.rate(FlowId(probe)).map(f64::to_bits)
+                        flat.rate(src, dst).map(f64::to_bits),
+                        h.rate(src, dst).map(f64::to_bits)
                     );
                 }
                 prop_assert_eq!(flat.next_completion(clock), h.next_completion(clock));

@@ -2,15 +2,18 @@
 //! fabric allocators must conserve bytes, respect capacities, and terminate,
 //! and the disk efficiency curves must stay monotone and floored.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use simcore::resource::EfficiencyCurve;
-use simcore::{FlowAllocator, FlowId, MaxMinPolicy, SimDuration, SimTime};
+use simcore::{FlowAllocator, FlowId, HierFabric, MaxMinPolicy, RackMap, SimDuration, SimTime};
 
 /// Every live flow's class-derived rate must equal the unique per-flow
 /// max-min fixpoint computed from scratch by the quadratic reference.
 fn assert_matches_reference(fab: &FlowAllocator) -> Result<(), TestCaseError> {
+    let rates = fab.flow_rates();
     for (id, want) in fab.reference_reallocate() {
-        let got = fab.rate(id).expect("live flow has a rate");
+        let got = *rates.get(&id).expect("live flow has a rate");
         prop_assert!(
             (got - want).abs() <= want.abs() * 1e-9 + 1e-12,
             "flow {:?}: class rate {} vs reference {}",
@@ -127,7 +130,7 @@ proptest! {
         // progressive-filling fixpoint (which is unique).
         let mut fab = FlowAllocator::new(n_nodes, tx_cap, rx_cap);
         let mut now = SimTime::ZERO;
-        let mut live: Vec<FlowId> = Vec::new();
+        let mut live: Vec<(FlowId, usize, usize)> = Vec::new();
         let mut next_id = 0u64;
         for (op, src, dst, bytes, frac) in ops {
             match op {
@@ -135,13 +138,15 @@ proptest! {
                 0 | 1 => {
                     let id = FlowId(next_id);
                     next_id += 1;
-                    fab.insert(now, id, src % n_nodes, dst % n_nodes, bytes);
-                    live.push(id);
+                    let (src, dst) = (src % n_nodes, dst % n_nodes);
+                    fab.insert(now, id, src, dst, bytes);
+                    live.push((id, src, dst));
                 }
                 2 => {
                     if !live.is_empty() {
                         let idx = (bytes as usize) % live.len();
-                        fab.remove(now, live.swap_remove(idx));
+                        let (id, src, dst) = live.swap_remove(idx);
+                        fab.remove(now, id, src, dst);
                     }
                 }
                 _ => {
@@ -153,15 +158,16 @@ proptest! {
                             now = t.max(now);
                             fab.advance(now);
                             let done = fab.take_completed(now);
-                            live.retain(|id| !done.contains(id));
+                            live.retain(|f| !done.contains(&f.0));
                         }
                     }
                 }
             }
             let want = fab.reference_reallocate();
             prop_assert_eq!(want.len(), live.len());
+            let rates = fab.flow_rates();
             for (id, w) in &want {
-                let got = fab.rate(*id).expect("live flow has a rate");
+                let got = *rates.get(id).expect("live flow has a rate");
                 prop_assert!(
                     (got - w).abs() <= w.abs() * 1e-9 + 1e-12,
                     "flow {:?}: incremental {} vs reference {}", id, got, w
@@ -251,7 +257,7 @@ proptest! {
         let mut batched = FlowAllocator::new(n_nodes, caps.0, caps.1);
         let mut plain = FlowAllocator::new(n_nodes, caps.0, caps.1);
         let mut now = SimTime::ZERO;
-        let mut live: Vec<FlowId> = Vec::new();
+        let mut live: Vec<(FlowId, usize, usize)> = Vec::new();
         let mut next_id = 0u64;
         for (wi, wave) in waves.into_iter().enumerate() {
             batched.begin_update();
@@ -261,29 +267,30 @@ proptest! {
                     0 | 1 => {
                         let id = FlowId(next_id);
                         next_id += 1;
-                        batched.insert(now, id, src % n_nodes, dst % n_nodes, bytes);
-                        plain.insert(now, id, src % n_nodes, dst % n_nodes, bytes);
-                        live.push(id);
+                        let (src, dst) = (src % n_nodes, dst % n_nodes);
+                        batched.insert(now, id, src, dst, bytes);
+                        plain.insert(now, id, src, dst, bytes);
+                        live.push((id, src, dst));
                     }
                     _ => {
                         if !live.is_empty() {
                             let idx = (bytes as usize) % live.len();
-                            let id = live.swap_remove(idx);
+                            let (id, src, dst) = live.swap_remove(idx);
                             // Up to fp grouping (batched drains one long
                             // interval where unbatched drains it piecewise),
                             // both views agree on the remaining bytes even
                             // though the batched rates are mid-wave stale.
-                            let a = batched.remove(now, id).expect("live in batched");
-                            let b = plain.remove(now, id).expect("live in plain");
+                            let a = batched.remove(now, id, src, dst).expect("live in batched");
+                            let b = plain.remove(now, id, src, dst).expect("live in plain");
                             prop_assert!((a - b).abs() <= b.abs() * 1e-9 + 1e-9);
                         }
                     }
                 }
             }
             batched.commit(now);
-            for &id in &live {
-                let a = batched.rate(id).expect("live in batched");
-                let b = plain.rate(id).expect("live in plain");
+            for &(_, src, dst) in &live {
+                let a = batched.rate(src, dst).expect("live in batched");
+                let b = plain.rate(src, dst).expect("live in plain");
                 prop_assert!((a - b).abs() <= b.abs() * 1e-9 + 1e-12);
             }
             let (ca, cb) = (batched.next_completion(now), plain.next_completion(now));
@@ -298,7 +305,7 @@ proptest! {
                     let a = batched.take_completed(now);
                     let b = plain.take_completed(now);
                     prop_assert_eq!(&a, &b, "same-instant completion batches diverged");
-                    live.retain(|id| !a.contains(id));
+                    live.retain(|f| !a.contains(&f.0));
                 }
             }
         }
@@ -324,20 +331,22 @@ proptest! {
         let policy = MaxMinPolicy { epsilon, quantum: SimDuration::ZERO };
         let mut fab = FlowAllocator::new_with_policy(n_nodes, tx_cap, rx_cap, policy);
         let mut now = SimTime::ZERO;
-        let mut live: Vec<FlowId> = Vec::new();
+        let mut live: Vec<(FlowId, usize, usize)> = Vec::new();
         let mut next_id = 0u64;
         for (op, src, dst, bytes, frac) in ops {
             match op {
                 0 | 1 => {
                     let id = FlowId(next_id);
                     next_id += 1;
-                    fab.insert(now, id, src % n_nodes, dst % n_nodes, bytes);
-                    live.push(id);
+                    let (src, dst) = (src % n_nodes, dst % n_nodes);
+                    fab.insert(now, id, src, dst, bytes);
+                    live.push((id, src, dst));
                 }
                 2 => {
                     if !live.is_empty() {
                         let idx = (bytes as usize) % live.len();
-                        fab.remove(now, live.swap_remove(idx));
+                        let (id, src, dst) = live.swap_remove(idx);
+                        fab.remove(now, id, src, dst);
                     }
                 }
                 _ => {
@@ -349,15 +358,16 @@ proptest! {
                             now = t.max(now);
                             fab.advance(now);
                             let done = fab.take_completed(now);
-                            live.retain(|id| !done.contains(id));
+                            live.retain(|f| !done.contains(&f.0));
                         }
                     }
                 }
             }
             let want = fab.reference_reallocate();
             prop_assert_eq!(want.len(), live.len());
+            let rates = fab.flow_rates();
             for (id, w) in &want {
-                let got = fab.rate(*id).expect("live flow has a rate");
+                let got = *rates.get(id).expect("live flow has a rate");
                 let tol = w.abs() * 1e-9 + 1e-12;
                 prop_assert!(
                     got <= w + tol && got >= w * (1.0 - epsilon) - tol,
@@ -389,23 +399,24 @@ proptest! {
         let mut exact = FlowAllocator::new(n_nodes, tx_cap, rx_cap);
         let mut approx = FlowAllocator::new_with_policy(n_nodes, tx_cap, rx_cap, policy);
         let mut now = SimTime::ZERO;
-        let mut live: Vec<FlowId> = Vec::new();
+        let mut live: Vec<(FlowId, usize, usize)> = Vec::new();
         let mut next_id = 0u64;
         for (op, src, dst, bytes, frac) in ops {
             match op {
                 0 | 1 => {
                     let id = FlowId(next_id);
                     next_id += 1;
-                    exact.insert(now, id, src % n_nodes, dst % n_nodes, bytes);
-                    approx.insert(now, id, src % n_nodes, dst % n_nodes, bytes);
-                    live.push(id);
+                    let (src, dst) = (src % n_nodes, dst % n_nodes);
+                    exact.insert(now, id, src, dst, bytes);
+                    approx.insert(now, id, src, dst, bytes);
+                    live.push((id, src, dst));
                 }
                 2 => {
                     if !live.is_empty() {
                         let idx = (bytes as usize) % live.len();
-                        let id = live.swap_remove(idx);
-                        let a = exact.remove(now, id);
-                        let b = approx.remove(now, id);
+                        let (id, src, dst) = live.swap_remove(idx);
+                        let a = exact.remove(now, id, src, dst);
+                        let b = approx.remove(now, id, src, dst);
                         prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
                     }
                 }
@@ -420,15 +431,15 @@ proptest! {
                             let da = exact.take_completed(now);
                             let db = approx.take_completed(now);
                             prop_assert_eq!(&da, &db);
-                            live.retain(|id| !da.contains(id));
+                            live.retain(|f| !da.contains(&f.0));
                         }
                     }
                 }
             }
             prop_assert_eq!(exact.epoch(), approx.epoch());
-            for &id in &live {
-                let a = exact.rate(id).expect("live in exact");
-                let b = approx.rate(id).expect("live in approx");
+            for &(id, src, dst) in &live {
+                let a = exact.rate(src, dst).expect("live in exact");
+                let b = approx.rate(src, dst).expect("live in approx");
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "flow {:?} diverged", id);
             }
         }
@@ -546,5 +557,165 @@ proptest! {
             guard += 1;
             prop_assert!(guard < 10_000, "fabric did not converge");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn hier_fabric_churn_accounts_for_every_flow_and_byte(
+        machines in 2usize..12,
+        rack_size in 1usize..12,
+        ops in prop::collection::vec(
+            (0u8..8, 0usize..12, 0usize..12, 1.0f64..500.0, 0.05f64..1.0),
+            1..80,
+        ),
+    ) {
+        // Random insert / remove / cut / heal / same-id re-insert / advance
+        // churn on the rack fabric. Flows live nowhere but in their classes
+        // (or the parked set), so this pins what a per-flow map used to:
+        // every flow completes or is removed exactly once, waves come out in
+        // ascending id order, and bytes balance. With one rack the fabric
+        // must also match a flat allocator fed the same script bit for bit.
+        let rack_size = rack_size.min(machines);
+        let mut h = HierFabric::new(
+            RackMap::uniform(machines, rack_size),
+            100.0,
+            100.0,
+            150.0,
+            150.0,
+            MaxMinPolicy::default(),
+            MaxMinPolicy::default(),
+            1,
+        );
+        let mut flat = (rack_size == machines).then(|| FlowAllocator::new(machines, 100.0, 100.0));
+        let mut now = SimTime::ZERO;
+        let mut live: BTreeMap<FlowId, (usize, usize)> = BTreeMap::new();
+        let mut retired: Vec<FlowId> = Vec::new();
+        let mut cuts: Vec<(usize, usize)> = Vec::new();
+        let (mut offered, mut withdrawn, mut parks) = (0.0, 0.0, 0usize);
+        let mut next_id = 0u64;
+        let (mut done_h, mut done_f) = (Vec::new(), Vec::new());
+        // Collects a completion wave from both fabrics and retires its ids.
+        let mut collect = |h: &mut HierFabric,
+                           flat: &mut Option<FlowAllocator>,
+                           now: SimTime,
+                           live: &mut BTreeMap<FlowId, (usize, usize)>,
+                           retired: &mut Vec<FlowId>|
+         -> Result<(), TestCaseError> {
+            h.take_completed_into(now, &mut done_h);
+            prop_assert!(done_h.windows(2).all(|w| w[0] < w[1]), "wave not ascending: {:?}", done_h);
+            if let Some(f) = flat {
+                f.take_completed_into(now, &mut done_f);
+                prop_assert_eq!(&done_h, &done_f);
+            }
+            for id in &done_h {
+                prop_assert!(live.remove(id).is_some(), "{:?} completed twice or never started", id);
+                retired.push(*id);
+            }
+            Ok(())
+        };
+        for (op, a, b, bytes, frac) in ops {
+            let (src, dst) = (a % machines, b % machines);
+            let pick = |n: usize| (b * 7 + a) % n;
+            match op {
+                0..=2 => {
+                    let id = FlowId(next_id);
+                    next_id += 1;
+                    h.insert(now, id, src, dst, bytes);
+                    if let Some(f) = &mut flat {
+                        f.insert(now, id, src, dst, bytes);
+                    }
+                    live.insert(id, (src, dst));
+                    offered += bytes;
+                }
+                3 if !live.is_empty() => {
+                    let (&id, &(s, d)) = live.iter().nth(pick(live.len())).unwrap();
+                    let rem = h.remove(now, id, s, d);
+                    prop_assert!(rem.is_some_and(|r| r >= 0.0), "live {:?} not removable", id);
+                    if let Some(f) = &mut flat {
+                        let twin = f.remove(now, id, s, d);
+                        prop_assert_eq!(rem.map(f64::to_bits), twin.map(f64::to_bits));
+                    }
+                    withdrawn += rem.unwrap();
+                    live.remove(&id);
+                    retired.push(id);
+                }
+                4 if !h.pair_cut(src, dst) => {
+                    parks += live.values().filter(|&&p| p == (src, dst)).count();
+                    h.set_pair_cut(now, src, dst, true);
+                    if let Some(f) = &mut flat {
+                        f.set_pair_cut(now, src, dst, true);
+                    }
+                    cuts.push((src, dst));
+                }
+                5 if !cuts.is_empty() => {
+                    let (s, d) = cuts.swap_remove(pick(cuts.len()));
+                    h.set_pair_cut(now, s, d, false);
+                    if let Some(f) = &mut flat {
+                        f.set_pair_cut(now, s, d, false);
+                    }
+                }
+                6 if !retired.is_empty() => {
+                    // Same-id re-insert: a finished id starts a new flow.
+                    let id = retired.swap_remove(pick(retired.len()));
+                    h.insert(now, id, src, dst, bytes);
+                    if let Some(f) = &mut flat {
+                        f.insert(now, id, src, dst, bytes);
+                    }
+                    live.insert(id, (src, dst));
+                    offered += bytes;
+                }
+                _ => {
+                    let next = h.next_completion(now);
+                    if let Some(f) = &mut flat {
+                        prop_assert_eq!(next, f.next_completion(now));
+                    }
+                    if let Some(t) = next.filter(|&t| t != SimTime::FAR_FUTURE) {
+                        now += SimDuration::from_secs_f64(t.since(now).as_secs_f64() * frac);
+                        if frac > 0.5 {
+                            now = t.max(now);
+                        }
+                        collect(&mut h, &mut flat, now, &mut live, &mut retired)?;
+                    }
+                }
+            }
+            prop_assert_eq!(h.active_flows(), live.len());
+            if let Some(f) = &flat {
+                for &(s, d) in live.values() {
+                    prop_assert_eq!(h.rate(s, d).map(f64::to_bits), f.rate(s, d).map(f64::to_bits));
+                }
+            }
+        }
+        // Heal everything and drain: every flow still live must complete.
+        for (s, d) in cuts.drain(..) {
+            h.set_pair_cut(now, s, d, false);
+            if let Some(f) = &mut flat {
+                f.set_pair_cut(now, s, d, false);
+            }
+        }
+        let mut guard = 0;
+        while let Some(t) = h.next_completion(now) {
+            now = t;
+            collect(&mut h, &mut flat, now, &mut live, &mut retired)?;
+            guard += 1;
+            prop_assert!(guard < 10_000, "fabric did not drain");
+        }
+        prop_assert!(live.is_empty(), "flows never completed: {:?}", live);
+        prop_assert_eq!(h.active_flows(), 0);
+        // Sub-allocators drain lazily on their own clocks, so delivered
+        // totals are comparable once nothing is in flight.
+        if let Some(f) = &flat {
+            prop_assert_eq!(h.total_delivered().to_bits(), f.total_delivered().to_bits());
+        }
+        // A flow cut within dust of its finish parks with one dust byte,
+        // which heal re-inserts and completion forgives.
+        let expected = offered - withdrawn;
+        let tol = expected.abs() * 1e-9 + 1e-6 * (parks + 1) as f64;
+        prop_assert!(
+            (h.total_delivered() - expected).abs() <= tol,
+            "delivered {} of {} bytes", h.total_delivered(), expected
+        );
     }
 }
