@@ -36,6 +36,12 @@
 //!   fault_sweep [--matrix | --partitions] [--out PATH] [--points 0,0.5,1,2]
 //!               [--check BASELINE.json --max-factor 2.0]
 //!
+//! Every row also carries the run's peak host memory (`peak_rss_mb`, the
+//! process's `VmHWM` reset before the run) and `host_bytes_per_monotask`
+//! (`null` for Spark-like rows and where `/proc` is unavailable); a
+//! top-level `host` object records `nproc` and the CPU model. `--check`
+//! reads neither.
+//!
 //! The output path defaults to `$FAULT_SWEEP_OUT`, or `BENCH_PR3.json`
 //! (`BENCH_PR5.json` with `--matrix`, `BENCH_PR8.json` with
 //! `--partitions`). `--check` never rewrites the committed record.
@@ -43,7 +49,7 @@
 use std::time::Instant;
 
 use cluster::{ClusterSpec, FaultPlan, MachineSpec};
-use mt_bench::header;
+use mt_bench::{header, host_bytes_per_monotask, host_json, json_opt, peak_rss_mb, reset_peak_rss};
 use workloads::{partition_plan, sort_job, straggler_plan, sweep_plan, SortConfig};
 
 const MACHINES: usize = 5;
@@ -71,6 +77,17 @@ struct Point {
     backoff_s: f64,
     fetches_replanned: u64,
     wall_s: f64,
+    /// Peak host memory over the run, MiB (`None` without `/proc`).
+    peak_rss_mb: Option<f64>,
+    /// Monotasks the run completed (0 for the Spark-like executor).
+    monotasks: usize,
+}
+
+/// Runs `f` and measures the process's peak resident set over it, MiB.
+fn with_peak_rss<T>(f: impl FnOnce() -> T) -> (T, Option<f64>) {
+    let reset = reset_peak_rss();
+    let out = f();
+    (out, if reset { peak_rss_mb() } else { None })
 }
 
 fn cluster() -> ClusterSpec {
@@ -139,7 +156,8 @@ fn run_mono(
         ..monotasks_core::MonoConfig::default()
     };
     let start = Instant::now();
-    let result = monotasks_core::run_with_faults(&cluster(), &[(job, blocks)], &cfg, plan);
+    let (result, peak_rss_mb) =
+        with_peak_rss(|| monotasks_core::run_with_faults(&cluster(), &[(job, blocks)], &cfg, plan));
     let wall_s = start.elapsed().as_secs_f64();
     match result {
         Ok(out) => Point {
@@ -165,6 +183,8 @@ fn run_mono(
             backoff_s: out.stats.fetch_backoff_nanos as f64 / 1e9,
             fetches_replanned: out.stats.fetches_replanned,
             wall_s,
+            peak_rss_mb,
+            monotasks: out.records.len(),
         },
         Err(e) => failed_point(engine, intensity, e.to_string(), wall_s),
     }
@@ -185,7 +205,8 @@ fn run_spark(
         ..sparklike::SparkConfig::default()
     };
     let start = Instant::now();
-    let result = sparklike::run_with_faults(&cluster(), &[(job, blocks)], &cfg, plan);
+    let (result, peak_rss_mb) =
+        with_peak_rss(|| sparklike::run_with_faults(&cluster(), &[(job, blocks)], &cfg, plan));
     let wall_s = start.elapsed().as_secs_f64();
     match result {
         Ok(out) => Point {
@@ -211,6 +232,8 @@ fn run_spark(
             backoff_s: out.stats.fetch_backoff_nanos as f64 / 1e9,
             fetches_replanned: out.stats.fetches_replanned,
             wall_s,
+            peak_rss_mb,
+            monotasks: 0,
         },
         Err(e) => failed_point(engine, intensity, e.to_string(), wall_s),
     }
@@ -236,6 +259,8 @@ fn failed_point(engine: &'static str, intensity: f64, error: String, wall_s: f64
         backoff_s: 0.0,
         fetches_replanned: 0,
         wall_s,
+        peak_rss_mb: None,
+        monotasks: 0,
     }
 }
 
@@ -546,7 +571,10 @@ fn main() {
     } else {
         "fault_sweep"
     };
-    let mut json = format!("{{\n  \"bench\": \"{bench}\",\n  \"workload\": \"sort\",\n");
+    let mut json = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"host\": {},\n  \"workload\": \"sort\",\n",
+        host_json()
+    );
     json.push_str(&format!(
         "  \"machines\": {MACHINES},\n  \"gib_per_machine\": {GIB_PER_MACHINE},\n  \
          \"seed\": {SEED},\n  \"points\": [\n"
@@ -558,7 +586,8 @@ fn main() {
              \"tasks_speculated\": {}, \"wasted_s\": {:.3}, \"wasted_bytes\": {}, \
              \"mono_copies\": {}, \"mono_copy_wins\": {}, \"recompute_s\": {:.3}, \
              \"fetch_retries\": {}, \"stalled_s\": {:.3}, \"backoff_s\": {:.3}, \
-             \"fetches_replanned\": {}, \"wall_s\": {:.3}}}{}\n",
+             \"fetches_replanned\": {}, \"wall_s\": {:.3}, \"peak_rss_mb\": {}, \
+             \"host_bytes_per_monotask\": {}}}{}\n",
             p.engine,
             p.intensity,
             p.completed,
@@ -576,6 +605,8 @@ fn main() {
             p.backoff_s,
             p.fetches_replanned,
             p.wall_s,
+            json_opt(p.peak_rss_mb),
+            json_opt(host_bytes_per_monotask(p.peak_rss_mb, p.monotasks)),
             if i + 1 < points.len() { "," } else { "" }
         ));
     }
@@ -613,5 +644,7 @@ fn clone_point(p: &Point) -> Point {
         backoff_s: p.backoff_s,
         fetches_replanned: p.fetches_replanned,
         wall_s: p.wall_s,
+        peak_rss_mb: p.peak_rss_mb,
+        monotasks: p.monotasks,
     }
 }

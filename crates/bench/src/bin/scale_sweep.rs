@@ -22,7 +22,8 @@
 //! `5` to `/proc/self/clear_refs`; `null` where `/proc` does not offer
 //! that) and `host_bytes_per_monotask`, that peak over the monotasks the
 //! run completed. The peak includes whatever the allocator kept resident
-//! from earlier points of the same sweep.
+//! from earlier points of the same sweep. A top-level `host` object records
+//! the host's `nproc` and CPU model (`null` where unavailable).
 //!
 //! Usage:
 //!   scale_sweep [--out PATH] [--points 5,20,50] [--workload sort|bdb]
@@ -65,7 +66,7 @@ use std::time::Instant;
 
 use cluster::{ClusterSpec, MachineSpec};
 use dataflow::{BlockMap, JobSpec};
-use mt_bench::header;
+use mt_bench::{header, host_bytes_per_monotask, host_json, json_opt, peak_rss_mb, reset_peak_rss};
 use workloads::{bdb_job, sort_job, BdbQuery, SortConfig};
 
 /// GiB of sort input per machine (weak scaling).
@@ -160,36 +161,11 @@ struct Point {
     monotasks: usize,
 }
 
-/// Resets this process's `VmHWM` to its current RSS; false where Linux's
-/// `/proc/self/clear_refs` is unavailable.
-fn reset_peak_rss() -> bool {
-    std::fs::write("/proc/self/clear_refs", "5").is_ok()
-}
-
-/// This process's peak resident set (`VmHWM`), MiB.
-fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kib: f64 = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))?
-        .split_whitespace()
-        .next()?
-        .parse()
-        .ok()?;
-    Some(kib / 1024.0)
-}
-
 impl Point {
     /// Peak host bytes per completed monotask.
     fn host_bytes_per_monotask(&self) -> Option<f64> {
-        let peak = self.peak_rss_mb?;
-        (self.monotasks > 0).then(|| peak * 1024.0 * 1024.0 / self.monotasks as f64)
+        host_bytes_per_monotask(self.peak_rss_mb, self.monotasks)
     }
-}
-
-/// `{:.1}` of a measured value, or `null`.
-fn json_opt(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".into(), |v| format!("{v:.1}"))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -666,7 +642,10 @@ fn main() {
         }
         return; // check mode never rewrites the committed record
     }
-    let mut json = String::from("{\n  \"bench\": \"scale_sweep\",\n");
+    let mut json = format!(
+        "{{\n  \"bench\": \"scale_sweep\",\n  \"host\": {},\n",
+        host_json()
+    );
     json.push_str(&format!(
         "  \"gib_per_machine\": {GIB_PER_MACHINE},\n  \"points\": [\n"
     ));

@@ -18,7 +18,7 @@ fn mean_queues(out: &monotasks_core::MonoRunOutput) -> (f64, f64, f64) {
     let mut net = 0.0;
     for s in &out.queue_trace {
         cpu += s.cpu_queued as f64;
-        disk += s.disk_queued.iter().sum::<usize>() as f64;
+        disk += s.disk_queued.iter().map(|&q| q as usize).sum::<usize>() as f64;
         net += s.net_queued as f64;
     }
     (cpu / n, disk / n, net / n)

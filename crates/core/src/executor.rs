@@ -30,7 +30,7 @@ use simcore::{ResourceKind, SimDuration, SimStats, SimTime};
 
 #[cfg(debug_assertions)]
 use crate::decompose::{decompose, DecomposeCtx, SenderShare};
-use crate::metrics::{MonotaskRecord, Purpose};
+use crate::metrics::{MonotaskRecord, Purpose, QueueTrace, Records};
 #[cfg(debug_assertions)]
 use crate::monotask::MonotaskDag;
 use crate::monotask::{MonoOp, MultitaskKey};
@@ -254,13 +254,14 @@ impl MonoConfig {
 pub struct MonoRunOutput {
     /// Per-job reports (same order as submitted).
     pub jobs: Vec<dataflow::JobReport>,
-    /// Every completed monotask.
-    pub records: Vec<MonotaskRecord>,
+    /// Every completed monotask, with compute monotasks' CPU splits in a
+    /// side column.
+    pub records: Records,
     /// Cluster utilization traces.
     pub traces: TraceSet,
     /// Per-machine scheduler queue lengths over time (§3.1's visible
     /// contention), sampled at every simulation step.
-    pub queue_trace: Vec<crate::metrics::QueueSnapshot>,
+    pub queue_trace: QueueTrace,
     /// Peak bytes of in-flight monotask buffers per machine (the memory
     /// cost §3.5 discusses).
     pub peak_buffered: Vec<f64>,
@@ -531,9 +532,9 @@ struct Exec {
     /// Speculation and partition state by `(multitask, node)`; empty (and
     /// unallocated) unless one of those features touches a node.
     cold: FxHashMap<(usize, usize), ColdNode>,
-    records: Vec<MonotaskRecord>,
+    records: Records,
     traces: TraceSet,
-    queue_trace: Vec<crate::metrics::QueueSnapshot>,
+    queue_trace: QueueTrace,
     /// Full-duplex network fabric (when `cfg.full_duplex_network`): flat
     /// max-min over every NIC, or the rack-sharded hierarchy when the
     /// cluster declares a rack topology.
@@ -733,9 +734,9 @@ pub fn run_with_faults(
         machines,
         rt: Runtime::new(jobs, n_machines, rt_cfg, can_host),
         mts: Vec::new(),
-        records: Vec::new(),
+        records: Records::default(),
         traces: TraceSet::new(),
-        queue_trace: Vec::new(),
+        queue_trace: QueueTrace::new(disk_slots.len()),
         fabric: if cfg.full_duplex_network {
             let policy = MaxMinPolicy {
                 epsilon: cfg.fabric_epsilon,
@@ -997,14 +998,14 @@ impl Exec {
                         fabric.rx_busy_fraction(m).min(1.0),
                     );
                 }
-                let (cpu_q, disk_q, net_q) = self.machines[m].sched.queue_lengths();
-                self.queue_trace.push(crate::metrics::QueueSnapshot {
-                    time: self.now,
-                    machine: m,
-                    cpu_queued: cpu_q,
-                    disk_queued: disk_q,
-                    net_queued: net_q,
-                });
+                let sched = &self.machines[m].sched;
+                self.queue_trace.push(
+                    self.now,
+                    m,
+                    sched.cpu_queued(),
+                    sched.disk_queued(),
+                    sched.net_queued(),
+                );
             }
             // Under fault injection, stop at the last job completion instead
             // of sitting through the remaining scheduled fault actions (e.g.
@@ -1577,15 +1578,7 @@ impl Exec {
                     self.machines[m].write_cursor = c + 1;
                     c % n_disks
                 }
-                DiskChoice::ShortestQueue => {
-                    let (_, disk_qs, _) = self.machines[m].sched.queue_lengths();
-                    disk_qs
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, q)| **q)
-                        .map(|(d, _)| d)
-                        .unwrap_or(0)
-                }
+                DiskChoice::ShortestQueue => self.machines[m].sched.shortest_disk_queue(),
             }
         } else {
             0
@@ -2172,17 +2165,19 @@ impl Exec {
                 NetPhase::RemoteRead => {
                     self.machines[from].sched.finish_disk(remote_disk, false);
                     // Emit the serve read as its own record on the sender.
-                    self.records.push(MonotaskRecord {
-                        multitask: self.mts[mt].key,
-                        machine: from,
-                        resource: ResourceKind::Disk,
-                        purpose: Purpose::ReadShuffleServe,
-                        queued: self.mts[mt].serve_queued,
-                        started: self.mts[mt].nodes[node].serve_started,
-                        ended: self.now,
-                        bytes,
-                        cpu: None,
-                    });
+                    self.records.push(
+                        MonotaskRecord {
+                            multitask: self.mts[mt].key,
+                            machine: from,
+                            resource: ResourceKind::Disk,
+                            purpose: Purpose::ReadShuffleServe,
+                            queued: self.mts[mt].serve_queued,
+                            started: self.mts[mt].nodes[node].serve_started,
+                            ended: self.now,
+                            bytes,
+                        },
+                        None,
+                    );
                     self.start_transfer(mt, node);
                 }
                 NetPhase::Transfer => {
@@ -2679,17 +2674,19 @@ impl Exec {
         cpu: Option<dataflow::CpuWork>,
     ) {
         let n = &self.mts[mt].nodes[node];
-        self.records.push(MonotaskRecord {
-            multitask: self.mts[mt].key,
-            machine,
-            resource,
-            purpose: n.purpose,
-            queued: n.queued,
-            started: n.started,
-            ended: self.now,
-            bytes,
+        self.records.push(
+            MonotaskRecord {
+                multitask: self.mts[mt].key,
+                machine,
+                resource,
+                purpose: n.purpose,
+                queued: n.queued,
+                started: n.started,
+                ended: self.now,
+                bytes,
+            },
             cpu,
-        });
+        );
     }
 
     /// Marks a monotask done, releases dependents, and finishes the
@@ -2890,9 +2887,9 @@ mod tests {
         // deserialized. (The reduce stage still deserializes shuffle bytes.)
         let map_deser: f64 = out
             .records
-            .iter()
-            .filter(|r| r.multitask.stage == StageId(0))
-            .filter_map(|r| r.cpu)
+            .with_cpu()
+            .filter(|(r, _)| r.multitask.stage == StageId(0))
+            .filter_map(|(_, c)| c)
             .map(|c| c.deser)
             .sum();
         assert_eq!(map_deser, 0.0);

@@ -35,6 +35,6 @@ pub mod template;
 pub use executor::{
     run, run_with_faults, try_run, DiskChoice, JobPolicy, MonoConfig, MonoRunOutput,
 };
-pub use metrics::{MonotaskRecord, Purpose, QueueSnapshot};
+pub use metrics::{MonotaskRecord, Purpose, QueueSnapshot, QueueTrace, QueueTraceIter, Records};
 pub use monotask::{MonoOp, Monotask, MultitaskKey};
 pub use template::{StageTemplate, TemplateSender};

@@ -257,17 +257,30 @@ impl MachineScheduler {
         self.disks.len()
     }
 
-    /// Monotasks queued but not yet admitted, per resource class — the
-    /// "visible contention" signal the architecture provides (§3.1).
-    pub fn queue_lengths(&self) -> (usize, Vec<usize>, usize) {
-        (
-            self.cpu_queue.len(),
-            self.disks
-                .iter()
-                .map(|d| d.reads.len() + d.writes.len())
-                .collect(),
-            self.net_queue.len(),
-        )
+    /// Compute monotasks queued but not yet admitted — with
+    /// [`MachineScheduler::disk_queued`] and [`MachineScheduler::net_queued`],
+    /// the "visible contention" signal the architecture provides (§3.1).
+    pub fn cpu_queued(&self) -> usize {
+        self.cpu_queue.len()
+    }
+
+    /// Disk monotasks queued but not yet admitted, per disk.
+    pub fn disk_queued(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.disks.iter().map(|d| d.reads.len() + d.writes.len())
+    }
+
+    /// Fetch groups queued but not yet admitted.
+    pub fn net_queued(&self) -> usize {
+        self.net_queue.len()
+    }
+
+    /// The disk with the fewest queued monotasks, the first on a tie; 0
+    /// without disks.
+    pub fn shortest_disk_queue(&self) -> usize {
+        self.disk_queued()
+            .enumerate()
+            .min_by_key(|&(_, q)| q)
+            .map_or(0, |(d, _)| d)
     }
 }
 
@@ -342,7 +355,18 @@ mod tests {
         s.enqueue_cpu((0, 0));
         s.enqueue_disk(1, (1, 0), true);
         s.enqueue_net_group(2);
-        assert_eq!(s.queue_lengths(), (1, vec![0, 1], 1));
+        assert_eq!(s.cpu_queued(), 1);
+        assert!(s.disk_queued().eq([0, 1]));
+        assert_eq!(s.net_queued(), 1);
+        assert_eq!(s.shortest_disk_queue(), 0);
+        s.enqueue_disk(0, (3, 0), false);
+        assert_eq!(s.shortest_disk_queue(), 0, "a tie goes to the first disk");
+        s.enqueue_disk(0, (4, 0), false);
+        assert_eq!(s.shortest_disk_queue(), 1);
+        assert_eq!(
+            MachineScheduler::new(1, &[], 4, true).shortest_disk_queue(),
+            0
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use dataflow::{JobId, JobReport, StageId};
-use monotasks_core::{MonotaskRecord, Purpose};
+use monotasks_core::{MonotaskRecord, Purpose, Records};
 use serde::{Deserialize, Serialize};
 use simcore::ResourceKind;
 
@@ -69,7 +69,7 @@ impl StageProfile {
 
 /// Builds per-stage profiles from monotask `records` and the stage windows in
 /// `reports`. Stages are returned in `(job, stage)` order.
-pub fn profile_stages(records: &[MonotaskRecord], reports: &[JobReport]) -> Vec<StageProfile> {
+pub fn profile_stages(records: &Records, reports: &[JobReport]) -> Vec<StageProfile> {
     let mut map: BTreeMap<(JobId, StageId), StageProfile> = BTreeMap::new();
     for report in reports {
         for st in &report.stages {
@@ -90,7 +90,7 @@ pub fn profile_stages(records: &[MonotaskRecord], reports: &[JobReport]) -> Vec<
             );
         }
     }
-    for r in records {
+    for (r, cpu) in records.with_cpu() {
         let key = (r.multitask.job, r.multitask.stage);
         let p = map
             .get_mut(&key)
@@ -98,7 +98,7 @@ pub fn profile_stages(records: &[MonotaskRecord], reports: &[JobReport]) -> Vec<
         match r.resource {
             ResourceKind::Cpu => {
                 p.cpu_secs += r.service_secs();
-                if let Some(cpu) = r.cpu {
+                if let Some(cpu) = cpu {
                     // Attribute wall time to components proportionally (they
                     // execute back-to-back on one core, so this is exact up
                     // to rounding).
@@ -146,7 +146,7 @@ mod tests {
 
     const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 
-    fn run_sort() -> (Vec<MonotaskRecord>, Vec<JobReport>) {
+    fn run_sort() -> (Records, Vec<JobReport>) {
         let total = 2.0 * GIB;
         let job = JobBuilder::new("sort", CostModel::spark_1_3())
             .read_disk(total, total / 100.0, total / 16.0)

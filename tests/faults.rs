@@ -376,3 +376,50 @@ fn zero_retry_budget_fails_fast() {
         "expected RetriesExhausted, got {out:?}"
     );
 }
+
+/// The queue trace of a run with a crash keeps every snapshot, in order:
+/// the dead machine stops reporting at the crash, the others report at
+/// every step. The pinned counts, per-class sums and order-sensitive hash
+/// are this scenario's trace, so a dropped, duplicated or reordered
+/// snapshot fails here, not only in the paper-figure outputs.
+#[test]
+fn a_crash_runs_queue_trace_keeps_every_snapshot_in_order() {
+    let (job, blocks) = sort();
+    let jobs = [(job, blocks)];
+    let free = monotasks_core::try_run(&cluster(), &jobs, &MonoConfig::default()).unwrap();
+    let plan = mid_shuffle_crash(1, free.makespan.as_secs_f64() * 0.5);
+    let out = monotasks_core::run_with_faults(&cluster(), &jobs, &MonoConfig::default(), &plan)
+        .expect("one crash is recoverable");
+    let trace = &out.queue_trace;
+    assert_eq!((out.stats.events, trace.len()), (150, 470));
+    assert_eq!(trace.iter().len(), trace.len());
+    let (mut cpu, mut disk, mut net) = (0, 0, 0);
+    let mut per_machine = [0; 4];
+    let mut last = [SimTime::ZERO; 4];
+    // FNV-1a over every field of every snapshot, in trace order.
+    let fnv = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for s in trace {
+        assert_eq!(s.disk_queued.len(), 2, "two disks per machine");
+        cpu += s.cpu_queued;
+        disk += s.disk_queued.iter().sum::<u32>();
+        net += s.net_queued;
+        per_machine[s.machine] += 1;
+        assert!(s.time >= last[s.machine], "machine {} went back", s.machine);
+        last[s.machine] = s.time;
+        hash = fnv(hash, s.time.0);
+        hash = fnv(hash, s.machine as u64);
+        hash = fnv(hash, s.cpu_queued.into());
+        for &d in s.disk_queued {
+            hash = fnv(hash, d.into());
+        }
+        hash = fnv(hash, s.net_queued.into());
+    }
+    assert_eq!((cpu, disk, net), (21, 1036, 863));
+    assert_eq!(
+        per_machine,
+        [151, 17, 151, 151],
+        "machine 1 stops at its crash"
+    );
+    assert_eq!(hash, 0x6120_0400_7a79_c27f);
+}

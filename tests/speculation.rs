@@ -10,7 +10,7 @@ mod testsupport;
 use cluster::FaultPlan;
 use dataflow::{BlockMap, RES_CPU, RES_DISK, RES_NET};
 use monotasks_core::MonoConfig;
-use simcore::SimTime;
+use simcore::{ResourceKind, SimTime};
 use sparklike::SparkConfig;
 use testsupport::sort4;
 
@@ -220,5 +220,86 @@ fn monotask_speculation_wastes_less_than_slot_level() {
         "monotask speculation must waste fewer bytes: {} vs {}",
         rec.wasted_bytes,
         slot_rec.wasted_bytes
+    );
+}
+
+/// Under compute stragglers with monotask speculation, compute records come
+/// from both emission paths: an original's completion and a winning copy's.
+/// Each compute record has exactly one CPU split in the records' side
+/// column, in record order, and the profiles built from it are the pinned
+/// bit patterns (`measured`, `cpu`, `cpu_deser`, `cpu_ser`, `input_read`,
+/// `other_disk`, `net`, per stage).
+#[test]
+fn every_compute_record_has_one_cpu_split_under_speculation() {
+    let (job, blocks) = sort4();
+    let plan = FaultPlan::new().straggle(0, 3, 8.0).straggle(1, 2, 8.0);
+    let cfg = MonoConfig {
+        mono_speculation_multiplier: Some(3.0),
+        mono_speculation_min_runtime: Some(0.05),
+        ..MonoConfig::default()
+    };
+    let out = monotasks_core::run_with_faults(&cluster(), &[(job.clone(), blocks)], &cfg, &plan)
+        .expect("straggler-only plan completes");
+    assert_eq!(out.jobs[0].recovery.mono_copy_wins[RES_CPU], 2);
+    let computes = out
+        .records
+        .iter()
+        .filter(|r| r.resource == ResourceKind::Cpu)
+        .count();
+    assert_eq!(computes, 64);
+    assert_eq!(out.records.cpu().len(), computes);
+    let mut straggled = Vec::new();
+    for (r, cpu) in out.records.with_cpu() {
+        assert_eq!(cpu.is_some(), r.resource == ResourceKind::Cpu);
+        let Some(cpu) = cpu else { continue };
+        let k = r.multitask;
+        let spec = job.stages[k.stage.0 as usize].tasks[k.task.0 as usize].cpu;
+        if cpu.total() != spec.total() {
+            straggled.push((k.stage.0, k.task.0, cpu.total() / spec.total()));
+        }
+    }
+    // The copies won, and record the straggled original's split.
+    assert_eq!(straggled.len(), 2);
+    for (stage, task, factor) in straggled {
+        assert!([(0, 3), (1, 2)].contains(&(stage, task)));
+        assert!((factor - 8.0).abs() < 1e-9, "{factor}");
+    }
+    let bits: Vec<[u64; 7]> = perfmodel::profile_stages(&out.records, &out.jobs)
+        .iter()
+        .map(|p| {
+            [
+                p.measured_secs,
+                p.cpu_secs,
+                p.cpu_deser_secs,
+                p.cpu_ser_secs,
+                p.input_read_bytes,
+                p.other_disk_bytes,
+                p.net_bytes,
+            ]
+            .map(f64::to_bits)
+        })
+        .collect();
+    assert_eq!(
+        bits,
+        [
+            [
+                0x4036_1520_62f2_a4b4,
+                0x4063_c158_3dae_b73d,
+                0x404d_41d4_1d5a_9c5e,
+                0x4044_7ae1_47bf_6d75,
+                0x41f0_0000_0000_0000,
+                0x41f0_0000_0000_0000,
+                0x0,
+            ],
+            [
+                0x4039_3514_82ee_dd43,
+                0x4063_c158_3dae_b73d,
+                0x404d_41d4_1d5a_9c5e,
+                0x4044_7ae1_47bf_6d75,
+                0x0,
+                0x4200_0000_0000_0000,
+                0x41e8_0000_0000_0000,
+            ],
+        ]
     );
 }
