@@ -288,16 +288,6 @@ impl ClusterSpec {
         self.machines * self.machine.disks.len()
     }
 
-    /// Aggregate single-stream disk bandwidth in bytes/s.
-    pub fn total_disk_bandwidth(&self) -> f64 {
-        self.machines as f64 * self.machine.disks.iter().map(|d| d.throughput).sum::<f64>()
-    }
-
-    /// Total cluster memory in bytes.
-    pub fn total_memory(&self) -> f64 {
-        self.machines as f64 * self.machine.memory
-    }
-
     /// Checks the spec is physically meaningful: at least one machine, at
     /// least one core, positive finite memory/NIC, and every disk with a
     /// positive finite throughput and sane efficiency constants. Returns a

@@ -20,7 +20,8 @@ use cluster::{
     ClusterSpec, DeadlineCache, FaultAction, FaultPlan, FaultTimeline, FluidMachine, InstantKind,
     MachineId, ResourceSel, StreamDemand, StreamId, TraceSet,
 };
-use dataflow::runtime::{Decision, Runtime, RuntimeConfig};
+use dataflow::driver::{self, Engine};
+use dataflow::runtime::{Decision, Runtime, RuntimeConfig, Stall};
 use dataflow::{
     BlockMap, InputSpec, JobId, JobSpec, OutputSpec, RunError, StageId, TaskId, TaskSpec,
 };
@@ -462,12 +463,8 @@ struct ColdNode {
     /// Next scheduled speculation-check wake-up for this node (dedup so the
     /// timer queue holds at most one pending entry per node).
     spec_wake_at: Option<SimTime>,
-    /// When this fetch first observed its pair cut (stall-time attribution).
-    stall_since: Option<SimTime>,
-    /// Next stall-timeout / retry-backoff expiry for this fetch.
-    stall_deadline: Option<SimTime>,
-    /// Retry decisions already spent on this fetch.
-    fetch_retries: u32,
+    /// Stall clock of a fetch whose pair is cut.
+    stall: Stall,
     /// Per-machine-allocator transfers parked by a cut: remaining bytes to
     /// re-insert on heal. (Fabric transfers stay in the allocator at rate 0
     /// instead.)
@@ -540,7 +537,12 @@ struct Exec {
     /// cluster declares a rack topology.
     fabric: Option<Fabric>,
     now: SimTime,
-    stats: SimStats,
+    /// Cached per-machine completion deadlines (see [`DeadlineCache`]).
+    deadlines: DeadlineCache,
+    /// Completion buffers reused across events: the poll runs per allocator
+    /// per event and must not allocate.
+    done_flows: Vec<FlowId>,
+    done_streams: Vec<StreamId>,
     /// Compiled fault schedule.
     faults: FaultTimeline,
     /// Whether any fault machinery is active this run. False keeps every
@@ -767,7 +769,9 @@ pub fn run_with_faults(
             None
         },
         now: SimTime::ZERO,
-        stats: SimStats::new(),
+        deadlines: DeadlineCache::new(n_machines),
+        done_flows: Vec::new(),
+        done_streams: Vec::new(),
         faults: plan.compile(),
         faults_on: !plan.is_empty(),
         spec_on: cfg.mono_speculation_multiplier.is_some(),
@@ -781,8 +785,8 @@ pub fn run_with_faults(
         trace_on: cfg.trace_path.is_some(),
         instants: Vec::new(),
     };
-    exec.main_loop()?;
-    Ok(exec.into_output())
+    let stats = driver::run(&mut exec, cfg.max_steps)?;
+    Ok(exec.into_output(stats))
 }
 
 impl Exec {
@@ -844,7 +848,7 @@ impl Exec {
     /// runtime's pending decisions so instants keep decision order. Pushes to
     /// side Vecs only, so traced runs stay bit-identical to untraced ones.
     fn emit_instant(&mut self, kind: InstantKind) {
-        self.apply_decisions();
+        self.mirror_decisions();
         self.push_instant(kind);
     }
 
@@ -854,41 +858,6 @@ impl Exec {
                 time: self.now,
                 kind,
             });
-        }
-    }
-
-    /// Mirrors the runtime's recovery decisions as instants, and drops the
-    /// consumer templates a lost shuffle output made stale — eagerly, and
-    /// counted; the epoch check at instantiation is the backstop.
-    fn apply_decisions(&mut self) {
-        for d in self.rt.take_decisions() {
-            let kind = match d {
-                Decision::TaskRetry {
-                    job,
-                    stage,
-                    task,
-                    recompute,
-                } => InstantKind::TaskRetry {
-                    job,
-                    stage,
-                    task,
-                    recompute,
-                },
-                Decision::FetchRetry {
-                    job,
-                    stage,
-                    attempt,
-                } => InstantKind::FetchRetry {
-                    job,
-                    stage,
-                    attempt,
-                },
-                Decision::ShuffleLost { job, stage } => {
-                    self.invalidate_consumers(job, stage);
-                    continue;
-                }
-            };
-            self.push_instant(kind);
         }
     }
 
@@ -907,159 +876,6 @@ impl Exec {
                 });
             }
         }
-    }
-
-    fn main_loop(&mut self) -> Result<(), RunError> {
-        let loop_timer = std::time::Instant::now();
-        let mut steps: u64 = 0;
-        // Completion buffers reused across events: the speculative poll runs
-        // per allocator per event and must not allocate.
-        let mut done_flows: Vec<FlowId> = Vec::new();
-        let mut done_streams: Vec<StreamId> = Vec::new();
-        let mut deadlines = DeadlineCache::new(self.n_machines());
-        loop {
-            // One batch per event instant: the completion wave (empty on the
-            // first iteration), then dispatch to fixpoint — assignment opens
-            // queues, queues fill slots, remote enqueues open other machines'
-            // disks, and so on. Everything happens at one instant, so each
-            // allocator reallocates once per event instead of once for the
-            // completions and again for the dispatches; the intermediate
-            // fixpoint between the two waves is never observed by handlers.
-            self.begin_update_all();
-            // Fault actions fire first within their instant: a crash at `t`
-            // wins against completions at `t`, deterministically.
-            if self.faults_on {
-                self.apply_due_faults()?;
-            }
-            if self.rt.partitions_on() {
-                self.check_partition_recovery()?;
-            }
-            if self.faults_on {
-                self.apply_decisions();
-            }
-            if self.spec_on {
-                // Drain due speculation wake-ups: they carry no payload, the
-                // fixpoint's check_speculation sweep does the actual work.
-                while self.spec_timers.pop_due(self.now).is_some() {}
-            }
-            if let Some(fabric) = &mut self.fabric {
-                fabric.advance(self.now);
-                fabric.take_completed_into(self.now, &mut done_flows);
-                for &fid in &done_flows {
-                    let (mt, node) = decode(StreamId(fid.0));
-                    self.on_stream_done(mt, node);
-                }
-            }
-            for m in 0..self.n_machines() {
-                let fluid = &mut self.machines[m].fluid;
-                if !self.rt.alive[m] || !deadlines.may_complete(m, fluid, self.now) {
-                    continue;
-                }
-                fluid.advance(self.now);
-                fluid.take_completed_into(self.now, &mut done_streams);
-                for &sid in &done_streams {
-                    let (mt, node) = decode(sid);
-                    self.on_stream_done(mt, node);
-                }
-            }
-            loop {
-                let mut changed = self.assign_tasks();
-                changed |= self.dispatch_all();
-                if self.spec_on {
-                    changed |= self.check_speculation();
-                }
-                if !changed {
-                    break;
-                }
-            }
-            if self.rt.partitions_on() {
-                self.rt.arm_gate_timers(self.now);
-            }
-            self.commit_all(self.now);
-            if let Some(fabric) = &mut self.fabric {
-                fabric.advance(self.now);
-            }
-            for m in 0..self.n_machines() {
-                if !self.rt.alive[m] {
-                    continue;
-                }
-                self.machines[m].fluid.advance(self.now);
-                if !self.cfg.collect_traces {
-                    continue;
-                }
-                self.traces
-                    .snapshot(self.now, MachineId(m), &self.machines[m].fluid);
-                if let Some(fabric) = &self.fabric {
-                    // In fabric mode the NIC utilization lives on the fabric.
-                    self.traces.set(
-                        self.now,
-                        MachineId(m),
-                        ResourceSel::Network,
-                        fabric.rx_busy_fraction(m).min(1.0),
-                    );
-                }
-                let sched = &self.machines[m].sched;
-                self.queue_trace.push(
-                    self.now,
-                    m,
-                    sched.cpu_queued(),
-                    sched.disk_queued(),
-                    sched.net_queued(),
-                );
-            }
-            // Under fault injection, stop at the last job completion instead
-            // of sitting through the remaining scheduled fault actions (e.g.
-            // a degrade window that outlives the workload). Speculation runs
-            // stop there too: stale wake-up timers past the last completion
-            // must not stretch the reported makespan.
-            if (self.faults_on || self.spec_on) && self.rt.jobs.iter().all(|j| j.done) {
-                break;
-            }
-            // Next event anywhere: a machine or fabric completion, a fault
-            // action, a speculation wake-up or a fetch timer. Sources a run
-            // does not use are empty.
-            let machines = (self.machines.iter_mut())
-                .zip(&self.rt.alive)
-                .map(|(x, &alive)| (&mut x.fluid, alive));
-            let mut next = [
-                deadlines.earliest(machines, self.now),
-                self.fabric
-                    .as_mut()
-                    .and_then(|f| f.next_completion(self.now)),
-                self.faults.next_time(),
-                self.spec_timers.peek_time(),
-                self.rt.next_fetch_timer(),
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            // Flows parked by a cut pair report a FAR_FUTURE deadline: "never"
-            // is not a real next event.
-            if self.rt.partitions_on() && next == Some(SimTime::FAR_FUTURE) {
-                next = None;
-            }
-            let Some(t) = next else {
-                if self.rt.jobs.iter().all(|j| j.done) {
-                    break;
-                }
-                if self.rt.partitions_on() {
-                    if let Some(e) = self.partition_starvation_error() {
-                        return Err(e);
-                    }
-                }
-                return Err(RunError::no_runnable_work(self.now));
-            };
-            self.now = t;
-            steps += 1;
-            if steps > self.cfg.max_steps {
-                return Err(RunError::StepBudgetExhausted { steps });
-            }
-        }
-        self.stats.events = steps;
-        // Raw loop wall time; into_output subtracts what the allocators
-        // account for, leaving pure executor-control overhead.
-        self.stats.control_nanos = loop_timer.elapsed().as_nanos() as u64;
-        Ok(())
     }
 
     /// Applies every fault action due at `now`, inside the open batch.
@@ -1143,16 +959,8 @@ impl Exec {
     /// Marks fetch `node` of `mt` stalled on a cut pair: starts the stall
     /// clock and arms the first timeout expiry (when timeouts are on).
     fn mark_stalled(&mut self, mt: usize, node: usize) {
-        let now = self.now;
-        let c = self.cold_mut(mt, node);
-        c.stall_since.get_or_insert(now);
-        // Arming schedules a wake-up, so only a fetch without a pending
-        // expiry may arm one: a fetch cut while queued or reading remotely
-        // is marked again when its transfer starts on the still-cut pair.
-        if c.stall_deadline.is_none() {
-            let deadline = self.rt.stall_deadline(now);
-            self.cold_mut(mt, node).stall_deadline = deadline;
-        }
+        let c = self.cold.entry((mt, node)).or_default();
+        c.stall.arm(&mut self.rt, self.now);
     }
 
     /// A fault-plan cut of the directed pair src → dst takes effect: the
@@ -1226,12 +1034,9 @@ impl Exec {
                     continue;
                 };
                 let parked = c.parked_bytes.take();
-                if let Some(since) = c.stall_since.take() {
-                    c.stall_deadline = None;
-                    let ji = self.mts[mt].key.job.0 as usize;
-                    self.rt.jobs[ji].recovery.stalled_fetch_seconds +=
-                        self.now.since(since).as_secs_f64();
-                }
+                let ji = self.mts[mt].key.job.0 as usize;
+                let stalled = &mut self.rt.jobs[ji].recovery.stalled_fetch_seconds;
+                c.stall.stop(self.now, stalled);
                 if let Some(rem) = parked {
                     let n_disks = self.machines[dst].fluid.spec().disks.len();
                     self.machines[dst].fluid.insert(
@@ -1242,91 +1047,6 @@ impl Exec {
                 }
             }
         }
-    }
-
-    /// Due-deadline sweep of the stall machinery: fires bounded retries with
-    /// deterministic exponential backoff for fetches still cut past their
-    /// deadline, escalating to re-planning when the budget is spent.
-    /// Stage-level gate blockages (no machine can reach any pending task's
-    /// data) walk the same timeout → retries → re-plan path in the runtime.
-    fn check_partition_recovery(&mut self) -> Result<(), RunError> {
-        if !self.rt.drain_fetch_timers(self.now) {
-            return Ok(());
-        }
-        for mt in 0..self.mts.len() {
-            if self.mts[mt].aborted || self.mts[mt].remaining == 0 {
-                continue;
-            }
-            let dst = self.mts[mt].machine;
-            for node in 0..self.mts[mt].nodes.len() {
-                let (due, from) = {
-                    let n = &self.mts[mt].nodes[node];
-                    let Some(from) = n.op.fetch_from() else {
-                        continue;
-                    };
-                    (
-                        !n.done()
-                            && !n.cancelled()
-                            && !n.is_copy()
-                            && self
-                                .cold(mt, node)
-                                .and_then(|c| c.stall_deadline)
-                                .is_some_and(|d| d <= self.now),
-                        from,
-                    )
-                };
-                if !due {
-                    continue;
-                }
-                if !self.rt.is_cut(from, dst) {
-                    // Healed in the meantime (defensive: the heal sweep
-                    // normally clears this state).
-                    self.cold_mut(mt, node).stall_deadline = None;
-                    continue;
-                }
-                let retries = {
-                    let c = self.cold_mut(mt, node);
-                    c.fetch_retries += 1;
-                    c.fetch_retries
-                };
-                let key = self.mts[mt].key;
-                let (ji, si) = (key.job.0 as usize, key.stage.0 as usize);
-                match self.rt.fetch_retry(ji, si, retries, self.now) {
-                    Some(at) => self.cold_mut(mt, node).stall_deadline = Some(at),
-                    None => {
-                        self.replan_multitask(mt, retries)?;
-                        break;
-                    }
-                }
-            }
-        }
-        for ji in 0..self.rt.jobs.len() {
-            for si in 0..self.rt.jobs[ji].stages.len() {
-                if let Some((ti, retries)) = self.rt.gate_timeout(ji, si, self.now) {
-                    self.resolve_unreachable(ji, si, ti, retries)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Retry budget spent on a stalled fetch of `mt`: count and stop the
-    /// attempt's stall clocks, abort the attempt (bounded-retry re-queue of
-    /// its task), and if no machine can host the task across the current
-    /// cuts, escalate to sender-level resolution.
-    fn replan_multitask(&mut self, mt: usize, retries: u32) -> Result<(), RunError> {
-        let key = self.mts[mt].key;
-        let (ji, si, ti) = (
-            key.job.0 as usize,
-            key.stage.0 as usize,
-            key.task.0 as usize,
-        );
-        self.account_replanned_fetches(mt);
-        self.abort_multitask(mt)?;
-        if !self.rt.any_host(ji, si, ti) {
-            self.resolve_unreachable(ji, si, ti, retries)?;
-        }
-        Ok(())
     }
 
     /// Stops and attributes the stall clocks of `mt`'s live fetches, counting
@@ -1343,10 +1063,7 @@ impl Exec {
                 continue;
             }
             if let Some(c) = self.cold.get_mut(&(mt, node)) {
-                if let Some(since) = c.stall_since.take() {
-                    stalled += self.now.since(since).as_secs_f64();
-                }
-                c.stall_deadline = None;
+                c.stall.stop(self.now, &mut stalled);
             }
             replanned += 1;
         }
@@ -1359,73 +1076,6 @@ impl Exec {
                 stage: si,
             });
         }
-    }
-
-    /// Sender-level degraded-mode re-planning for task `(ji, si, ti)`, which
-    /// no machine can host under the current cuts: the runtime picks the
-    /// receiver and the senders it cannot reach; each such sender's fetching
-    /// attempts are aborted and its producer lineage resubmitted, or the run
-    /// fails fast with [`RunError::Unreachable`].
-    fn resolve_unreachable(
-        &mut self,
-        ji: usize,
-        si: usize,
-        ti: usize,
-        retries: u32,
-    ) -> Result<(), RunError> {
-        let (mstar, offending) = self.rt.unreachable_plan(ji, si, ti, retries, self.now)?;
-        for s in offending {
-            self.rt
-                .check_resubmittable((ji, si, ti), s, mstar, retries)?;
-            // Abort every attempt still fetching from `s`: their own timers
-            // would walk into this same resolution.
-            for mt in 0..self.mts.len() {
-                if self.mts[mt].aborted || self.mts[mt].remaining == 0 {
-                    continue;
-                }
-                let has = self.mts[mt].nodes.iter().any(|n| {
-                    !n.done() && !n.cancelled() && !n.is_copy() && n.op.fetch_from() == Some(s)
-                });
-                if has {
-                    self.account_replanned_fetches(mt);
-                    self.abort_multitask(mt)?;
-                }
-            }
-            self.rt.resubmit_from(s)?;
-        }
-        Ok(())
-    }
-
-    /// When the event loop has nothing left to fire but jobs remain and
-    /// partitions are active, name the starved work: a stalled fetch (no
-    /// timeout configured, partition never heals) or a gate-blocked stage.
-    fn partition_starvation_error(&self) -> Option<RunError> {
-        for (i, mt) in self.mts.iter().enumerate() {
-            if mt.aborted || mt.remaining == 0 {
-                continue;
-            }
-            for (j, n) in mt.nodes.iter().enumerate() {
-                if n.done() || n.cancelled() || n.is_copy() {
-                    continue;
-                }
-                let Some(c) = self.cold(i, j) else {
-                    continue;
-                };
-                if c.stall_since.is_none() && c.parked_bytes.is_none() {
-                    continue;
-                }
-                if let Some(from) = n.op.fetch_from() {
-                    return Some(RunError::Unreachable {
-                        job: mt.key.job,
-                        stage: mt.key.stage,
-                        task: mt.key.task,
-                        machine: from,
-                        retries: c.fetch_retries,
-                    });
-                }
-            }
-        }
-        self.rt.gate_starvation_error()
     }
 
     /// Tears down an in-flight multitask: removes its active streams from
@@ -1479,26 +1129,6 @@ impl Exec {
             key.task.0 as usize,
             self.mts[mt].recompute,
         )
-    }
-
-    /// Opens a batched-update scope on every allocator (machines + fabric).
-    fn begin_update_all(&mut self) {
-        for m in self.machines.iter_mut() {
-            m.fluid.begin_update();
-        }
-        if let Some(fabric) = &mut self.fabric {
-            fabric.begin_update();
-        }
-    }
-
-    /// Commits every allocator's batch, reallocating the dirty ones once.
-    fn commit_all(&mut self, now: SimTime) {
-        for m in self.machines.iter_mut() {
-            m.fluid.commit(now);
-        }
-        if let Some(fabric) = &mut self.fabric {
-            fabric.commit(now);
-        }
     }
 
     /// Assigns pending multitasks to machines below the concurrency target.
@@ -1584,10 +1214,12 @@ impl Exec {
             0
         };
         if matches!(task.input, InputSpec::ShuffleFetch { .. }) {
-            if self.template_valid(ji, si) {
-                self.rt.jobs[ji].stages[si].control.template_hits += 1;
+            let control = &mut self.rt.jobs[ji].stages[si].control;
+            if self.templates[ji][si].is_some() {
+                control.template_hits += 1;
             } else {
-                self.build_template(ji, si);
+                control.template_misses += 1;
+                self.templates[ji][si] = Some(self.sender_layout(ji, si));
             }
         }
         let t_built = std::time::Instant::now();
@@ -1654,19 +1286,6 @@ impl Exec {
         run.control.instantiate_nanos += t_built.elapsed().as_nanos() as u64;
     }
 
-    /// Is the captured template for `(job, stage)` still valid — present,
-    /// and derived from every producer's current shuffle epoch?
-    fn template_valid(&self, ji: usize, si: usize) -> bool {
-        let Some(tpl) = &self.templates[ji][si] else {
-            return false;
-        };
-        let deps = &self.rt.jobs[ji].spec.stages[si].deps;
-        debug_assert_eq!(tpl.dep_epochs.len(), deps.len());
-        deps.iter()
-            .zip(&tpl.dep_epochs)
-            .all(|(d, &e)| self.rt.jobs[ji].stages[d.0 as usize].shuffle_epoch == e)
-    }
-
     /// The `(job, stage)` sender layout derived from the producers' current
     /// shuffle tables: the control decision every task of the stage shares.
     fn sender_layout(&self, ji: usize, si: usize) -> StageTemplate {
@@ -1675,7 +1294,6 @@ impl Exec {
         for d in &self.rt.jobs[ji].spec.stages[si].deps {
             let drun = &self.rt.jobs[ji].stages[d.0 as usize];
             debug_assert!(drun.done, "fetching from unfinished stage");
-            tpl.dep_epochs.push(drun.shuffle_epoch);
             let total: f64 = drun.shuffle_by_machine.iter().sum();
             if total <= 0.0 {
                 continue;
@@ -1695,23 +1313,6 @@ impl Exec {
             }
         }
         tpl
-    }
-
-    /// Captures (or recaptures) the `(job, stage)` sender layout. Counts a
-    /// template miss, plus an invalidation when a stale capture is replaced.
-    fn build_template(&mut self, ji: usize, si: usize) {
-        let stale = self.templates[ji][si].take().is_some();
-        let tpl = self.sender_layout(ji, si);
-        let run = &mut self.rt.jobs[ji].stages[si];
-        run.control.template_misses += 1;
-        run.control.template_invalidations += u64::from(stale);
-        if stale {
-            self.emit_instant(cluster::InstantKind::TemplateInvalidate {
-                job: ji as u32,
-                stage: si as u32,
-            });
-        }
-        self.templates[ji][si] = Some(tpl);
     }
 
     /// Stamps one task's monotask nodes: compute at index 0, input nodes in
@@ -1825,7 +1426,7 @@ impl Exec {
     /// Debug-build reference for execution templates, kept the way
     /// `slowcheck` keeps the quadratic allocators. Re-derives the stage's
     /// sender layout from the live shuffle tables and asserts the cached
-    /// template still equals it (epoch invalidation missed nothing), then
+    /// template still equals it (invalidation missed nothing), then
     /// expands the task through [`crate::decompose::decompose`] with the
     /// serve disks the per-machine cursors hand out. Reads the cursors
     /// without advancing them: the result carries the values stamping must
@@ -2738,13 +2339,12 @@ impl Exec {
         self.rt.complete_task(ji, si, ti, machine, self.now);
     }
 
-    fn into_output(self) -> MonoRunOutput {
+    fn into_output(self, mut stats: SimStats) -> MonoRunOutput {
         debug_assert!(
             self.spec_on || self.rt.partitions_on() || self.cold.capacity() == 0,
             "cold node state written without speculation or partitions"
         );
         let makespan = self.now;
-        let mut stats = self.stats;
         for m in &self.machines {
             // Machine-local allocation is attributed to its own phase so the
             // fabric's share of the wall stands out at scale.
@@ -2764,6 +2364,247 @@ impl Exec {
             stats,
             instants: self.instants,
         }
+    }
+}
+
+/// The monotasks half of the shared event loop ([`driver::run`]): per-machine
+/// fluid allocators plus the optional fabric, the speculation timers, and
+/// per-fetch stall clocks.
+impl Engine for Exec {
+    fn rt(&mut self) -> &mut Runtime {
+        &mut self.rt
+    }
+
+    fn open_batch(&mut self, now: SimTime) -> Result<(), RunError> {
+        self.now = now;
+        for m in &mut self.machines {
+            m.fluid.begin_update();
+        }
+        if let Some(fabric) = &mut self.fabric {
+            fabric.begin_update();
+        }
+        if self.faults_on {
+            self.apply_due_faults()?;
+        }
+        Ok(())
+    }
+
+    /// Mirrors the runtime's recovery decisions as instants, and drops the
+    /// consumer templates a lost shuffle output made stale — the one
+    /// invalidation guard (DESIGN.md §7), counted.
+    fn mirror_decisions(&mut self) {
+        for d in self.rt.take_decisions() {
+            let kind = match d {
+                Decision::TaskRetry {
+                    job,
+                    stage,
+                    task,
+                    recompute,
+                } => InstantKind::TaskRetry {
+                    job,
+                    stage,
+                    task,
+                    recompute,
+                },
+                Decision::FetchRetry {
+                    job,
+                    stage,
+                    attempt,
+                } => InstantKind::FetchRetry {
+                    job,
+                    stage,
+                    attempt,
+                },
+                Decision::ShuffleLost { job, stage } => {
+                    self.invalidate_consumers(job, stage);
+                    continue;
+                }
+            };
+            self.push_instant(kind);
+        }
+    }
+
+    fn complete(&mut self) {
+        if self.spec_on {
+            // Drain due speculation wake-ups: they carry no payload, the
+            // fixpoint's check_speculation sweep does the actual work.
+            while self.spec_timers.pop_due(self.now).is_some() {}
+        }
+        let mut done_flows = std::mem::take(&mut self.done_flows);
+        if let Some(fabric) = &mut self.fabric {
+            fabric.advance(self.now);
+            fabric.take_completed_into(self.now, &mut done_flows);
+            for &fid in &done_flows {
+                let (mt, node) = decode(StreamId(fid.0));
+                self.on_stream_done(mt, node);
+            }
+        }
+        self.done_flows = done_flows;
+        let mut done_streams = std::mem::take(&mut self.done_streams);
+        for m in 0..self.n_machines() {
+            let fluid = &mut self.machines[m].fluid;
+            if !self.rt.alive[m] || !self.deadlines.may_complete(m, fluid, self.now) {
+                continue;
+            }
+            fluid.advance(self.now);
+            fluid.take_completed_into(self.now, &mut done_streams);
+            for &sid in &done_streams {
+                let (mt, node) = decode(sid);
+                self.on_stream_done(mt, node);
+            }
+        }
+        self.done_streams = done_streams;
+    }
+
+    /// Assignment opens queues, queues fill slots, remote enqueues open
+    /// other machines' disks, and speculation launches copies.
+    fn step(&mut self) -> bool {
+        let mut changed = self.assign_tasks();
+        changed |= self.dispatch_all();
+        if self.spec_on {
+            changed |= self.check_speculation();
+        }
+        changed
+    }
+
+    fn commit(&mut self) {
+        for m in &mut self.machines {
+            m.fluid.commit(self.now);
+        }
+        if let Some(fabric) = &mut self.fabric {
+            fabric.commit(self.now);
+            fabric.advance(self.now);
+        }
+        for m in 0..self.n_machines() {
+            if !self.rt.alive[m] {
+                continue;
+            }
+            self.machines[m].fluid.advance(self.now);
+            if !self.cfg.collect_traces {
+                continue;
+            }
+            self.traces
+                .snapshot(self.now, MachineId(m), &self.machines[m].fluid);
+            if let Some(fabric) = &self.fabric {
+                // In fabric mode the NIC utilization lives on the fabric.
+                self.traces.set(
+                    self.now,
+                    MachineId(m),
+                    ResourceSel::Network,
+                    fabric.rx_busy_fraction(m).min(1.0),
+                );
+            }
+            let sched = &self.machines[m].sched;
+            self.queue_trace.push(
+                self.now,
+                m,
+                sched.cpu_queued(),
+                sched.disk_queued(),
+                sched.net_queued(),
+            );
+        }
+    }
+
+    /// A machine or fabric completion, a fault action or a speculation
+    /// wake-up. Sources a run does not use are empty.
+    fn next_event(&mut self) -> Option<SimTime> {
+        let machines = (self.machines.iter_mut())
+            .zip(&self.rt.alive)
+            .map(|(x, &alive)| (&mut x.fluid, alive));
+        [
+            self.deadlines.earliest(machines, self.now),
+            self.fabric
+                .as_mut()
+                .and_then(|f| f.next_completion(self.now)),
+            self.faults.next_time(),
+            self.spec_timers.peek_time(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    /// Each live fetch's clock is per monotask; one spent budget re-plans
+    /// the whole attempt, so the sweep moves on to the next multitask.
+    fn sweep_stalls(&mut self) -> Result<(), RunError> {
+        for mt in 0..self.mts.len() {
+            if self.mts[mt].aborted || self.mts[mt].remaining == 0 {
+                continue;
+            }
+            let (dst, key) = (self.mts[mt].machine, self.mts[mt].key);
+            let (ji, si) = (key.job.0 as usize, key.stage.0 as usize);
+            for node in 0..self.mts[mt].nodes.len() {
+                let n = &self.mts[mt].nodes[node];
+                let Some(from) = n.op.fetch_from() else {
+                    continue;
+                };
+                if n.done() || n.cancelled() || n.is_copy() {
+                    continue;
+                }
+                let Some(c) = self.cold.get_mut(&(mt, node)) else {
+                    continue;
+                };
+                if !c.stall.due(self.now) {
+                    continue;
+                }
+                // A heal stops the clock of every fetch it unblocks.
+                debug_assert!(self.rt.is_cut(from, dst), "due stall on a healed pair");
+                let Some(retries) = c.stall.tick(&mut self.rt, ji, si, self.now) else {
+                    continue;
+                };
+                self.account_replanned_fetches(mt);
+                self.abort_multitask(mt)?;
+                driver::replan(self, (ji, si, key.task.0 as usize), retries, self.now)?;
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    fn abort_fetching_from(&mut self, s: usize) -> Result<(), RunError> {
+        for mt in 0..self.mts.len() {
+            if self.mts[mt].aborted || self.mts[mt].remaining == 0 {
+                continue;
+            }
+            let has = self.mts[mt].nodes.iter().any(|n| {
+                !n.done() && !n.cancelled() && !n.is_copy() && n.op.fetch_from() == Some(s)
+            });
+            if has {
+                self.account_replanned_fetches(mt);
+                self.abort_multitask(mt)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A stalled fetch: no timeout configured, and the partition never heals.
+    fn stalled_fetch_error(&self) -> Option<RunError> {
+        for (i, mt) in self.mts.iter().enumerate() {
+            if mt.aborted || mt.remaining == 0 {
+                continue;
+            }
+            for (j, n) in mt.nodes.iter().enumerate() {
+                if n.done() || n.cancelled() || n.is_copy() {
+                    continue;
+                }
+                let Some(c) = self.cold(i, j) else {
+                    continue;
+                };
+                if !c.stall.stalled() && c.parked_bytes.is_none() {
+                    continue;
+                }
+                if let Some(from) = n.op.fetch_from() {
+                    return Some(RunError::Unreachable {
+                        job: mt.key.job,
+                        stage: mt.key.stage,
+                        task: mt.key.task,
+                        machine: from,
+                        retries: c.stall.retries(),
+                    });
+                }
+            }
+        }
+        None
     }
 }
 

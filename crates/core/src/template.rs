@@ -16,12 +16,12 @@
 //! builds a task's DAG; [`crate::decompose::decompose`] stays as the
 //! reference, and debug builds assert every launch against it.
 //!
-//! Validity is epoch-based: every producing stage carries a counter bumped
-//! whenever its shuffle-byte table changes (a task completes, or a crash's
-//! lineage recomputation zeroes a machine's bytes). A template records the
-//! epochs it captured; a mismatch at instantiation forces a rebuild. Losing
-//! shuffle outputs additionally drops consumer templates eagerly, so the
-//! epoch check is a backstop rather than the only guard.
+//! A template is captured once its stage is ready, so every producer has
+//! finished and its shuffle-byte table is final — until output is lost. The
+//! one invalidation guard is therefore the loss itself: when the runtime
+//! reports lost shuffle output of a stage, the executor drops every consumer
+//! stage's template before any task launches again, and the next launch
+//! re-captures it.
 
 /// One sender entry of a captured shuffle layout: a machine holding a
 /// positive share of every task's fetch.
@@ -36,8 +36,7 @@ pub struct TemplateSender {
 }
 
 /// The captured control decision for one `(job, stage)`: the per-task sender
-/// layout plus the producer epochs it was derived from. Immutable once
-/// captured — invalidation replaces the whole template.
+/// layout. Immutable once captured — invalidation drops the whole template.
 ///
 /// The serve *disk* for each sender is deliberately not cached: it comes
 /// from a per-machine round-robin cursor that advances once per positive
@@ -46,7 +45,4 @@ pub struct TemplateSender {
 pub struct StageTemplate {
     /// Positive per-task sender shares, dependency-major and machine-minor.
     pub senders: Vec<TemplateSender>,
-    /// `shuffle_epoch` of each dependency (in spec order) at capture time;
-    /// the template is valid while every producer's epoch still matches.
-    pub dep_epochs: Vec<u64>,
 }

@@ -1,0 +1,304 @@
+//! The event loop both executors share.
+//!
+//! [`run`] is the discrete-event loop of a simulated run, written once. It
+//! owns the order of one batch, the termination rule, the next-event fold,
+//! the step budget and the loop's wall clock, plus the skeleton of partition
+//! escalation. Each executor implements [`Engine`]: what names its allocator
+//! and fault types, or differs by architecture. `dataflow` cannot see the
+//! `cluster` crate, so fault actions, allocator batches, sampling and local
+//! event sources stay behind the hooks.
+//!
+//! One batch per event instant, in this order:
+//!
+//! 1. [`Engine::open_batch`]: open every allocator's batch, apply the fault
+//!    actions due now (a crash at `t` wins against completions at `t`);
+//! 2. partition recovery, with partitions on: fire due stall clocks
+//!    ([`Engine::sweep_stalls`]) and gate timeouts, escalating through
+//!    [`replan`];
+//! 3. [`Engine::mirror_decisions`]: mirror the runtime's decisions;
+//! 4. [`Engine::complete`]: local timers and allocator completions;
+//! 5. [`Engine::step`] to a fixpoint (assign, dispatch, speculate);
+//! 6. arm the gate timers, with partitions on;
+//! 7. [`Engine::commit`]: commit the batches, sample.
+//!
+//! Everything happens at one instant, so each allocator reallocates once per
+//! event. The run ends as soon as every job is done. Otherwise the next
+//! event is the earliest of [`Engine::next_event`] and the runtime's stall
+//! timers. A fabric flow parked on a cut pair reports
+//! [`SimTime::FAR_FUTURE`], which is no event: with nothing else left, the
+//! run fails with the starvation error instead of jumping to the end of
+//! time.
+
+use simcore::{SimStats, SimTime};
+
+use crate::runtime::Runtime;
+use crate::RunError;
+
+/// One executor architecture, as the shared event loop drives it. Every hook
+/// runs at the batch instant last passed to [`Engine::open_batch`].
+pub trait Engine {
+    /// The job/stage runtime the executor holds.
+    fn rt(&mut self) -> &mut Runtime;
+
+    /// Opens a batch at `now`: moves the executor's clock there, opens every
+    /// allocator's batched-update scope and applies the fault actions due.
+    fn open_batch(&mut self, now: SimTime) -> Result<(), RunError>;
+
+    /// Mirrors the runtime's pending [`crate::runtime::Decision`]s.
+    fn mirror_decisions(&mut self);
+
+    /// Drains the local timers and allocator completions due now, running
+    /// their handlers.
+    fn complete(&mut self);
+
+    /// One pass of assignment, dispatch and speculation. Returns whether any
+    /// state changed; the driver repeats it until nothing does.
+    fn step(&mut self) -> bool;
+
+    /// Commits every allocator's batch and samples the traces.
+    fn commit(&mut self);
+
+    /// The earliest pending local event: allocator completions, local timers
+    /// and fault actions.
+    fn next_event(&mut self) -> Option<SimTime>;
+
+    /// Partition runs: fires every due stall clock of an in-flight fetch
+    /// ([`crate::runtime::Stall::tick`]). An attempt whose retry budget is
+    /// spent is stopped, aborted and handed to [`replan`].
+    fn sweep_stalls(&mut self) -> Result<(), RunError>;
+
+    /// Partition runs: stops and aborts every attempt still fetching from
+    /// machine `s`, whose lineage is about to be resubmitted.
+    fn abort_fetching_from(&mut self, s: usize) -> Result<(), RunError>;
+
+    /// Partition runs: the first attempt stalled on a cut, as the
+    /// starvation error naming it.
+    fn stalled_fetch_error(&self) -> Option<RunError>;
+}
+
+/// Runs `e` until every job is done, or fails after `max_steps` events.
+/// Returns the loop's stats: `events` and the raw loop wall in
+/// `control_nanos` (see [`Runtime::into_reports`]).
+pub fn run<E: Engine>(e: &mut E, max_steps: u64) -> Result<SimStats, RunError> {
+    let loop_timer = std::time::Instant::now();
+    let partitions = e.rt().partitions_on();
+    let mut now = SimTime::ZERO;
+    let mut steps: u64 = 0;
+    loop {
+        e.open_batch(now)?;
+        if partitions {
+            recover_partitions(e, now)?;
+        }
+        e.mirror_decisions();
+        e.complete();
+        while e.step() {}
+        if partitions {
+            e.rt().arm_gate_timers(now);
+        }
+        e.commit();
+        if e.rt().jobs.iter().all(|j| j.done) {
+            break;
+        }
+        let next = [e.next_event(), e.rt().next_fetch_timer()]
+            .into_iter()
+            .flatten()
+            .min()
+            .filter(|&t| !(partitions && t == SimTime::FAR_FUTURE));
+        let Some(t) = next else {
+            if partitions {
+                if let Some(err) = e.stalled_fetch_error() {
+                    return Err(err);
+                }
+                if let Some(err) = e.rt().gate_starvation_error() {
+                    return Err(err);
+                }
+            }
+            return Err(RunError::no_runnable_work(now));
+        };
+        now = t;
+        steps += 1;
+        if steps > max_steps {
+            return Err(RunError::StepBudgetExhausted { steps });
+        }
+    }
+    let mut stats = SimStats::new();
+    stats.events = steps;
+    stats.control_nanos = loop_timer.elapsed().as_nanos() as u64;
+    Ok(stats)
+}
+
+/// Fires the stall wake-ups due at `now`: the engine's per-fetch clocks,
+/// then every stage's gate clock, escalating each spent budget.
+fn recover_partitions<E: Engine>(e: &mut E, now: SimTime) -> Result<(), RunError> {
+    if !e.rt().drain_fetch_timers(now) {
+        return Ok(());
+    }
+    e.sweep_stalls()?;
+    for ji in 0..e.rt().jobs.len() {
+        for si in 0..e.rt().jobs[ji].stages.len() {
+            if let Some((ti, retries)) = e.rt().gate_timeout(ji, si, now) {
+                resolve_unreachable(e, (ji, si, ti), retries, now)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The tail of re-planning a stalled attempt of `task`, which the engine has
+/// already stopped and aborted (re-queueing the task): if no machine can
+/// host the task across the current cuts, resolve at the sender level.
+pub fn replan<E: Engine>(
+    e: &mut E,
+    task: (usize, usize, usize),
+    retries: u32,
+    now: SimTime,
+) -> Result<(), RunError> {
+    let (ji, si, ti) = task;
+    if e.rt().any_host(ji, si, ti) {
+        return Ok(());
+    }
+    resolve_unreachable(e, task, retries, now)
+}
+
+/// Sender-level re-planning for `task`, which no machine can host: the
+/// runtime picks the receiver and the senders it cannot reach; each such
+/// sender's fetching attempts are aborted and its lineage resubmitted, or
+/// the run fails fast with [`RunError::Unreachable`].
+fn resolve_unreachable<E: Engine>(
+    e: &mut E,
+    task: (usize, usize, usize),
+    retries: u32,
+    now: SimTime,
+) -> Result<(), RunError> {
+    let (ji, si, ti) = task;
+    let (mstar, offending) = e.rt().unreachable_plan(ji, si, ti, retries, now)?;
+    for s in offending {
+        e.rt().check_resubmittable(task, s, mstar, retries)?;
+        // Their own timers would walk into this same resolution.
+        e.abort_fetching_from(s)?;
+        e.rt().resubmit_from(s)?;
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::RuntimeConfig;
+    use crate::{BlockMap, CostModel, JobBuilder};
+
+    /// A one-machine engine whose tasks each take one second, logging every
+    /// hook call.
+    struct Fake {
+        rt: Runtime,
+        now: SimTime,
+        running: Vec<(SimTime, (usize, usize, usize))>,
+        log: Vec<&'static str>,
+        /// Tasks never finish: nothing is ever pending.
+        stuck: bool,
+    }
+
+    impl Fake {
+        fn new(tasks: usize, stuck: bool) -> Fake {
+            let gib = 1024.0 * 1024.0 * 1024.0;
+            let job = JobBuilder::new("scan", CostModel::spark_1_3())
+                .read_disk(gib, 1e6, gib / tasks as f64)
+                .map(1.0, 1.0, false)
+                .write_disk(1.0);
+            let cfg = RuntimeConfig {
+                fifo: false,
+                lineage: false,
+                partitions: false,
+                max_task_retries: 0,
+                fetch_timeout_secs: None,
+                fetch_max_retries: 0,
+                fetch_backoff_base_secs: 1.0,
+            };
+            let blocks = BlockMap::round_robin(tasks, 1, 1);
+            Fake {
+                rt: Runtime::new(&[(job, blocks)], 1, cfg, |_, _, _, _, _| true),
+                now: SimTime::ZERO,
+                running: Vec::new(),
+                log: Vec::new(),
+                stuck,
+            }
+        }
+    }
+
+    impl Engine for Fake {
+        fn rt(&mut self) -> &mut Runtime {
+            &mut self.rt
+        }
+        fn open_batch(&mut self, now: SimTime) -> Result<(), RunError> {
+            self.now = now;
+            self.log.push("open");
+            Ok(())
+        }
+        fn mirror_decisions(&mut self) {
+            self.log.push("mirror");
+        }
+        fn complete(&mut self) {
+            self.log.push("complete");
+            let now = self.now;
+            for (_, (ji, si, ti)) in self.running.iter().filter(|(t, _)| *t <= now) {
+                self.rt.complete_task(*ji, *si, *ti, 0, now);
+            }
+            self.running.retain(|(t, _)| *t > now);
+        }
+        fn step(&mut self) -> bool {
+            self.log.push("step");
+            // One task at a time.
+            if !self.running.is_empty() {
+                return false;
+            }
+            let Some(task) = self.rt.pick_task(0) else {
+                return false;
+            };
+            self.rt.mark_started(task.0, task.1, self.now);
+            let end = self.now + simcore::SimDuration::from_secs(1);
+            self.running.push((end, task));
+            true
+        }
+        fn commit(&mut self) {
+            self.log.push("commit");
+        }
+        fn next_event(&mut self) -> Option<SimTime> {
+            self.running
+                .iter()
+                .map(|&(t, _)| t)
+                .min()
+                .filter(|_| !self.stuck)
+        }
+        fn sweep_stalls(&mut self) -> Result<(), RunError> {
+            unreachable!("partitions are off")
+        }
+        fn abort_fetching_from(&mut self, _: usize) -> Result<(), RunError> {
+            unreachable!("partitions are off")
+        }
+        fn stalled_fetch_error(&self) -> Option<RunError> {
+            unreachable!("partitions are off")
+        }
+    }
+
+    #[test]
+    fn one_batch_per_event_in_order_until_every_job_is_done() {
+        let mut e = Fake::new(3, false);
+        let stats = run(&mut e, 100).expect("run completes");
+        // Three one-second tasks back to back: three events after t = 0.
+        assert_eq!(stats.events, 3);
+        assert_eq!(e.now, SimTime::from_secs(3));
+        let batch = ["open", "mirror", "complete", "step", "step", "commit"];
+        assert_eq!(e.log.len(), 4 * batch.len() - 1, "{:?}", e.log);
+        assert_eq!(e.log[..batch.len()], batch);
+    }
+
+    #[test]
+    fn the_step_budget_and_an_empty_fold_fail_the_run() {
+        let mut e = Fake::new(3, false);
+        let err = run(&mut e, 2).unwrap_err();
+        assert_eq!(err, RunError::StepBudgetExhausted { steps: 3 });
+        let mut e = Fake::new(3, true);
+        let err = run(&mut e, 100).unwrap_err();
+        assert_eq!(err, RunError::no_runnable_work(SimTime::ZERO));
+    }
+}

@@ -18,13 +18,15 @@
 //!   planned operators describe, and powers runnable examples.
 //!
 //! [`runtime`] is the job/stage scheduler both simulated executors share:
-//! pending queues, lineage, retries and partition recovery.
+//! pending queues, lineage, retries and partition recovery. [`driver`] is
+//! their shared event loop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blocks;
 pub mod cost;
+pub mod driver;
 pub mod error;
 pub mod plan;
 pub mod reference;

@@ -4,9 +4,12 @@
 //! scheduler" (§3.4): only how a task runs on a machine differs. This module
 //! is that common scheduler, written once — per-stage pending queues and the
 //! lineage index, bounded task retries, stage readiness and completion, and
-//! the stage-level half of partition recovery (reachability gate, timeout →
-//! retry → exponential backoff, receiver choice, resubmission feasibility
-//! and quarantine).
+//! the stage-level half of partition recovery (reachability gate, the
+//! [`Stall`] clock's timeout → retry → exponential backoff, receiver choice,
+//! resubmission feasibility and quarantine). The event loop that calls it is
+//! [`crate::driver`], written once too; the operations only the loop and its
+//! escalation skeleton need (stall timers, gate clocks, sender-level
+//! re-planning) are private to the crate.
 //!
 //! Each executor keeps what really differs: how a task's work runs, how
 //! in-flight work is aborted or parked, and which machines can host a task —
@@ -75,8 +78,6 @@ pub struct StageRun {
     pub shuffle_by_machine: Vec<f64>,
     /// Whether this stage's shuffle output stays in memory.
     pub shuffle_in_memory: bool,
-    /// Bumped whenever `shuffle_by_machine` changes.
-    pub shuffle_epoch: u64,
     /// Host-wall control cost of scheduling this stage's tasks.
     pub control: StageControlStats,
     /// Finished task ids per machine (fault runs only) — the lineage index:
@@ -88,12 +89,9 @@ pub struct StageRun {
     /// Pending queues have been filled once; a stage re-opened after lost
     /// output resumes with its surviving queue contents.
     populated: bool,
-    /// When the pending tasks first had no placement passing the gate.
-    gate_blocked_since: Option<SimTime>,
-    /// Next timeout or backoff expiry of the gate blockage.
-    gate_deadline: Option<SimTime>,
-    /// Retry decisions spent in the current gate blockage.
-    gate_retries: u32,
+    /// Stall clock of the current gate blockage: running while the pending
+    /// tasks have no placement passing the gate.
+    gate: Stall,
 }
 
 /// Scheduling state of one job.
@@ -147,6 +145,88 @@ pub enum Decision {
         /// Stage whose output was lost.
         stage: usize,
     },
+}
+
+/// One stall clock: an in-flight fetch, or a ready stage whose pending
+/// tasks no machine can host, waiting on a cut. It holds when the stall
+/// began, the next timeout or backoff expiry, and the retry decisions spent.
+/// Every fetch of both executors and every stage's gate blockage holds one,
+/// so the timeout → retry → backoff → re-plan walk is written once.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Stall {
+    since: Option<SimTime>,
+    deadline: Option<SimTime>,
+    retries: u32,
+}
+
+impl Stall {
+    /// Starts the clock at `now`, unless it already runs, and arms the first
+    /// timeout unless an expiry is pending. Arming schedules a wake-up, so a
+    /// fetch marked stalled twice in one stall (cut while queued, then its
+    /// transfer starts on the still-cut pair) must not arm a second one.
+    pub fn arm(&mut self, rt: &mut Runtime, now: SimTime) {
+        self.since.get_or_insert(now);
+        if self.deadline.is_some() {
+            return;
+        }
+        if let Some(timeout) = rt.cfg.fetch_timeout_secs {
+            let at = now + SimDuration::from_secs_f64(timeout);
+            rt.fetch_timers.schedule(at, ());
+            self.deadline = Some(at);
+        }
+    }
+
+    /// Whether the clock runs.
+    pub fn stalled(&self) -> bool {
+        self.since.is_some()
+    }
+
+    /// Retry decisions spent so far.
+    pub fn retries(&self) -> u32 {
+        self.retries
+    }
+
+    /// Whether the pending expiry is due at `now`.
+    pub fn due(&self, now: SimTime) -> bool {
+        self.deadline.is_some_and(|d| d <= now)
+    }
+
+    /// Fires a due expiry of a stall in stage `(ji, si)`: spends a retry
+    /// (counted in `fetch_retries`) and, within budget, arms the
+    /// deterministic backoff (`base × 2^(k-1)` seconds for retry `k`). Once
+    /// the budget is spent, returns the retries spent: recovery must re-plan.
+    pub fn tick(&mut self, rt: &mut Runtime, ji: usize, si: usize, now: SimTime) -> Option<u32> {
+        self.retries += 1;
+        let attempt = self.retries;
+        let recovery = &mut rt.jobs[ji].recovery;
+        recovery.fetch_retries += 1;
+        rt.decisions.push(Decision::FetchRetry {
+            job: ji as u32,
+            stage: si as u32,
+            attempt,
+        });
+        if attempt > rt.cfg.fetch_max_retries {
+            return Some(attempt);
+        }
+        let backoff = rt.cfg.fetch_backoff_base_secs * 2f64.powi(attempt as i32 - 1);
+        recovery.fetch_backoff_seconds += backoff;
+        let mut at = now + SimDuration::from_secs_f64(backoff);
+        if at <= now {
+            at = SimTime(now.0 + 1);
+        }
+        rt.fetch_timers.schedule(at, ());
+        self.deadline = Some(at);
+        None
+    }
+
+    /// Stops the clock and disarms its expiry, adding the seconds stalled to
+    /// `stalled` if the clock ran. The retries spent are kept.
+    pub fn stop(&mut self, now: SimTime, stalled: &mut f64) {
+        self.deadline = None;
+        if let Some(since) = self.since.take() {
+            *stalled += now.since(since).as_secs_f64();
+        }
+    }
 }
 
 /// Job and stage state plus the recovery logic both executors share.
@@ -217,14 +297,11 @@ impl Runtime {
                                 }
                             )
                         }),
-                        shuffle_epoch: 0,
                         control: StageControlStats::default(),
                         completed_on: vec![Vec::new(); n_machines],
                         task_done: vec![false; st.tasks.len()],
                         populated: false,
-                        gate_blocked_since: None,
-                        gate_deadline: None,
-                        gate_retries: 0,
+                        gate: Stall::default(),
                     })
                     .collect(),
                 done: false,
@@ -503,7 +580,6 @@ impl Runtime {
         run.task_done[ti] = true;
         if let OutputSpec::ShuffleWrite { bytes, .. } = job.spec.stages[si].tasks[ti].output {
             run.shuffle_by_machine[machine] += bytes;
-            run.shuffle_epoch += 1;
         }
         run.completed += 1;
         if run.completed != run.total {
@@ -545,7 +621,6 @@ impl Runtime {
                     continue;
                 }
                 run.shuffle_by_machine[m] = 0.0;
-                run.shuffle_epoch += 1;
                 run.completed -= lost.len();
                 for &ti in &lost {
                     run.task_done[ti as usize] = false;
@@ -598,21 +673,13 @@ impl Runtime {
     }
 
     /// Whether some schedulable machine passes the gate for the task.
-    pub fn any_host(&self, ji: usize, si: usize, ti: usize) -> bool {
+    pub(crate) fn any_host(&self, ji: usize, si: usize, ti: usize) -> bool {
         (0..self.n_machines()).any(|m| self.schedulable(m) && (self.gate)(self, m, ji, si, ti))
-    }
-
-    /// Arms a stall-timeout wake-up `fetch_timeout_secs` after `now` and
-    /// returns its instant; `None` when timeouts are off.
-    pub fn stall_deadline(&mut self, now: SimTime) -> Option<SimTime> {
-        let at = now + SimDuration::from_secs_f64(self.cfg.fetch_timeout_secs?);
-        self.fetch_timers.schedule(at, ());
-        Some(at)
     }
 
     /// Pops the stall wake-ups due by `now` (they carry no payload: the
     /// recovery sweeps do the work). Returns whether timeouts are armed.
-    pub fn drain_fetch_timers(&mut self, now: SimTime) -> bool {
+    pub(crate) fn drain_fetch_timers(&mut self, now: SimTime) -> bool {
         while self.fetch_timers.peek_time().is_some_and(|t| t <= now) {
             self.fetch_timers.pop();
         }
@@ -620,39 +687,8 @@ impl Runtime {
     }
 
     /// The next stall wake-up, if any.
-    pub fn next_fetch_timer(&self) -> Option<SimTime> {
+    pub(crate) fn next_fetch_timer(&self) -> Option<SimTime> {
         self.fetch_timers.peek_time()
-    }
-
-    /// Spends retry `attempt` of a stall episode in stage `(ji, si)`. Within
-    /// budget, arms the deterministic backoff (`base × 2^(attempt-1)`
-    /// seconds) and returns its expiry; `None` means the budget is spent and
-    /// recovery must re-plan.
-    pub fn fetch_retry(
-        &mut self,
-        ji: usize,
-        si: usize,
-        attempt: u32,
-        now: SimTime,
-    ) -> Option<SimTime> {
-        let recovery = &mut self.jobs[ji].recovery;
-        recovery.fetch_retries += 1;
-        self.decisions.push(Decision::FetchRetry {
-            job: ji as u32,
-            stage: si as u32,
-            attempt,
-        });
-        if attempt > self.cfg.fetch_max_retries {
-            return None;
-        }
-        let backoff = self.cfg.fetch_backoff_base_secs * 2f64.powi(attempt as i32 - 1);
-        recovery.fetch_backoff_seconds += backoff;
-        let mut at = now + SimDuration::from_secs_f64(backoff);
-        if at <= now {
-            at = SimTime(now.0 + 1);
-        }
-        self.fetch_timers.schedule(at, ());
-        Some(at)
     }
 
     /// A ready stage with pending tasks is gate-blocked when no schedulable
@@ -685,33 +721,24 @@ impl Runtime {
             .map(|&ti| ti as usize)
     }
 
-    fn reset_gate(&mut self, ji: usize, si: usize) {
-        let run = &mut self.jobs[ji].stages[si];
-        run.gate_blocked_since = None;
-        run.gate_deadline = None;
-        run.gate_retries = 0;
-    }
-
     /// Once per event: starts (or clears) the gate-blockage clocks of ready
     /// stages whose pending tasks no machine can reach. Without a timeout the
     /// clock still starts — the starvation error names the stage — but no
     /// timer ever fires. Finished jobs have no blocked stage and are skipped.
-    pub fn arm_gate_timers(&mut self, now: SimTime) {
+    pub(crate) fn arm_gate_timers(&mut self, now: SimTime) {
         for ji in 0..self.jobs.len() {
             if self.jobs[ji].done {
                 continue;
             }
             for si in 0..self.jobs[ji].stages.len() {
-                let since = self.jobs[ji].stages[si].gate_blocked_since;
+                let mut gate = self.jobs[ji].stages[si].gate;
                 if !self.stage_gate_blocked(ji, si) {
-                    if since.is_some() {
-                        self.reset_gate(ji, si);
+                    if gate.stalled() {
+                        self.jobs[ji].stages[si].gate = Stall::default();
                     }
-                } else if since.is_none() {
-                    let deadline = self.stall_deadline(now);
-                    let run = &mut self.jobs[ji].stages[si];
-                    run.gate_blocked_since = Some(now);
-                    run.gate_deadline = deadline;
+                } else if !gate.stalled() {
+                    gate.arm(self, now);
+                    self.jobs[ji].stages[si].gate = gate;
                 }
             }
         }
@@ -722,35 +749,37 @@ impl Runtime {
     /// backoff. Once the budget is spent the clock and budget reset — a later
     /// blockage is a fresh episode — and the stage's exemplar pending task is
     /// returned with the retries spent, for the executor to re-plan around.
-    pub fn gate_timeout(&mut self, ji: usize, si: usize, now: SimTime) -> Option<(usize, u32)> {
-        let run = &self.jobs[ji].stages[si];
-        if run.gate_deadline.is_none_or(|d| d > now) {
+    pub(crate) fn gate_timeout(
+        &mut self,
+        ji: usize,
+        si: usize,
+        now: SimTime,
+    ) -> Option<(usize, u32)> {
+        let mut gate = self.jobs[ji].stages[si].gate;
+        if !gate.due(now) {
             return None;
         }
         if !self.stage_gate_blocked(ji, si) {
-            self.reset_gate(ji, si);
+            self.jobs[ji].stages[si].gate = Stall::default();
             return None;
         }
-        let retries = self.jobs[ji].stages[si].gate_retries + 1;
-        self.jobs[ji].stages[si].gate_retries = retries;
-        if let Some(at) = self.fetch_retry(ji, si, retries, now) {
-            self.jobs[ji].stages[si].gate_deadline = Some(at);
-            return None;
-        }
+        let spent = gate.tick(self, ji, si, now);
+        self.jobs[ji].stages[si].gate = gate;
+        let retries = spent?;
         let ti = self.first_pending_task(ji, si);
-        self.reset_gate(ji, si);
+        self.jobs[ji].stages[si].gate = Stall::default();
         ti.map(|ti| (ti, retries))
     }
 
     /// The gate-blocked half of the starvation check: with nothing left to
     /// fire but jobs remaining, names the first gate-blocked stage.
-    pub fn gate_starvation_error(&self) -> Option<RunError> {
+    pub(crate) fn gate_starvation_error(&self) -> Option<RunError> {
         for (ji, job) in self.jobs.iter().enumerate() {
             if job.done {
                 continue;
             }
             for (si, run) in job.stages.iter().enumerate() {
-                if run.gate_blocked_since.is_none() {
+                if !run.gate.stalled() {
                     continue;
                 }
                 let Some(ti) = self.first_pending_task(ji, si) else {
@@ -761,7 +790,7 @@ impl Runtime {
                     stage: StageId(si as u32),
                     task: TaskId(ti as u32),
                     machine: self.first_unreachable_source(ji, si, ti),
-                    retries: run.gate_retries,
+                    retries: run.gate.retries(),
                 });
             }
         }
@@ -800,7 +829,7 @@ impl Runtime {
     /// ([`Runtime::resubmit_from`]) once [`Runtime::check_resubmittable`]
     /// passes. A task with no shuffle input has no lineage to resubmit and
     /// fails with [`RunError::Unreachable`].
-    pub fn unreachable_plan(
+    pub(crate) fn unreachable_plan(
         &self,
         ji: usize,
         si: usize,
@@ -851,7 +880,7 @@ impl Runtime {
     /// input, its block's home or a reachable replica). Otherwise
     /// resubmission would only move the starvation, and the task fails fast
     /// with [`RunError::Unreachable`] naming `s`.
-    pub fn check_resubmittable(
+    pub(crate) fn check_resubmittable(
         &self,
         (ji, si, ti): (usize, usize, usize),
         s: usize,
@@ -881,7 +910,7 @@ impl Runtime {
     /// Resubmits the producer lineage whose outputs sit on `s` and takes `s`
     /// out of the assignment rotation until a heal reconnects it — re-runs
     /// must land where consumers can fetch from.
-    pub fn resubmit_from(&mut self, s: usize) -> Result<(), RunError> {
+    pub(crate) fn resubmit_from(&mut self, s: usize) -> Result<(), RunError> {
         self.lose_shuffle_outputs(s)?;
         self.quarantined[s] = true;
         Ok(())

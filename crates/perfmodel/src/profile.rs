@@ -56,15 +56,6 @@ impl StageProfile {
     pub fn disk_bytes(&self) -> f64 {
         self.input_read_bytes + self.other_disk_bytes
     }
-
-    /// Resource-use summary.
-    pub fn resource_use(&self) -> ResourceUse {
-        ResourceUse {
-            cpu_secs: self.cpu_secs,
-            disk_bytes: self.disk_bytes(),
-            net_bytes: self.net_bytes,
-        }
-    }
 }
 
 /// Builds per-stage profiles from monotask `records` and the stage windows in

@@ -82,11 +82,6 @@ impl SimDuration {
         SimDuration(ms * 1_000_000)
     }
 
-    /// Builds a duration from whole microseconds.
-    pub fn from_micros(us: u64) -> SimDuration {
-        SimDuration(us * 1_000)
-    }
-
     /// Builds a duration from floating-point seconds, rounding *up* to the
     /// next nanosecond so that work never finishes early.
     ///

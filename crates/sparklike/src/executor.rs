@@ -7,7 +7,8 @@ use cluster::{
     FaultTimeline, FluidMachine, InstantKind, MachineId, StreamDemand, StreamId, TraceSet,
     WriteOutcome,
 };
-use dataflow::runtime::{Decision, Runtime, RuntimeConfig};
+use dataflow::driver::{self, Engine};
+use dataflow::runtime::{Decision, Runtime, RuntimeConfig, Stall};
 use dataflow::{BlockMap, InputSpec, JobId, JobReport, JobSpec, RunError, StageId, TaskId};
 use simcore::stats::median;
 use simcore::{EventQueue, SimDuration, SimStats, SimTime};
@@ -181,12 +182,8 @@ struct TaskRun {
     /// or finishes late — the same full-requested-bytes-once-started rule
     /// the monotasks executor charges, so the two engines' waste compares.
     io_started: f64,
-    /// Instant the attempt's merged fetch stalled on a cut pair.
-    stall_since: Option<SimTime>,
-    /// Next stall-timeout / backoff deadline, when a timeout is configured.
-    stall_deadline: Option<SimTime>,
-    /// Fetch retries this attempt has burned.
-    fetch_retries: u32,
+    /// Stall clock of the attempt's merged fetch on a cut pair.
+    stall: Stall,
     /// The in-flight phase, removed from the allocator while every byte of
     /// it is unreachable: the demand scaled to the remaining fraction, ready
     /// to re-insert on heal.
@@ -298,7 +295,11 @@ struct Exec {
     flushes: HashMap<u64, (usize, usize, Vec<FlushEntry>)>,
     aux_seq: u64,
     now: SimTime,
-    stats: SimStats,
+    /// Cached per-machine completion deadlines (see [`DeadlineCache`]).
+    deadlines: DeadlineCache,
+    /// Completion buffer reused across events: the poll runs per machine
+    /// per event and must not allocate.
+    done_streams: Vec<StreamId>,
     faults: FaultTimeline,
     faults_on: bool,
     /// Logical tasks with a speculative copy outstanding.
@@ -420,7 +421,8 @@ pub fn run_with_faults(
         flushes: HashMap::new(),
         aux_seq: 0,
         now: SimTime::ZERO,
-        stats: SimStats::new(),
+        deadlines: DeadlineCache::new(n_machines),
+        done_streams: Vec::new(),
         faults: plan.compile(),
         faults_on: !plan.is_empty(),
         spec_copies: HashSet::new(),
@@ -428,8 +430,8 @@ pub fn run_with_faults(
         trace_on: cfg.trace_path.is_some(),
         instants: Vec::new(),
     };
-    exec.main_loop()?;
-    Ok(exec.into_output())
+    let stats = driver::run(&mut exec, cfg.max_steps)?;
+    Ok(exec.into_output(stats))
 }
 
 impl Exec {
@@ -440,7 +442,7 @@ impl Exec {
     /// Records a trace instant at the current simulated time, after the
     /// runtime's pending decisions so instants keep decision order.
     fn emit_instant(&mut self, kind: InstantKind) {
-        self.apply_decisions();
+        self.mirror_decisions();
         self.push_instant(kind);
     }
 
@@ -451,133 +453,6 @@ impl Exec {
                 kind,
             });
         }
-    }
-
-    /// Mirrors the runtime's recovery decisions as trace instants.
-    fn apply_decisions(&mut self) {
-        for d in self.rt.take_decisions() {
-            let kind = match d {
-                Decision::TaskRetry {
-                    job,
-                    stage,
-                    task,
-                    recompute,
-                } => InstantKind::TaskRetry {
-                    job,
-                    stage,
-                    task,
-                    recompute,
-                },
-                Decision::FetchRetry {
-                    job,
-                    stage,
-                    attempt,
-                } => InstantKind::FetchRetry {
-                    job,
-                    stage,
-                    attempt,
-                },
-                // No cached state derives from shuffle placement here.
-                Decision::ShuffleLost { .. } => continue,
-            };
-            self.push_instant(kind);
-        }
-    }
-
-    fn main_loop(&mut self) -> Result<(), RunError> {
-        let loop_timer = std::time::Instant::now();
-        let mut steps: u64 = 0;
-        // Completion buffer reused across events: the speculative poll runs
-        // per machine per event and must not allocate.
-        let mut done_streams: Vec<StreamId> = Vec::new();
-        let mut deadlines = DeadlineCache::new(self.n_machines());
-        loop {
-            // One batch per event instant: flush timers and finished streams
-            // first (their handlers cascade into follow-up inserts — next task
-            // phases, write-back flush streams), then the assignment sweep.
-            // Each machine reallocates once per event at commit; the
-            // intermediate fixpoint between the waves is never observed.
-            self.begin_update_all();
-            // Fault actions fire first within their instant: a crash at `t`
-            // wins against completions at `t`, deterministically.
-            if self.faults_on {
-                self.apply_due_faults()?;
-            }
-            if self.rt.partitions_on() {
-                self.check_partition_recovery()?;
-            }
-            if self.faults_on {
-                self.apply_decisions();
-            }
-            while self.timers.peek_time() == Some(self.now) {
-                let (_, f) = self.timers.pop().expect("peeked");
-                self.start_flush(f);
-            }
-            // Speculation wake-ups carry no payload; draining them is enough —
-            // the assignment sweep below re-checks every straggler.
-            while self.spec_timers.pop_due(self.now).is_some() {}
-            for m in 0..self.n_machines() {
-                let fluid = &mut self.machines[m].fluid;
-                if !self.rt.alive[m] || !deadlines.may_complete(m, fluid, self.now) {
-                    continue;
-                }
-                fluid.advance(self.now);
-                fluid.take_completed_into(self.now, &mut done_streams);
-                for &sid in &done_streams {
-                    self.on_stream_done(m, sid);
-                }
-            }
-            while self.assign_tasks() {}
-            if self.rt.partitions_on() {
-                self.rt.arm_gate_timers(self.now);
-            }
-            self.commit_all(self.now);
-            for m in 0..self.n_machines() {
-                if !self.rt.alive[m] {
-                    continue;
-                }
-                self.machines[m].fluid.advance(self.now);
-                self.traces
-                    .snapshot(self.now, MachineId(m), &self.machines[m].fluid);
-            }
-            if self.rt.jobs.iter().all(|j| j.done) {
-                break;
-            }
-            // Next event: stream completion, flush timer, speculation
-            // wake-up, scheduled fault action or fetch timer. Sources a run
-            // does not use are empty.
-            let machines = (self.machines.iter_mut())
-                .zip(&self.rt.alive)
-                .map(|(x, &alive)| (&mut x.fluid, alive));
-            let next = [
-                deadlines.earliest(machines, self.now),
-                self.timers.peek_time(),
-                self.spec_timers.peek_time(),
-                self.faults.next_time(),
-                self.rt.next_fetch_timer(),
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            let Some(t) = next else {
-                if self.rt.partitions_on() {
-                    if let Some(e) = self.partition_starvation_error() {
-                        return Err(e);
-                    }
-                }
-                return Err(RunError::no_runnable_work(self.now));
-            };
-            self.now = t;
-            steps += 1;
-            if steps > self.cfg.max_steps {
-                return Err(RunError::StepBudgetExhausted { steps });
-            }
-        }
-        self.stats.events = steps;
-        // Raw loop wall time; into_output subtracts what the allocators
-        // account for, leaving pure executor-control overhead.
-        self.stats.control_nanos = loop_timer.elapsed().as_nanos() as u64;
-        Ok(())
     }
 
     /// Applies every fault action due at `now`, inside the open batch.
@@ -673,7 +548,7 @@ impl Exec {
                     self.tasks[t_idx].parked = Some(demand);
                 }
             }
-            self.mark_stalled(t_idx);
+            self.tasks[t_idx].stall.arm(&mut self.rt, self.now);
         }
     }
 
@@ -689,7 +564,7 @@ impl Exec {
             if t.done || t.killed || t.machine != dst {
                 continue;
             }
-            if t.stall_since.is_none() && t.parked.is_none() {
+            if !t.stall.stalled() && t.parked.is_none() {
                 continue;
             }
             let still_cut = (0..self.n_machines())
@@ -698,11 +573,8 @@ impl Exec {
                 continue;
             }
             let ji = self.tasks[t_idx].job;
-            if let Some(since) = self.tasks[t_idx].stall_since.take() {
-                self.rt.jobs[ji].recovery.stalled_fetch_seconds +=
-                    self.now.since(since).as_secs_f64();
-            }
-            self.tasks[t_idx].stall_deadline = None;
+            let stalled = &mut self.rt.jobs[ji].recovery.stalled_fetch_seconds;
+            self.tasks[t_idx].stall.stop(self.now, stalled);
             if let Some(demand) = self.tasks[t_idx].parked.take() {
                 let sid = task_stream(t_idx, self.tasks[t_idx].phase());
                 self.machines[dst].fluid.insert(self.now, sid, demand);
@@ -710,24 +582,12 @@ impl Exec {
         }
     }
 
-    /// Starts the stall clock on a freshly parked attempt and, when a
-    /// timeout is configured, arms its first retry deadline.
-    fn mark_stalled(&mut self, t_idx: usize) {
-        let t = &mut self.tasks[t_idx];
-        t.stall_since.get_or_insert(self.now);
-        if t.stall_deadline.is_none() {
-            t.stall_deadline = self.rt.stall_deadline(self.now);
-        }
-    }
-
     /// Charges a stalled fetch that is being given up on: accumulates its
     /// stall time, drops its parked stream, and counts the re-plan.
     fn account_stalled_fetch(&mut self, t_idx: usize) {
         let ji = self.tasks[t_idx].job;
-        if let Some(since) = self.tasks[t_idx].stall_since.take() {
-            self.rt.jobs[ji].recovery.stalled_fetch_seconds += self.now.since(since).as_secs_f64();
-        }
-        self.tasks[t_idx].stall_deadline = None;
+        let stalled = &mut self.rt.jobs[ji].recovery.stalled_fetch_seconds;
+        self.tasks[t_idx].stall.stop(self.now, stalled);
         self.tasks[t_idx].parked = None;
         self.rt.jobs[ji].recovery.fetches_replanned += 1;
         let si = self.tasks[t_idx].stage;
@@ -735,103 +595,6 @@ impl Exec {
             job: ji as u32,
             stage: si as u32,
         });
-    }
-
-    /// Drives stall timeouts: burns retries with exponential backoff, and
-    /// once a fetch (or, in the runtime, a gate-blocked stage) exhausts its
-    /// budget, re-plans around the unreachable sender or fails fast.
-    fn check_partition_recovery(&mut self) -> Result<(), RunError> {
-        if !self.rt.drain_fetch_timers(self.now) {
-            return Ok(());
-        }
-        for t_idx in 0..self.tasks.len() {
-            let t = &self.tasks[t_idx];
-            if t.done || t.killed || t.stall_deadline.is_none_or(|d| d > self.now) {
-                continue;
-            }
-            let (ji, si) = (t.job, t.stage);
-            self.tasks[t_idx].fetch_retries += 1;
-            let retries = self.tasks[t_idx].fetch_retries;
-            match self.rt.fetch_retry(ji, si, retries, self.now) {
-                Some(at) => self.tasks[t_idx].stall_deadline = Some(at),
-                None => self.replan_stalled_attempt(t_idx, retries)?,
-            }
-        }
-        for ji in 0..self.rt.jobs.len() {
-            for si in 0..self.rt.jobs[ji].stages.len() {
-                if let Some((ti, retries)) = self.rt.gate_timeout(ji, si, self.now) {
-                    self.resolve_unreachable(ji, si, ti, retries)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// A stalled fetch exhausted its retries: charge and abort the attempt,
-    /// re-queue the logical task, and if no reachable machine can host it,
-    /// escalate to sender-level re-planning.
-    fn replan_stalled_attempt(&mut self, t_idx: usize, retries: u32) -> Result<(), RunError> {
-        let (ji, si, ti) = {
-            let t = &self.tasks[t_idx];
-            (t.job, t.stage, t.task)
-        };
-        self.account_stalled_fetch(t_idx);
-        self.abort_task(t_idx)?;
-        if self.rt.any_host(ji, si, ti) {
-            return Ok(());
-        }
-        self.resolve_unreachable(ji, si, ti, retries)
-    }
-
-    /// Sender-level re-planning for a task no reachable machine can host:
-    /// the runtime picks the receiver and the senders it cannot reach; each
-    /// such sender's fetching attempts are aborted and its producers re-run
-    /// elsewhere (lineage resubmission) — or the run fails fast with
-    /// [`RunError::Unreachable`] if some producer has nowhere reachable to go.
-    fn resolve_unreachable(
-        &mut self,
-        ji: usize,
-        si: usize,
-        ti: usize,
-        retries: u32,
-    ) -> Result<(), RunError> {
-        let (mstar, offending) = self.rt.unreachable_plan(ji, si, ti, retries, self.now)?;
-        for s in offending {
-            self.rt
-                .check_resubmittable((ji, si, ti), s, mstar, retries)?;
-            // Abort every attempt still fetching from the unreachable sender.
-            for t_idx in 0..self.tasks.len() {
-                let t = &self.tasks[t_idx];
-                if !t.done && !t.killed && t.fetch_live && self.rt.fetches_from(t.job, t.stage, s) {
-                    self.account_stalled_fetch(t_idx);
-                    self.abort_task(t_idx)?;
-                }
-            }
-            self.rt.resubmit_from(s)?;
-        }
-        Ok(())
-    }
-
-    /// Nothing can ever run again but jobs remain: attribute the starvation.
-    /// A parked fetch or a gate-blocked stage names the machine holding the
-    /// unreachable bytes; `None` means the partitions are not the cause.
-    fn partition_starvation_error(&self) -> Option<RunError> {
-        for t in &self.tasks {
-            if t.done || t.killed || (t.stall_since.is_none() && t.parked.is_none()) {
-                continue;
-            }
-            let src = (0..self.n_machines())
-                .find(|&s| self.rt.is_cut(s, t.machine) && self.rt.fetches_from(t.job, t.stage, s))
-                .unwrap_or(t.machine);
-            return Some(RunError::Unreachable {
-                job: JobId(t.job as u32),
-                stage: StageId(t.stage as u32),
-                task: TaskId(t.task as u32),
-                machine: src,
-                retries: t.fetch_retries,
-            });
-        }
-        self.rt.gate_starvation_error()
     }
 
     /// Tears down one in-flight attempt ([`Self::kill_task`]) and re-queues
@@ -869,18 +632,6 @@ impl Exec {
                     e.waiter = None;
                 }
             }
-        }
-    }
-
-    fn begin_update_all(&mut self) {
-        for m in &mut self.machines {
-            m.fluid.begin_update();
-        }
-    }
-
-    fn commit_all(&mut self, now: SimTime) {
-        for m in &mut self.machines {
-            m.fluid.commit(now);
         }
     }
 
@@ -1053,9 +804,7 @@ impl Exec {
             recompute,
             fetch_live: matches!(spec.input, InputSpec::ShuffleFetch { .. }),
             io_started: 0.0,
-            stall_since: None,
-            stall_deadline: None,
-            fetch_retries: 0,
+            stall: Stall::default(),
             parked: None,
             cur_demand: None,
         });
@@ -1349,9 +1098,8 @@ impl Exec {
         }
     }
 
-    fn into_output(self) -> SparkRunOutput {
+    fn into_output(self, mut stats: SimStats) -> SparkRunOutput {
         let makespan = self.now;
-        let mut stats = self.stats;
         for m in &self.machines {
             // Machine-local allocation gets its own attribution bucket (the
             // sparklike executor has no fabric, so all allocation is here).
@@ -1365,6 +1113,169 @@ impl Exec {
             stats,
             instants: self.instants,
         }
+    }
+}
+
+/// The Spark-like half of the shared event loop ([`driver::run`]):
+/// per-machine fluid allocators, write-back flush and speculation timers,
+/// and one stall clock per merged fetch.
+impl Engine for Exec {
+    fn rt(&mut self) -> &mut Runtime {
+        &mut self.rt
+    }
+
+    fn open_batch(&mut self, now: SimTime) -> Result<(), RunError> {
+        self.now = now;
+        for m in &mut self.machines {
+            m.fluid.begin_update();
+        }
+        if self.faults_on {
+            self.apply_due_faults()?;
+        }
+        Ok(())
+    }
+
+    /// Mirrors the runtime's recovery decisions as trace instants.
+    fn mirror_decisions(&mut self) {
+        for d in self.rt.take_decisions() {
+            let kind = match d {
+                Decision::TaskRetry {
+                    job,
+                    stage,
+                    task,
+                    recompute,
+                } => InstantKind::TaskRetry {
+                    job,
+                    stage,
+                    task,
+                    recompute,
+                },
+                Decision::FetchRetry {
+                    job,
+                    stage,
+                    attempt,
+                } => InstantKind::FetchRetry {
+                    job,
+                    stage,
+                    attempt,
+                },
+                // No cached state derives from shuffle placement here.
+                Decision::ShuffleLost { .. } => continue,
+            };
+            self.push_instant(kind);
+        }
+    }
+
+    /// Flush timers and finished streams, whose handlers cascade into
+    /// follow-up inserts: next task phases, write-back flush streams.
+    fn complete(&mut self) {
+        while self.timers.peek_time() == Some(self.now) {
+            let (_, f) = self.timers.pop().expect("peeked");
+            self.start_flush(f);
+        }
+        // Speculation wake-ups carry no payload; draining them is enough —
+        // the assignment sweep re-checks every straggler.
+        while self.spec_timers.pop_due(self.now).is_some() {}
+        let mut done_streams = std::mem::take(&mut self.done_streams);
+        for m in 0..self.n_machines() {
+            let fluid = &mut self.machines[m].fluid;
+            if !self.rt.alive[m] || !self.deadlines.may_complete(m, fluid, self.now) {
+                continue;
+            }
+            fluid.advance(self.now);
+            fluid.take_completed_into(self.now, &mut done_streams);
+            for &sid in &done_streams {
+                self.on_stream_done(m, sid);
+            }
+        }
+        self.done_streams = done_streams;
+    }
+
+    fn step(&mut self) -> bool {
+        self.assign_tasks()
+    }
+
+    fn commit(&mut self) {
+        for m in &mut self.machines {
+            m.fluid.commit(self.now);
+        }
+        for m in 0..self.n_machines() {
+            if !self.rt.alive[m] {
+                continue;
+            }
+            self.machines[m].fluid.advance(self.now);
+            self.traces
+                .snapshot(self.now, MachineId(m), &self.machines[m].fluid);
+        }
+    }
+
+    /// A stream completion, a flush timer, a speculation wake-up or a
+    /// scheduled fault action. Sources a run does not use are empty.
+    fn next_event(&mut self) -> Option<SimTime> {
+        let machines = (self.machines.iter_mut())
+            .zip(&self.rt.alive)
+            .map(|(x, &alive)| (&mut x.fluid, alive));
+        [
+            self.deadlines.earliest(machines, self.now),
+            self.timers.peek_time(),
+            self.spec_timers.peek_time(),
+            self.faults.next_time(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    /// One clock per attempt: the merged fetch stalls, retries and re-plans
+    /// as a whole.
+    fn sweep_stalls(&mut self) -> Result<(), RunError> {
+        for t_idx in 0..self.tasks.len() {
+            let t = &self.tasks[t_idx];
+            if t.done || t.killed || !t.stall.due(self.now) {
+                continue;
+            }
+            let task = (t.job, t.stage, t.task);
+            let Some(retries) =
+                self.tasks[t_idx]
+                    .stall
+                    .tick(&mut self.rt, task.0, task.1, self.now)
+            else {
+                continue;
+            };
+            self.account_stalled_fetch(t_idx);
+            self.abort_task(t_idx)?;
+            driver::replan(self, task, retries, self.now)?;
+        }
+        Ok(())
+    }
+
+    fn abort_fetching_from(&mut self, s: usize) -> Result<(), RunError> {
+        for t_idx in 0..self.tasks.len() {
+            let t = &self.tasks[t_idx];
+            if !t.done && !t.killed && t.fetch_live && self.rt.fetches_from(t.job, t.stage, s) {
+                self.account_stalled_fetch(t_idx);
+                self.abort_task(t_idx)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A parked fetch names the machine holding the unreachable bytes.
+    fn stalled_fetch_error(&self) -> Option<RunError> {
+        let t = self
+            .tasks
+            .iter()
+            .find(|t| !t.done && !t.killed && (t.stall.stalled() || t.parked.is_some()))?;
+        let src = (0..self.n_machines())
+            .find(|&s| self.rt.is_cut(s, t.machine) && self.rt.fetches_from(t.job, t.stage, s))
+            .unwrap_or(t.machine);
+        Some(RunError::Unreachable {
+            job: JobId(t.job as u32),
+            stage: StageId(t.stage as u32),
+            task: TaskId(t.task as u32),
+            machine: src,
+            retries: t.stall.retries(),
+        })
     }
 }
 

@@ -86,3 +86,16 @@ fn job_submission_order_is_respected_in_ids() {
     assert_eq!(out.jobs[0].job, dataflow::JobId(0));
     assert_eq!(out.jobs[1].job, dataflow::JobId(1));
 }
+
+/// Step counts of one fault-free run per engine. The shared event loop must
+/// not move an event: a split or merged batch changes these counts even when
+/// makespans happen to agree.
+#[test]
+fn fault_free_runs_take_their_pinned_steps() {
+    let cluster = testsupport::cluster(4);
+    let jobs = [bdb_job(BdbQuery::Q2a, 4, 2)];
+    let mono = monotasks_core::run(&cluster, &jobs, &monotasks_core::MonoConfig::default());
+    assert_eq!((mono.stats.events, mono.queue_trace.len()), (315, 1264));
+    let spark = sparklike::run(&cluster, &jobs, &sparklike::SparkConfig::default());
+    assert_eq!((spark.stats.events, spark.tasks.len()), (68, 468));
+}

@@ -377,3 +377,28 @@ fn a_fetch_stalled_before_its_transfer_arms_one_timeout() {
         "simulation steps"
     );
 }
+
+/// The Spark-like twin of the test above: a merged fetch parked by a window
+/// that heals within the timeout arms one timeout, whose idle expiry is a
+/// simulation step. The pinned counts are this scenario's steps and task
+/// records.
+#[test]
+fn a_parked_merged_fetch_arms_one_timeout() {
+    let (job, blocks) = sort();
+    let cfg = SparkConfig {
+        fetch_timeout_secs: Some(2.0),
+        ..SparkConfig::default()
+    };
+    let jobs = [(job, blocks)];
+    let free = sparklike::try_run(&cluster(), &jobs, &cfg).expect("fault-free run");
+    let plan = isolate(1, free.makespan.as_secs_f64(), 0.50, 0.55);
+    let out = sparklike::run_with_faults(&cluster(), &jobs, &cfg, &plan)
+        .expect("a healing partition completes");
+    assert!(out.jobs[0].recovery.stalled_fetch_seconds > 0.0);
+    assert_eq!(out.jobs[0].recovery.fetch_retries, 0, "a timeout fired");
+    assert_eq!(
+        (out.stats.events, out.tasks.len()),
+        (7, 64),
+        "simulation steps"
+    );
+}

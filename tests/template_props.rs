@@ -11,9 +11,11 @@
 
 mod testsupport;
 
+use cluster::InstantKind;
 use dataflow::StageId;
 use monotasks_core::MonoConfig;
 use proptest::prelude::*;
+use simcore::SimTime;
 use testsupport::{random_job, sort4};
 use workloads::{mid_shuffle_crash, sweep_plan};
 
@@ -133,4 +135,50 @@ fn mid_stage_crash_invalidates_and_rebuilds_the_template() {
         b.makespan.as_secs_f64().to_bits()
     );
     assert_eq!(format!("{:?}", a.records), format!("{:?}", b.records));
+}
+
+/// The one invalidation guard is eager: the crash that loses map output
+/// drops the reduce stage's template at the crash instant, before any reduce
+/// task launches again, and the re-captured layout fetches from survivors
+/// only. Without the drop, relaunched reduce tasks would stamp fetches from
+/// the dead machine: debug builds' oracle panics at that launch, and release
+/// builds never finish those fetches.
+#[test]
+fn lost_shuffle_output_drops_the_consumer_template_at_the_loss() {
+    let jobs = [sort4()];
+    let free =
+        monotasks_core::try_run(&cluster(), &jobs, &MonoConfig::default()).expect("fault-free run");
+    let plan = mid_shuffle_crash(1, free.makespan.as_secs_f64() * 0.5);
+    let cfg = MonoConfig {
+        trace_path: Some("unwritten.json".into()),
+        ..MonoConfig::default()
+    };
+    let out = monotasks_core::run_with_faults(&cluster(), &jobs, &cfg, &plan)
+        .expect("one crash must be recoverable");
+    let at = |f: fn(&InstantKind) -> bool| -> Vec<SimTime> {
+        out.instants
+            .iter()
+            .filter(|i| f(&i.kind))
+            .map(|i| i.time)
+            .collect()
+    };
+    let crash = at(|k| matches!(k, InstantKind::MachineCrash { machine: 1 }));
+    assert_eq!(crash.len(), 1);
+    assert_eq!(
+        at(|k| matches!(k, InstantKind::TemplateInvalidate { job: 0, stage: 1 })),
+        crash,
+        "the reduce template must be dropped exactly once, at the crash"
+    );
+    let c = out.jobs[0].stage(StageId(1)).expect("reduce stage").control;
+    assert_eq!(
+        (c.template_invalidations, c.template_misses),
+        (1, 2),
+        "{c:?}"
+    );
+    assert!(
+        out.records
+            .iter()
+            .all(|r| r.machine != 1 || r.ended <= crash[0]),
+        "a monotask ran on the dead machine after the crash"
+    );
 }
