@@ -6,8 +6,8 @@
 //! the repo's deterministic `SmallRng`, so a (seed, spec, intensity) triple
 //! always produces the same plan and therefore the same simulated run.
 //!
-//! Executors consume a plan through [`FaultPlan::compile`], which lowers the
-//! declarative events into a time-sorted [`FaultTimeline`] of atomic
+//! Executors consume a plan through [`crate::Hosts`], which compiles the
+//! declarative events into a time-sorted timeline of atomic
 //! [`FaultAction`]s (a `DiskDegrade` becomes a scale-set at `from` and an
 //! explicit scale-restore to `1.0` at `until` — restoring by multiplication
 //! would not be bit-exact; a `Partition` becomes one `CutPair`/`HealPair`
@@ -16,7 +16,7 @@
 //!
 //! The determinism contract: an **empty plan must be a perfect no-op**. The
 //! compiled timeline of an empty plan schedules nothing, and every hook the
-//! executors call (`next_time`, `straggle_factor`) returns `None`, so the
+//! executors call (`pop_fault`, `straggle_factor`) returns `None`, so the
 //! fault-free event sequence is bit-identical to a run without any fault
 //! machinery at all.
 
@@ -603,7 +603,7 @@ impl FaultPlan {
 
     /// Lowers the plan into a time-sorted action timeline plus a straggle
     /// lookup table.
-    pub fn compile(&self) -> FaultTimeline {
+    pub(crate) fn compile(&self) -> FaultTimeline {
         let mut actions: Vec<(SimTime, FaultAction)> = Vec::new();
         let mut straggles: Vec<(usize, usize, f64)> = Vec::new();
         for ev in &self.events {
@@ -753,9 +753,10 @@ pub enum FaultAction {
     },
 }
 
-/// A compiled, time-ordered fault schedule consumed by an executor main loop.
+/// A compiled, time-ordered fault schedule, consumed through
+/// [`crate::Hosts`].
 #[derive(Clone, Debug, Default)]
-pub struct FaultTimeline {
+pub(crate) struct FaultTimeline {
     actions: Vec<(SimTime, FaultAction)>,
     cursor: usize,
     straggles: Vec<(usize, usize, f64)>,
@@ -776,17 +777,6 @@ impl FaultTimeline {
             }
             _ => None,
         }
-    }
-
-    /// True when no unapplied actions remain.
-    pub fn exhausted(&self) -> bool {
-        self.cursor >= self.actions.len()
-    }
-
-    /// True when the timeline never had any content (empty plan): both no
-    /// scheduled actions and no straggle entries.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty() && self.straggles.is_empty()
     }
 
     /// CPU-work multiplier for the first attempt of `(stage, task)`, if that
@@ -1019,7 +1009,6 @@ mod tests {
         let mut tl = FaultPlan::new()
             .partition(vec![vec![1], vec![0, 2]], t1, Some(t2))
             .compile();
-        assert!(!tl.is_empty());
         // Cuts fire in sorted (src, dst) order: both directions of both
         // cross-group pairs.
         let mut cuts = Vec::new();
@@ -1048,7 +1037,7 @@ mod tests {
                 FaultAction::HealPair { src: 2, dst: 1 },
             ]
         );
-        assert!(tl.exhausted());
+        assert_eq!(tl.next_time(), None);
         // An asymmetric cut lowers to one direction only, and a permanent
         // one schedules no heal.
         let mut tl = FaultPlan::new().cut_link(2, 0, t1, None).compile();
@@ -1056,7 +1045,7 @@ mod tests {
             tl.pop_due(t1),
             Some(FaultAction::CutPair { src: 2, dst: 0 })
         );
-        assert!(tl.exhausted());
+        assert_eq!(tl.next_time(), None);
     }
 
     #[test]
@@ -1090,8 +1079,7 @@ mod tests {
                 factor: 1.0
             })
         );
-        assert!(tl.exhausted());
-        assert!(!tl.is_empty());
-        assert!(FaultPlan::new().compile().is_empty());
+        assert_eq!(tl.next_time(), None);
+        assert_eq!(FaultPlan::new().compile().next_time(), None);
     }
 }

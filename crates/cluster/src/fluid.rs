@@ -933,64 +933,6 @@ impl FluidMachine {
     }
 }
 
-/// Per-machine next-completion cache keyed on each allocator's
-/// [`FluidMachine::epoch`], shared by both executors' event loops.
-///
-/// A loop asks every machine for its next completion after each event and
-/// polls every machine for due completions at the start of the next. Most
-/// events touch a handful of machines; the rest keep their cached deadline,
-/// so neither sweep interrogates an allocator whose streams did not change.
-/// Exact: deadlines move only on reallocations, which follow stream-set or
-/// scale mutations, and every such mutation bumps the epoch.
-#[derive(Clone, Debug)]
-pub struct DeadlineCache {
-    next: Vec<Option<SimTime>>,
-    epoch: Vec<u64>,
-}
-
-impl DeadlineCache {
-    /// A cache for `machines` machines, every entry stale.
-    pub fn new(machines: usize) -> DeadlineCache {
-        DeadlineCache {
-            next: vec![None; machines],
-            epoch: vec![u64::MAX; machines],
-        }
-    }
-
-    /// Whether machine `m` may have a completion due at `now`: false only
-    /// when its cached deadline is still valid and lies after `now`.
-    pub fn may_complete(&self, m: usize, fluid: &FluidMachine, now: SimTime) -> bool {
-        self.epoch[m] != fluid.epoch() || self.next[m].is_some_and(|t| t <= now)
-    }
-
-    /// The earliest next completion over `machines` — `(allocator, alive)`
-    /// pairs in machine order — re-deriving only deadlines whose epoch
-    /// moved. A dead machine contributes nothing.
-    pub fn earliest<'a>(
-        &mut self,
-        machines: impl Iterator<Item = (&'a mut FluidMachine, bool)>,
-        now: SimTime,
-    ) -> Option<SimTime> {
-        let mut next: Option<SimTime> = None;
-        for (m, (fluid, alive)) in machines.enumerate() {
-            let epoch = fluid.epoch();
-            if !alive {
-                self.next[m] = None;
-                self.epoch[m] = epoch;
-                continue;
-            }
-            if self.epoch[m] != epoch {
-                self.next[m] = fluid.next_completion(now);
-                self.epoch[m] = epoch;
-            }
-            if let Some(t) = self.next[m] {
-                next = Some(next.map_or(t, |b| b.min(t)));
-            }
-        }
-        next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1210,92 +1152,5 @@ mod tests {
             done,
             vec![StreamId(0), StreamId(1), StreamId(2), StreamId(3)]
         );
-    }
-
-    /// [`DeadlineCache`] driven the way the executors drive it — mutate,
-    /// sweep for the next deadline, jump there, poll for completions — under
-    /// random inserts, removals, scale changes and crashes: the cached
-    /// earliest deadline always equals a fresh [`FluidMachine::next_completion`]
-    /// sweep, and the poll never skips a machine with a completion due.
-    #[test]
-    fn deadline_cache_matches_fresh_next_completion() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-
-        let mut rng = SmallRng::seed_from_u64(14);
-        let mut machines: Vec<FluidMachine> = (0..3).map(|_| machine(4, 2)).collect();
-        let mut alive = [true; 3];
-        let mut live: Vec<Vec<StreamId>> = vec![Vec::new(); 3];
-        let mut cache = DeadlineCache::new(3);
-        let mut now = SimTime::ZERO;
-        let mut polled = true;
-        let mut done = Vec::new();
-        let mut next_id = 0u64;
-        for _ in 0..4000 {
-            let m: usize = rng.gen_range(0..3);
-            match rng.gen_range(0..10usize) {
-                0..=2 if alive[m] => {
-                    let size = rng.gen_range(0.01..2.0);
-                    let demand = match rng.gen_range(0..3usize) {
-                        0 => StreamDemand::cpu_only(size, 2),
-                        1 => {
-                            StreamDemand::disk_read_only(DiskId(rng.gen_range(0..2)), size * MIB, 2)
-                        }
-                        _ => StreamDemand::rx_only(size * MIB, 2),
-                    };
-                    machines[m].insert(now, StreamId(next_id), demand);
-                    live[m].push(StreamId(next_id));
-                    next_id += 1;
-                }
-                3 if !live[m].is_empty() => {
-                    let k = rng.gen_range(0..live[m].len());
-                    let id = live[m].swap_remove(k);
-                    machines[m].remove(now, id);
-                }
-                4 if alive[m] => {
-                    let factor = rng.gen_range(0.2..1.5);
-                    if rng.gen_range(0..2usize) == 0 {
-                        machines[m].set_disk_scale(now, rng.gen_range(0..2), factor);
-                    } else {
-                        machines[m].set_nic_scale(now, factor);
-                    }
-                }
-                5 => {
-                    // A crash tears the machine's streams down; a restart
-                    // brings it back empty.
-                    if alive[m] {
-                        for id in live[m].drain(..) {
-                            machines[m].remove(now, id);
-                        }
-                    }
-                    alive[m] = !alive[m];
-                }
-                _ if polled => {
-                    let cached = cache.earliest(machines.iter_mut().zip(alive), now);
-                    let fresh = (machines.iter_mut().zip(alive))
-                        .filter(|(_, a)| *a)
-                        .filter_map(|(f, _)| f.next_completion(now))
-                        .min();
-                    assert_eq!(cached, fresh);
-                    let step = SimDuration::from_secs_f64(rng.gen_range(0.0..1.0));
-                    let horizon = SimTime(now.0 + step.0);
-                    now = cached.map_or(horizon, |t| t.min(horizon));
-                    polled = false;
-                }
-                _ => {
-                    for (m, f) in machines.iter_mut().enumerate() {
-                        let due = alive[m] && f.next_completion(now).is_some_and(|t| t <= now);
-                        if !alive[m] || !cache.may_complete(m, f, now) {
-                            assert!(!due, "poll skipped machine {m} with a completion due");
-                            continue;
-                        }
-                        f.advance(now);
-                        f.take_completed_into(now, &mut done);
-                        live[m].retain(|id| !done.contains(id));
-                    }
-                    polled = true;
-                }
-            }
-        }
     }
 }

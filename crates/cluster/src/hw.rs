@@ -283,11 +283,6 @@ impl ClusterSpec {
         self.machines as u32 * self.machine.cores
     }
 
-    /// Total number of disks in the cluster.
-    pub fn total_disks(&self) -> usize {
-        self.machines * self.machine.disks.len()
-    }
-
     /// Checks the spec is physically meaningful: at least one machine, at
     /// least one core, positive finite memory/NIC, and every disk with a
     /// positive finite throughput and sane efficiency constants. Returns a
@@ -387,7 +382,6 @@ mod tests {
         assert_eq!(s.disk_slots(), 8);
         let c = ClusterSpec::new(20, m);
         assert_eq!(c.total_cores(), 160);
-        assert_eq!(c.total_disks(), 40);
     }
 
     #[test]

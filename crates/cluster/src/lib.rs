@@ -16,6 +16,9 @@
 //!   unpredictability (and of Spark's win on query 1c).
 //! * [`trace`] — per-machine, per-resource utilization traces used to
 //!   regenerate the paper's utilization figures.
+//! * [`hosts`] — the machine layer both executors share: every machine's
+//!   allocator with its batches, completion polls, machine-local faults,
+//!   sampling and the instant log.
 //! * [`faults`] — deterministic fault injection: scheduled machine crashes,
 //!   disk/link degradation windows, and task stragglers (DESIGN.md §6).
 
@@ -25,11 +28,13 @@
 pub mod cache;
 pub mod faults;
 pub mod fluid;
+pub mod hosts;
 pub mod hw;
 pub mod trace;
 
 pub use cache::{BufferCache, CachePolicy, WriteOutcome};
-pub use faults::{FaultAction, FaultEvent, FaultPlan, FaultSpec, FaultTimeline};
-pub use fluid::{DeadlineCache, DiskId, FluidMachine, MachineId, StreamDemand, StreamId};
+pub use faults::{FaultAction, FaultEvent, FaultPlan, FaultSpec};
+pub use fluid::{DiskId, FluidMachine, MachineId, StreamDemand, StreamId};
+pub use hosts::Hosts;
 pub use hw::{ClusterSpec, DiskKind, DiskSpec, MachineSpec, RackTopology};
 pub use trace::{ClassMeans, InstantKind, ResourceSel, RunInstant, TraceSet};

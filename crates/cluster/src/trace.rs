@@ -1,8 +1,8 @@
 //! Cluster-wide utilization traces.
 //!
-//! Executors record each machine's CPU, per-disk, and NIC busy fractions into
-//! a [`TraceSet`] whenever the fluid allocation changes. The paper's
-//! utilization figures are then queries against the set:
+//! [`crate::Hosts`] records each machine's CPU, per-disk, and NIC busy
+//! fractions into a [`TraceSet`] at every event. The paper's utilization
+//! figures are then queries against the set:
 //!
 //! * Fig 2 / Fig 9 — second-by-second series for one machine.
 //! * Fig 6 — percentiles of the most- and second-most-utilized resource over
@@ -271,10 +271,10 @@ impl TraceSet {
 
     /// Snapshots all busy fractions of `machine` at `now`.
     ///
-    /// Executors call this after every allocation change; the recorders
+    /// [`crate::Hosts::commit`] calls this after every event; the recorders
     /// coalesce unchanged values, so the cost is proportional to actual
     /// utilization changes.
-    pub fn snapshot(&mut self, now: SimTime, id: MachineId, machine: &FluidMachine) {
+    pub(crate) fn snapshot(&mut self, now: SimTime, id: MachineId, machine: &FluidMachine) {
         self.set(now, id, ResourceSel::Cpu, machine.cpu_busy());
         for d in 0..machine.spec().disks.len() {
             self.set(now, id, ResourceSel::Disk(d), machine.disk_busy(DiskId(d)));

@@ -17,8 +17,8 @@
 use std::collections::BTreeMap;
 
 use cluster::{
-    ClusterSpec, DeadlineCache, FaultAction, FaultPlan, FaultTimeline, FluidMachine, InstantKind,
-    MachineId, ResourceSel, StreamDemand, StreamId, TraceSet,
+    ClusterSpec, FaultAction, FaultPlan, Hosts, InstantKind, MachineId, ResourceSel, StreamDemand,
+    StreamId, TraceSet,
 };
 use dataflow::driver::{self, Engine};
 use dataflow::runtime::{Decision, Runtime, RuntimeConfig, Stall};
@@ -508,7 +508,6 @@ struct MtState {
 /// its allocator is never polled again, its queues never popped, and it
 /// takes no assignments.
 struct Mach {
-    fluid: FluidMachine,
     sched: MachineScheduler,
     assigned: usize,
     write_cursor: usize,
@@ -522,6 +521,9 @@ struct Exec {
     cfg: MonoConfig,
     target: usize,
     machines: Vec<Mach>,
+    /// Every machine's allocator, the fault schedule, the utilization traces
+    /// and the instant log.
+    hosts: Hosts,
     /// Job/stage state, retries and partition bookkeeping shared with the
     /// Spark-like executor.
     rt: Runtime,
@@ -530,21 +532,15 @@ struct Exec {
     /// unallocated) unless one of those features touches a node.
     cold: FxHashMap<(usize, usize), ColdNode>,
     records: Records,
-    traces: TraceSet,
     queue_trace: QueueTrace,
     /// Full-duplex network fabric (when `cfg.full_duplex_network`): flat
     /// max-min over every NIC, or the rack-sharded hierarchy when the
     /// cluster declares a rack topology.
     fabric: Option<Fabric>,
     now: SimTime,
-    /// Cached per-machine completion deadlines (see [`DeadlineCache`]).
-    deadlines: DeadlineCache,
-    /// Completion buffers reused across events: the poll runs per allocator
-    /// per event and must not allocate.
+    /// Fabric completion buffer reused across events: the poll runs per
+    /// event and must not allocate.
     done_flows: Vec<FlowId>,
-    done_streams: Vec<StreamId>,
-    /// Compiled fault schedule.
-    faults: FaultTimeline,
     /// Whether any fault machinery is active this run. False keeps every
     /// fault hook off the hot path, so an empty plan is bit-identical to the
     /// plan-free code.
@@ -562,11 +558,6 @@ struct Exec {
     /// Captured control decisions per `[job][stage]` (`None` until the
     /// stage's first shuffle-input task launches).
     templates: Vec<Vec<Option<StageTemplate>>>,
-    /// Whether `cfg.trace_path` armed the trace layer's instant collection.
-    trace_on: bool,
-    /// Timestamped fault and recovery instants, in emission order
-    /// (observation-only; empty unless `trace_on`).
-    instants: Vec<cluster::RunInstant>,
 }
 
 /// Encodes a `(multitask, node)` reference as a fluid stream id: 32 bits
@@ -677,17 +668,9 @@ pub fn run_with_faults(
     cfg: &MonoConfig,
     plan: &FaultPlan,
 ) -> Result<MonoRunOutput, RunError> {
-    cluster.validate().map_err(RunError::InvalidConfig)?;
     cfg.validate().map_err(RunError::InvalidConfig)?;
-    for (spec, _) in jobs {
-        if let Err(e) = spec.validate() {
-            return Err(RunError::InvalidConfig(format!(
-                "invalid job spec {:?}: {e}",
-                spec.name
-            )));
-        }
-    }
-    plan.validate(cluster).map_err(RunError::InvalidConfig)?;
+    let hosts = Hosts::new(cluster, plan, cfg.collect_traces, cfg.trace_path.is_some())
+        .map_err(RunError::InvalidConfig)?;
     let n_machines = cluster.machines;
     let disk_slots: Vec<usize> = cluster
         .machine
@@ -706,7 +689,6 @@ pub fn run_with_faults(
 
     let machines = (0..n_machines)
         .map(|_| Mach {
-            fluid: FluidMachine::new(cluster.machine.clone()),
             sched: MachineScheduler::new(
                 cluster.machine.cores as usize,
                 &disk_slots,
@@ -734,10 +716,10 @@ pub fn run_with_faults(
         cfg: cfg.clone(),
         target,
         machines,
-        rt: Runtime::new(jobs, n_machines, rt_cfg, can_host),
+        hosts,
+        rt: Runtime::new(jobs, n_machines, rt_cfg, can_host)?,
         mts: Vec::new(),
         records: Records::default(),
-        traces: TraceSet::new(),
         queue_trace: QueueTrace::new(disk_slots.len()),
         fabric: if cfg.full_duplex_network {
             let policy = MaxMinPolicy {
@@ -769,10 +751,7 @@ pub fn run_with_faults(
             None
         },
         now: SimTime::ZERO,
-        deadlines: DeadlineCache::new(n_machines),
         done_flows: Vec::new(),
-        done_streams: Vec::new(),
-        faults: plan.compile(),
         faults_on: !plan.is_empty(),
         spec_on: cfg.mono_speculation_multiplier.is_some(),
         durations: BTreeMap::new(),
@@ -782,8 +761,6 @@ pub fn run_with_faults(
             .map(|(spec, _)| vec![None; spec.stages.len()])
             .collect(),
         cold: FxHashMap::default(),
-        trace_on: cfg.trace_path.is_some(),
-        instants: Vec::new(),
     };
     let stats = driver::run(&mut exec, cfg.max_steps)?;
     Ok(exec.into_output(stats))
@@ -849,16 +826,7 @@ impl Exec {
     /// side Vecs only, so traced runs stay bit-identical to untraced ones.
     fn emit_instant(&mut self, kind: InstantKind) {
         self.mirror_decisions();
-        self.push_instant(kind);
-    }
-
-    fn push_instant(&mut self, kind: InstantKind) {
-        if self.trace_on {
-            self.instants.push(cluster::RunInstant {
-                time: self.now,
-                kind,
-            });
-        }
+        self.hosts.log(self.now, kind);
     }
 
     /// Drops the templates of every stage consuming `(ji, si)`'s shuffle.
@@ -870,50 +838,15 @@ impl Exec {
                 .any(|d| d.0 as usize == si);
             if consumes && self.templates[ji][sj].take().is_some() {
                 self.rt.jobs[ji].stages[sj].control.template_invalidations += 1;
-                self.push_instant(InstantKind::TemplateInvalidate {
-                    job: ji as u32,
-                    stage: sj as u32,
-                });
+                self.hosts.log(
+                    self.now,
+                    InstantKind::TemplateInvalidate {
+                        job: ji as u32,
+                        stage: sj as u32,
+                    },
+                );
             }
         }
-    }
-
-    /// Applies every fault action due at `now`, inside the open batch.
-    fn apply_due_faults(&mut self) -> Result<(), RunError> {
-        while let Some(action) = self.faults.pop_due(self.now) {
-            if self.trace_on {
-                self.emit_instant(InstantKind::from(&action));
-            }
-            match action {
-                FaultAction::SetDiskScale {
-                    machine,
-                    disk,
-                    factor,
-                } => {
-                    if self.rt.alive[machine] {
-                        self.machines[machine]
-                            .fluid
-                            .set_disk_scale(self.now, disk, factor);
-                    }
-                }
-                FaultAction::SetLinkScale { machine, factor } => {
-                    // The receiver-side NIC model always sees the scale; in
-                    // fabric mode the machine's tx and rx port capacities
-                    // degrade too, so link faults stretch shuffles whichever
-                    // network model carries them.
-                    if self.rt.alive[machine] {
-                        self.machines[machine].fluid.set_nic_scale(self.now, factor);
-                        if let Some(fabric) = &mut self.fabric {
-                            fabric.set_port_scale(self.now, machine, factor);
-                        }
-                    }
-                }
-                FaultAction::Crash { machine } => self.crash_machine(machine)?,
-                FaultAction::CutPair { src, dst } => self.apply_cut(src, dst),
-                FaultAction::HealPair { src, dst } => self.apply_heal(src, dst),
-            }
-        }
-        Ok(())
     }
 
     /// Permanently fails machine `m`: aborts every multitask running on it or
@@ -949,11 +882,7 @@ impl Exec {
                 self.abort_multitask(mt)?;
             }
         }
-        self.rt.lose_shuffle_outputs(m)?;
-        if !self.rt.alive.contains(&true) {
-            return Err(RunError::all_machines_crashed(self.now));
-        }
-        Ok(())
+        self.rt.lose_shuffle_outputs(m, self.now)
     }
 
     /// Marks fetch `node` of `mt` stalled on a cut pair: starts the stall
@@ -999,8 +928,8 @@ impl Exec {
                     // Park the in-flight receive stream: pull it out of the
                     // receiver's allocator, remembering the bytes left.
                     let sid = stream_id(mt, node);
-                    if self.machines[dst].fluid.contains(sid) {
-                        let rem = self.machines[dst].fluid.remove(self.now, sid);
+                    if self.hosts[dst].contains(sid) {
+                        let rem = self.hosts[dst].remove(self.now, sid);
                         self.cold_mut(mt, node).parked_bytes = Some(rem.unwrap_or(0.0).max(1e-9));
                     }
                 }
@@ -1038,8 +967,8 @@ impl Exec {
                 let stalled = &mut self.rt.jobs[ji].recovery.stalled_fetch_seconds;
                 c.stall.stop(self.now, stalled);
                 if let Some(rem) = parked {
-                    let n_disks = self.machines[dst].fluid.spec().disks.len();
-                    self.machines[dst].fluid.insert(
+                    let n_disks = self.hosts[dst].spec().disks.len();
+                    self.hosts[dst].insert(
                         self.now,
                         stream_id(mt, node),
                         StreamDemand::rx_only(rem, n_disks),
@@ -1179,7 +1108,7 @@ impl Exec {
     /// [`Self::decompose_reference`]).
     fn start_multitask(&mut self, m: usize, ji: usize, si: usize, ti: usize) {
         let t_start = std::time::Instant::now();
-        let n_disks = self.machines[m].fluid.spec().disks.len();
+        let n_disks = self.hosts[m].spec().disks.len();
         let mut task = self.rt.jobs[ji].spec.stages[si].tasks[ti];
         let mut recompute = false;
         let mut straggle = None;
@@ -1189,7 +1118,7 @@ impl Exec {
             // `factor`; because the slowdown is pinned to one monotask, the
             // per-resource records attribute it directly (§6.6's clarity win).
             if self.rt.attempts(ji, si, ti) == 0 {
-                if let Some(f) = self.faults.straggle_factor(si, ti) {
+                if let Some(f) = self.hosts.straggle_factor(si, ti) {
                     task.cpu.deser *= f;
                     task.cpu.compute *= f;
                     task.cpu.ser *= f;
@@ -1361,7 +1290,7 @@ impl Exec {
                 for e in &tpl.senders {
                     // The serve-disk cursor advances once per positive
                     // share, local and in-memory shares included.
-                    let nd = self.machines[e.machine].fluid.spec().disks.len().max(1);
+                    let nd = self.hosts[e.machine].spec().disks.len().max(1);
                     let c = self.machines[e.machine].serve_cursor;
                     self.machines[e.machine].serve_cursor = c + 1;
                     let disk = c % nd;
@@ -1459,7 +1388,7 @@ impl Exec {
                 let cursor = cursors
                     .entry(e.machine)
                     .or_insert(self.machines[e.machine].serve_cursor);
-                let nd = self.machines[e.machine].fluid.spec().disks.len().max(1);
+                let nd = self.hosts[e.machine].spec().disks.len().max(1);
                 ctx.senders.push(SenderShare {
                     machine: e.machine,
                     disk: *cursor % nd,
@@ -1544,7 +1473,7 @@ impl Exec {
                     let popped = if self.machines[m].sched.prefer_writes() {
                         // Under §3.5 memory pressure, admit reads only when
                         // the machine is otherwise idle (progress guarantee).
-                        let idle = self.machines[m].fluid.active_streams() == 0;
+                        let idle = self.hosts[m].active_streams() == 0;
                         self.machines[m].sched.pop_disk_pressured(d, idle)
                     } else {
                         self.machines[m].sched.pop_disk(d)
@@ -1581,8 +1510,8 @@ impl Exec {
         };
         self.mts[mt].nodes[node].started = self.now;
         self.mts[mt].nodes[node].set(RUNNING, true);
-        let n_disks = self.machines[machine].fluid.spec().disks.len();
-        self.machines[machine].fluid.insert(
+        let n_disks = self.hosts[machine].spec().disks.len();
+        self.hosts[machine].insert(
             self.now,
             stream_id(mt, node),
             StreamDemand::cpu_only(work.total().max(1e-9), n_disks),
@@ -1590,7 +1519,7 @@ impl Exec {
     }
 
     fn start_disk(&mut self, machine: usize, disk: usize, mt: usize, node: usize) {
-        let n_disks = self.machines[machine].fluid.spec().disks.len();
+        let n_disks = self.hosts[machine].spec().disks.len();
         let (bytes, is_write) = match self.op(mt, node) {
             MonoOp::DiskRead { bytes, .. } => {
                 self.mts[mt].nodes[node].started = self.now;
@@ -1622,9 +1551,7 @@ impl Exec {
         } else {
             StreamDemand::disk_read_only(cluster::DiskId(disk), bytes.max(1e-9), n_disks)
         };
-        self.machines[machine]
-            .fluid
-            .insert(self.now, stream_id(mt, node), demand);
+        self.hosts[machine].insert(self.now, stream_id(mt, node), demand);
     }
 
     /// The receiver's network scheduler admitted multitask `mt`'s fetches.
@@ -1698,8 +1625,8 @@ impl Exec {
             );
             return;
         }
-        let n_disks = self.machines[machine].fluid.spec().disks.len();
-        self.machines[machine].fluid.insert(
+        let n_disks = self.hosts[machine].spec().disks.len();
+        self.hosts[machine].insert(
             self.now,
             stream_id(mt, node),
             StreamDemand::rx_only(bytes.max(1e-9), n_disks),
@@ -2200,8 +2127,8 @@ impl Exec {
             }
             _ => self.mts[mt].machine,
         };
-        if self.rt.alive[on] && self.machines[on].fluid.contains(sid) {
-            self.machines[on].fluid.remove(self.now, sid);
+        if self.rt.alive[on] && self.hosts[on].contains(sid) {
+            self.hosts[on].remove(self.now, sid);
             self.release_slot(mt, node);
         }
     }
@@ -2257,7 +2184,7 @@ impl Exec {
             mach.peak_buffered = mach.peak_buffered.max(mach.buffered);
             return;
         };
-        let limit = limit_frac * self.machines[machine].fluid.spec().memory;
+        let limit = limit_frac * self.hosts[machine].spec().memory;
         let mach = &mut self.machines[machine];
         mach.buffered = (mach.buffered + delta).max(0.0);
         mach.peak_buffered = mach.peak_buffered.max(mach.buffered);
@@ -2345,11 +2272,7 @@ impl Exec {
             "cold node state written without speculation or partitions"
         );
         let makespan = self.now;
-        for m in &self.machines {
-            // Machine-local allocation is attributed to its own phase so the
-            // fabric's share of the wall stands out at scale.
-            stats.merge(&m.fluid.stats().as_machine_alloc());
-        }
+        let (traces, instants) = self.hosts.into_output(&mut stats);
         if let Some(fabric) = &self.fabric {
             stats.merge(&fabric.stats());
         }
@@ -2357,12 +2280,12 @@ impl Exec {
         MonoRunOutput {
             jobs: self.rt.into_reports(&mut stats),
             records: self.records,
-            traces: self.traces,
+            traces,
             queue_trace: self.queue_trace,
             peak_buffered,
             makespan,
             stats,
-            instants: self.instants,
+            instants,
         }
     }
 }
@@ -2375,16 +2298,31 @@ impl Engine for Exec {
         &mut self.rt
     }
 
+    /// Applies the fault actions due, inside the open batch. The machine's
+    /// own allocator takes a link scale in [`Hosts::pop_fault`]; in fabric
+    /// mode its tx and rx ports degrade too, so link faults stretch shuffles
+    /// whichever network model carries them.
     fn open_batch(&mut self, now: SimTime) -> Result<(), RunError> {
         self.now = now;
-        for m in &mut self.machines {
-            m.fluid.begin_update();
-        }
+        self.hosts.open_batch();
         if let Some(fabric) = &mut self.fabric {
             fabric.begin_update();
         }
-        if self.faults_on {
-            self.apply_due_faults()?;
+        while let Some(action) = self.hosts.pop_fault(now, &self.rt.alive) {
+            if self.hosts.tracing() {
+                self.emit_instant(InstantKind::from(&action));
+            }
+            match action {
+                FaultAction::Crash { machine } => self.crash_machine(machine)?,
+                FaultAction::CutPair { src, dst } => self.apply_cut(src, dst),
+                FaultAction::HealPair { src, dst } => self.apply_heal(src, dst),
+                FaultAction::SetLinkScale { machine, factor } if self.rt.alive[machine] => {
+                    if let Some(fabric) = &mut self.fabric {
+                        fabric.set_port_scale(now, machine, factor);
+                    }
+                }
+                _ => {}
+            }
         }
         Ok(())
     }
@@ -2420,7 +2358,7 @@ impl Engine for Exec {
                     continue;
                 }
             };
-            self.push_instant(kind);
+            self.hosts.log(self.now, kind);
         }
     }
 
@@ -2428,7 +2366,9 @@ impl Engine for Exec {
         if self.spec_on {
             // Drain due speculation wake-ups: they carry no payload, the
             // fixpoint's check_speculation sweep does the actual work.
-            while self.spec_timers.pop_due(self.now).is_some() {}
+            while self.spec_timers.peek_time().is_some_and(|t| t <= self.now) {
+                self.spec_timers.pop();
+            }
         }
         let mut done_flows = std::mem::take(&mut self.done_flows);
         if let Some(fabric) = &mut self.fabric {
@@ -2440,20 +2380,16 @@ impl Engine for Exec {
             }
         }
         self.done_flows = done_flows;
-        let mut done_streams = std::mem::take(&mut self.done_streams);
         for m in 0..self.n_machines() {
-            let fluid = &mut self.machines[m].fluid;
-            if !self.rt.alive[m] || !self.deadlines.may_complete(m, fluid, self.now) {
+            let Some(done) = self.hosts.poll(m, self.now, &self.rt.alive) else {
                 continue;
-            }
-            fluid.advance(self.now);
-            fluid.take_completed_into(self.now, &mut done_streams);
-            for &sid in &done_streams {
+            };
+            for &sid in &done {
                 let (mt, node) = decode(sid);
                 self.on_stream_done(mt, node);
             }
+            self.hosts.recycle(done);
         }
-        self.done_streams = done_streams;
     }
 
     /// Assignment opens queues, queues fill slots, remote enqueues open
@@ -2467,56 +2403,34 @@ impl Engine for Exec {
         changed
     }
 
+    /// Sampling (`collect_traces`) adds the queue lengths, and in fabric
+    /// mode the fabric's receive utilization replaces the NIC model's.
     fn commit(&mut self) {
-        for m in &mut self.machines {
-            m.fluid.commit(self.now);
-        }
+        let now = self.now;
         if let Some(fabric) = &mut self.fabric {
-            fabric.commit(self.now);
-            fabric.advance(self.now);
+            fabric.commit(now);
+            fabric.advance(now);
         }
-        for m in 0..self.n_machines() {
-            if !self.rt.alive[m] {
-                continue;
+        let (machines, fabric, queues) = (&self.machines, &self.fabric, &mut self.queue_trace);
+        self.hosts.commit(now, &self.rt.alive, |m, traces| {
+            if let Some(fabric) = fabric {
+                let rx = fabric.rx_busy_fraction(m).min(1.0);
+                traces.set(now, MachineId(m), ResourceSel::Network, rx);
             }
-            self.machines[m].fluid.advance(self.now);
-            if !self.cfg.collect_traces {
-                continue;
-            }
-            self.traces
-                .snapshot(self.now, MachineId(m), &self.machines[m].fluid);
-            if let Some(fabric) = &self.fabric {
-                // In fabric mode the NIC utilization lives on the fabric.
-                self.traces.set(
-                    self.now,
-                    MachineId(m),
-                    ResourceSel::Network,
-                    fabric.rx_busy_fraction(m).min(1.0),
-                );
-            }
-            let sched = &self.machines[m].sched;
-            self.queue_trace.push(
-                self.now,
-                m,
-                sched.cpu_queued(),
-                sched.disk_queued(),
-                sched.net_queued(),
-            );
-        }
+            let sched = &machines[m].sched;
+            let (cpu, disks, net) = (sched.cpu_queued(), sched.disk_queued(), sched.net_queued());
+            queues.push(now, m, cpu, disks, net);
+        });
     }
 
     /// A machine or fabric completion, a fault action or a speculation
     /// wake-up. Sources a run does not use are empty.
     fn next_event(&mut self) -> Option<SimTime> {
-        let machines = (self.machines.iter_mut())
-            .zip(&self.rt.alive)
-            .map(|(x, &alive)| (&mut x.fluid, alive));
         [
-            self.deadlines.earliest(machines, self.now),
+            self.hosts.next_event(self.now, &self.rt.alive),
             self.fabric
                 .as_mut()
                 .and_then(|f| f.next_completion(self.now)),
-            self.faults.next_time(),
             self.spec_timers.peek_time(),
         ]
         .into_iter()

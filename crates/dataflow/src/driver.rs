@@ -5,8 +5,8 @@
 //! the step budget and the loop's wall clock, plus the skeleton of partition
 //! escalation. Each executor implements [`Engine`]: what names its allocator
 //! and fault types, or differs by architecture. `dataflow` cannot see the
-//! `cluster` crate, so fault actions, allocator batches, sampling and local
-//! event sources stay behind the hooks.
+//! `cluster` crate, so the machine layer (`cluster::Hosts`: allocator
+//! batches and polls, fault actions, sampling) is reached through the hooks.
 //!
 //! One batch per event instant, in this order:
 //!
@@ -176,7 +176,7 @@ fn resolve_unreachable<E: Engine>(
         e.rt().check_resubmittable(task, s, mstar, retries)?;
         // Their own timers would walk into this same resolution.
         e.abort_fetching_from(s)?;
-        e.rt().resubmit_from(s)?;
+        e.rt().resubmit_from(s, now)?;
     }
     Ok(())
 }
@@ -216,7 +216,7 @@ mod tests {
             };
             let blocks = BlockMap::round_robin(tasks, 1, 1);
             Fake {
-                rt: Runtime::new(&[(job, blocks)], 1, cfg, |_, _, _, _, _| true),
+                rt: Runtime::new(&[(job, blocks)], 1, cfg, |_, _, _, _, _| true).unwrap(),
                 now: SimTime::ZERO,
                 running: Vec::new(),
                 log: Vec::new(),

@@ -261,13 +261,19 @@ pub struct Runtime {
 
 impl Runtime {
     /// Builds the state for `jobs` on `n_machines` machines and readies
-    /// every root stage.
+    /// every root stage, or names the first job spec that fails
+    /// [`JobSpec::validate`].
     pub fn new(
         jobs: &[(JobSpec, BlockMap)],
         n_machines: usize,
         cfg: RuntimeConfig,
         gate: Gate,
-    ) -> Runtime {
+    ) -> Result<Runtime, RunError> {
+        for (spec, _) in jobs {
+            spec.validate().map_err(|e| {
+                RunError::InvalidConfig(format!("invalid job spec {:?}: {e}", spec.name))
+            })?;
+        }
         let job_runs = jobs
             .iter()
             .enumerate()
@@ -338,7 +344,7 @@ impl Runtime {
                 }
             }
         }
-        rt
+        Ok(rt)
     }
 
     /// Machines in the cluster.
@@ -599,7 +605,8 @@ impl Runtime {
     /// output stored on machine `m` that an unfinished stage still needs,
     /// re-queues exactly the tasks that produced those bytes (the lineage
     /// index) and closes downstream stages until the data exists again.
-    pub fn lose_shuffle_outputs(&mut self, m: usize) -> Result<(), RunError> {
+    /// Fails the run at `now` if no machine is left alive to recompute on.
+    pub fn lose_shuffle_outputs(&mut self, m: usize, now: SimTime) -> Result<(), RunError> {
         for ji in 0..self.jobs.len() {
             let n_stages = self.jobs[ji].stages.len();
             for si in 0..n_stages {
@@ -644,6 +651,9 @@ impl Runtime {
                     }
                 }
             }
+        }
+        if !self.alive.contains(&true) {
+            return Err(RunError::all_machines_crashed(now));
         }
         Ok(())
     }
@@ -910,8 +920,8 @@ impl Runtime {
     /// Resubmits the producer lineage whose outputs sit on `s` and takes `s`
     /// out of the assignment rotation until a heal reconnects it — re-runs
     /// must land where consumers can fetch from.
-    pub(crate) fn resubmit_from(&mut self, s: usize) -> Result<(), RunError> {
-        self.lose_shuffle_outputs(s)?;
+    pub(crate) fn resubmit_from(&mut self, s: usize, now: SimTime) -> Result<(), RunError> {
+        self.lose_shuffle_outputs(s, now)?;
         self.quarantined[s] = true;
         Ok(())
     }
@@ -1019,7 +1029,7 @@ mod tests {
             .map(1.0, 1.0, true)
             .write_disk(1.0);
         let blocks = BlockMap::round_robin(4, 2, 1);
-        Runtime::new(&[(job, blocks)], 2, cfg(partitions), shuffle_gate)
+        Runtime::new(&[(job, blocks)], 2, cfg(partitions), shuffle_gate).unwrap()
     }
 
     /// Picks and immediately finishes one task per listed machine.
@@ -1058,7 +1068,7 @@ mod tests {
         let mut rt = sort(false);
         run_on(&mut rt, &[0, 1, 0, 1], SimTime::from_secs(1));
         assert!(rt.jobs[0].stages[1].ready);
-        rt.lose_shuffle_outputs(1).unwrap();
+        rt.lose_shuffle_outputs(1, SimTime::from_secs(1)).unwrap();
         // Machine 1 ran map tasks 1 and 3: both re-run as recomputations,
         // and the reduce stage waits for them.
         assert!(!rt.jobs[0].stages[1].ready && !rt.jobs[0].stages[0].done);
@@ -1119,7 +1129,7 @@ mod tests {
         let (mstar, offending) = rt.unreachable_plan(0, 1, 0, 3, SimTime::ZERO).unwrap();
         assert_eq!((mstar, offending.clone()), (0, vec![1]));
         rt.check_resubmittable((0, 1, 0), 1, mstar, 3).unwrap();
-        rt.resubmit_from(1).unwrap();
+        rt.resubmit_from(1, SimTime::from_secs(1)).unwrap();
         assert!(!rt.schedulable(1));
         assert!(rt.heal(1, 0) && rt.schedulable(1));
     }

@@ -3,9 +3,8 @@
 use std::collections::{HashMap, HashSet};
 
 use cluster::{
-    BufferCache, CachePolicy, ClusterSpec, DeadlineCache, DiskId, FaultAction, FaultPlan,
-    FaultTimeline, FluidMachine, InstantKind, MachineId, StreamDemand, StreamId, TraceSet,
-    WriteOutcome,
+    BufferCache, CachePolicy, ClusterSpec, DiskId, FaultAction, FaultPlan, Hosts, InstantKind,
+    StreamDemand, StreamId, TraceSet, WriteOutcome,
 };
 use dataflow::driver::{self, Engine};
 use dataflow::runtime::{Decision, Runtime, RuntimeConfig, Stall};
@@ -202,7 +201,6 @@ impl TaskRun {
 }
 
 struct Mach {
-    fluid: FluidMachine,
     cache: BufferCache,
     running: usize,
     write_cursor: usize,
@@ -281,6 +279,9 @@ struct Exec {
     cfg: SparkConfig,
     slots: usize,
     machines: Vec<Mach>,
+    /// Every machine's allocator, the fault schedule, the utilization traces
+    /// and the instant log.
+    hosts: Hosts,
     /// Job/stage state, retries and partition bookkeeping shared with the
     /// monotasks executor.
     rt: Runtime,
@@ -289,18 +290,11 @@ struct Exec {
     pools: Vec<Vec<Vec<f64>>>,
     tasks: Vec<TaskRun>,
     records: Vec<TaskRecord>,
-    traces: TraceSet,
     timers: EventQueue<FlushStart>,
     /// In-flight flush streams: aux id → (machine, disk, merged entries).
     flushes: HashMap<u64, (usize, usize, Vec<FlushEntry>)>,
     aux_seq: u64,
     now: SimTime,
-    /// Cached per-machine completion deadlines (see [`DeadlineCache`]).
-    deadlines: DeadlineCache,
-    /// Completion buffer reused across events: the poll runs per machine
-    /// per event and must not allocate.
-    done_streams: Vec<StreamId>,
-    faults: FaultTimeline,
     faults_on: bool,
     /// Logical tasks with a speculative copy outstanding.
     spec_copies: HashSet<(usize, usize, usize)>,
@@ -308,11 +302,6 @@ struct Exec {
     /// threshold, so the idle-slot check observes it without waiting for an
     /// unrelated stream completion.
     spec_timers: EventQueue<()>,
-    /// True when `cfg.trace_path` is set; gates instant collection so
-    /// trace-off runs never touch the vector.
-    trace_on: bool,
-    /// Instant events collected for trace export (trace runs only).
-    instants: Vec<cluster::RunInstant>,
 }
 
 /// Runs `jobs` on a simulated `cluster` under the Spark-like architecture.
@@ -368,17 +357,9 @@ pub fn run_with_faults(
     cfg: &SparkConfig,
     plan: &FaultPlan,
 ) -> Result<SparkRunOutput, RunError> {
-    cluster.validate().map_err(RunError::InvalidConfig)?;
     cfg.validate().map_err(RunError::InvalidConfig)?;
-    for (spec, _) in jobs {
-        if let Err(e) = spec.validate() {
-            return Err(RunError::InvalidConfig(format!(
-                "invalid job spec {:?}: {e}",
-                spec.name
-            )));
-        }
-    }
-    plan.validate(cluster).map_err(RunError::InvalidConfig)?;
+    let hosts = Hosts::new(cluster, plan, true, cfg.trace_path.is_some())
+        .map_err(RunError::InvalidConfig)?;
     let n_machines = cluster.machines;
     let slots = cfg
         .slots_per_machine
@@ -387,7 +368,6 @@ pub fn run_with_faults(
     let n_disks = cluster.machine.disks.len();
     let machines = (0..n_machines)
         .map(|_| Mach {
-            fluid: FluidMachine::new(cluster.machine.clone()),
             cache: BufferCache::new(CachePolicy::for_memory(cluster.machine.memory)),
             running: 0,
             write_cursor: 0,
@@ -409,26 +389,21 @@ pub fn run_with_faults(
         cfg: cfg.clone(),
         slots,
         machines,
-        rt: Runtime::new(jobs, n_machines, rt_cfg, can_host),
+        hosts,
+        rt: Runtime::new(jobs, n_machines, rt_cfg, can_host)?,
         pools: jobs
             .iter()
             .map(|(spec, _)| vec![Vec::new(); spec.stages.len()])
             .collect(),
         tasks: Vec::new(),
         records: Vec::new(),
-        traces: TraceSet::new(),
         timers: EventQueue::new(),
         flushes: HashMap::new(),
         aux_seq: 0,
         now: SimTime::ZERO,
-        deadlines: DeadlineCache::new(n_machines),
-        done_streams: Vec::new(),
-        faults: plan.compile(),
         faults_on: !plan.is_empty(),
         spec_copies: HashSet::new(),
         spec_timers: EventQueue::new(),
-        trace_on: cfg.trace_path.is_some(),
-        instants: Vec::new(),
     };
     let stats = driver::run(&mut exec, cfg.max_steps)?;
     Ok(exec.into_output(stats))
@@ -443,47 +418,7 @@ impl Exec {
     /// runtime's pending decisions so instants keep decision order.
     fn emit_instant(&mut self, kind: InstantKind) {
         self.mirror_decisions();
-        self.push_instant(kind);
-    }
-
-    fn push_instant(&mut self, kind: InstantKind) {
-        if self.trace_on {
-            self.instants.push(cluster::RunInstant {
-                time: self.now,
-                kind,
-            });
-        }
-    }
-
-    /// Applies every fault action due at `now`, inside the open batch.
-    fn apply_due_faults(&mut self) -> Result<(), RunError> {
-        while let Some(action) = self.faults.pop_due(self.now) {
-            if self.trace_on {
-                self.emit_instant(cluster::InstantKind::from(&action));
-            }
-            match action {
-                FaultAction::SetDiskScale {
-                    machine,
-                    disk,
-                    factor,
-                } => {
-                    if self.rt.alive[machine] {
-                        self.machines[machine]
-                            .fluid
-                            .set_disk_scale(self.now, disk, factor);
-                    }
-                }
-                FaultAction::SetLinkScale { machine, factor } => {
-                    if self.rt.alive[machine] {
-                        self.machines[machine].fluid.set_nic_scale(self.now, factor);
-                    }
-                }
-                FaultAction::Crash { machine } => self.crash_machine(machine)?,
-                FaultAction::CutPair { src, dst } => self.apply_cut(src, dst),
-                FaultAction::HealPair { src, dst } => self.apply_heal(src, dst),
-            }
-        }
-        Ok(())
+        self.hosts.log(self.now, kind);
     }
 
     /// Permanently fails machine `m`: kills every task running on it, fails
@@ -513,11 +448,7 @@ impl Exec {
             q.clear();
         }
         self.flushes.retain(|_, (machine, _, _)| *machine != m);
-        self.rt.lose_shuffle_outputs(m)?;
-        if !self.rt.alive.contains(&true) {
-            return Err(RunError::all_machines_crashed(self.now));
-        }
-        Ok(())
+        self.rt.lose_shuffle_outputs(m, self.now)
     }
 
     /// Severs `src → dst`: parks every in-flight merged fetch on `dst` that
@@ -539,7 +470,7 @@ impl Exec {
             }
             if self.tasks[t_idx].parked.is_none() {
                 let sid = task_stream(t_idx, self.tasks[t_idx].phase());
-                if let Some(frac) = self.machines[dst].fluid.remove(self.now, sid) {
+                if let Some(frac) = self.hosts[dst].remove(self.now, sid) {
                     let demand = self.tasks[t_idx]
                         .cur_demand
                         .as_ref()
@@ -577,7 +508,7 @@ impl Exec {
             self.tasks[t_idx].stall.stop(self.now, stalled);
             if let Some(demand) = self.tasks[t_idx].parked.take() {
                 let sid = task_stream(t_idx, self.tasks[t_idx].phase());
-                self.machines[dst].fluid.insert(self.now, sid, demand);
+                self.hosts[dst].insert(self.now, sid, demand);
             }
         }
     }
@@ -703,7 +634,7 @@ impl Exec {
 
     /// Builds the task's pipelined phases and starts the first one.
     fn launch_task(&mut self, m: usize, ji: usize, si: usize, ti: usize, speculative: bool) {
-        let n_disks = self.machines[m].fluid.spec().disks.len();
+        let n_disks = self.hosts[m].spec().disks.len();
         let mut spec = self.rt.jobs[ji].spec.stages[si].tasks[ti];
         let mut recompute = false;
         if speculative {
@@ -724,7 +655,7 @@ impl Exec {
         } else if self.faults_on {
             recompute = self.rt.take_recompute(ji, si, ti);
             if self.rt.attempts(ji, si, ti) == 0 {
-                if let Some(f) = self.faults.straggle_factor(si, ti) {
+                if let Some(f) = self.hosts.straggle_factor(si, ti) {
                     spec.cpu.deser *= f;
                     spec.cpu.compute *= f;
                     spec.cpu.ser *= f;
@@ -868,11 +799,11 @@ impl Exec {
         let entries = std::mem::take(&mut m.flush_pending[disk]);
         let bytes: f64 = entries.iter().map(|e| e.bytes).sum::<f64>() * WRITEBACK_SCATTER;
         m.flush_active[disk] = true;
-        let n_disks = m.fluid.spec().disks.len();
+        let n_disks = self.hosts[machine].spec().disks.len();
         let id = self.aux_seq;
         self.aux_seq += 1;
         self.flushes.insert(id, (machine, disk, entries));
-        m.fluid.insert(
+        self.hosts[machine].insert(
             self.now,
             aux_stream(TAG_FLUSH, id),
             StreamDemand::disk_write_only(DiskId(disk), bytes, n_disks),
@@ -890,9 +821,7 @@ impl Exec {
                     self.tasks[t_idx].cur_demand = Some(demand.clone());
                 }
                 let phase = self.tasks[t_idx].phase();
-                self.machines[machine]
-                    .fluid
-                    .insert(self.now, task_stream(t_idx, phase), demand);
+                self.hosts[machine].insert(self.now, task_stream(t_idx, phase), demand);
             }
             None => self.resolve_output(t_idx),
         }
@@ -1053,8 +982,8 @@ impl Exec {
         self.tasks[t_idx].killed = true;
         if self.rt.alive[machine] {
             let sid = task_stream(t_idx, self.tasks[t_idx].phase());
-            if self.machines[machine].fluid.contains(sid) {
-                self.machines[machine].fluid.remove(self.now, sid);
+            if self.hosts[machine].contains(sid) {
+                self.hosts[machine].remove(self.now, sid);
             }
             self.scrub_flush_waiter(machine, t_idx);
             self.machines[machine].running -= 1;
@@ -1100,18 +1029,14 @@ impl Exec {
 
     fn into_output(self, mut stats: SimStats) -> SparkRunOutput {
         let makespan = self.now;
-        for m in &self.machines {
-            // Machine-local allocation gets its own attribution bucket (the
-            // sparklike executor has no fabric, so all allocation is here).
-            stats.merge(&m.fluid.stats().as_machine_alloc());
-        }
+        let (traces, instants) = self.hosts.into_output(&mut stats);
         SparkRunOutput {
             jobs: self.rt.into_reports(&mut stats),
             tasks: self.records,
-            traces: self.traces,
+            traces,
             makespan,
             stats,
-            instants: self.instants,
+            instants,
         }
     }
 }
@@ -1124,13 +1049,20 @@ impl Engine for Exec {
         &mut self.rt
     }
 
+    /// Applies the fault actions due, inside the open batch.
     fn open_batch(&mut self, now: SimTime) -> Result<(), RunError> {
         self.now = now;
-        for m in &mut self.machines {
-            m.fluid.begin_update();
-        }
-        if self.faults_on {
-            self.apply_due_faults()?;
+        self.hosts.open_batch();
+        while let Some(action) = self.hosts.pop_fault(now, &self.rt.alive) {
+            if self.hosts.tracing() {
+                self.emit_instant(InstantKind::from(&action));
+            }
+            match action {
+                FaultAction::Crash { machine } => self.crash_machine(machine)?,
+                FaultAction::CutPair { src, dst } => self.apply_cut(src, dst),
+                FaultAction::HealPair { src, dst } => self.apply_heal(src, dst),
+                _ => {}
+            }
         }
         Ok(())
     }
@@ -1162,7 +1094,7 @@ impl Engine for Exec {
                 // No cached state derives from shuffle placement here.
                 Decision::ShuffleLost { .. } => continue,
             };
-            self.push_instant(kind);
+            self.hosts.log(self.now, kind);
         }
     }
 
@@ -1175,20 +1107,18 @@ impl Engine for Exec {
         }
         // Speculation wake-ups carry no payload; draining them is enough —
         // the assignment sweep re-checks every straggler.
-        while self.spec_timers.pop_due(self.now).is_some() {}
-        let mut done_streams = std::mem::take(&mut self.done_streams);
+        while self.spec_timers.peek_time().is_some_and(|t| t <= self.now) {
+            self.spec_timers.pop();
+        }
         for m in 0..self.n_machines() {
-            let fluid = &mut self.machines[m].fluid;
-            if !self.rt.alive[m] || !self.deadlines.may_complete(m, fluid, self.now) {
+            let Some(done) = self.hosts.poll(m, self.now, &self.rt.alive) else {
                 continue;
-            }
-            fluid.advance(self.now);
-            fluid.take_completed_into(self.now, &mut done_streams);
-            for &sid in &done_streams {
+            };
+            for &sid in &done {
                 self.on_stream_done(m, sid);
             }
+            self.hosts.recycle(done);
         }
-        self.done_streams = done_streams;
     }
 
     fn step(&mut self) -> bool {
@@ -1196,30 +1126,16 @@ impl Engine for Exec {
     }
 
     fn commit(&mut self) {
-        for m in &mut self.machines {
-            m.fluid.commit(self.now);
-        }
-        for m in 0..self.n_machines() {
-            if !self.rt.alive[m] {
-                continue;
-            }
-            self.machines[m].fluid.advance(self.now);
-            self.traces
-                .snapshot(self.now, MachineId(m), &self.machines[m].fluid);
-        }
+        self.hosts.commit(self.now, &self.rt.alive, |_, _| {});
     }
 
     /// A stream completion, a flush timer, a speculation wake-up or a
     /// scheduled fault action. Sources a run does not use are empty.
     fn next_event(&mut self) -> Option<SimTime> {
-        let machines = (self.machines.iter_mut())
-            .zip(&self.rt.alive)
-            .map(|(x, &alive)| (&mut x.fluid, alive));
         [
-            self.deadlines.earliest(machines, self.now),
+            self.hosts.next_event(self.now, &self.rt.alive),
             self.timers.peek_time(),
             self.spec_timers.peek_time(),
-            self.faults.next_time(),
         ]
         .into_iter()
         .flatten()
@@ -1446,7 +1362,7 @@ mod tests {
             for d in 0..2 {
                 let rec = out
                     .traces
-                    .recorder(MachineId(m), cluster::ResourceSel::Disk(d));
+                    .recorder(cluster::MachineId(m), cluster::ResourceSel::Disk(d));
                 if let Some(r) = rec {
                     assert_eq!(
                         r.mean_over(SimTime::ZERO, out.makespan.max(SimTime::from_secs(1))),

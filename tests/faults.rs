@@ -347,12 +347,34 @@ fn validation_rejects_bad_configs_and_plans() {
     assert!(matches!(
         sparklike::run_with_faults(
             &cluster(),
-            &[(job, blocks)],
+            &[(job.clone(), blocks.clone())],
             &SparkConfig::default(),
             &bad_plan
         ),
         Err(RunError::InvalidConfig(_))
     ));
+    // A machine without cores, and a stage without tasks: each the only
+    // invalid part of its input, each named by its own message.
+    let mut coreless = cluster();
+    coreless.machine.cores = 0;
+    let mut taskless = job.clone();
+    taskless.stages[1].tasks.clear();
+    let cases = [
+        (&coreless, &job, "machine has zero cores".to_string()),
+        (
+            &cluster(),
+            &taskless,
+            format!("invalid job spec {:?}: stage 1 has no tasks", job.name),
+        ),
+    ];
+    for (cluster, job, msg) in cases {
+        let jobs = [(job.clone(), blocks.clone())];
+        let plan = FaultPlan::new();
+        let mono = monotasks_core::run_with_faults(cluster, &jobs, &MonoConfig::default(), &plan);
+        let spark = sparklike::run_with_faults(cluster, &jobs, &SparkConfig::default(), &plan);
+        assert_eq!(mono.err(), Some(RunError::InvalidConfig(msg.clone())));
+        assert_eq!(spark.err(), Some(RunError::InvalidConfig(msg)));
+    }
 }
 
 /// A retry budget of zero fails fast on the first abort.
@@ -422,4 +444,77 @@ fn a_crash_runs_queue_trace_keeps_every_snapshot_in_order() {
         "machine 1 stops at its crash"
     );
     assert_eq!(hash, 0x6120_0400_7a79_c27f);
+}
+
+/// The order-sensitive fingerprint of a run's instant stream: the count and
+/// an FNV-1a hash over every `(time, label, machine, job)` in emission order.
+fn instant_pin(instants: &[cluster::RunInstant]) -> (usize, u64) {
+    let fnv = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for i in instants {
+        hash = fnv(hash, i.time.0);
+        for &b in i.kind.label().as_bytes() {
+            hash = fnv(hash, b.into());
+        }
+        hash = fnv(hash, i.kind.machine().map_or(u64::MAX, |m| m as u64));
+        hash = fnv(hash, i.kind.job().map_or(u64::MAX, u64::from));
+    }
+    (instants.len(), hash)
+}
+
+/// Fault instants and recovery-decision instants interleave in one stream;
+/// the golden traces only carry disk-scale instants, so these pins hold the
+/// order of crash, link-scale, cut, heal, retry and re-plan instants on both
+/// executors: a crash plus a link degraded at the same instant (the crash's
+/// retries must precede the link instant; the monotasks executor with and
+/// without the fabric), and a partition that heals while fetches time out.
+#[test]
+fn fault_and_decision_instants_keep_their_order() {
+    let (job, blocks) = sort();
+    let jobs = [(job, blocks)];
+    let crash_and_link = FaultPlan::new()
+        .crash(1, SimTime::from_secs(10))
+        .degrade_link(2, 0.5, SimTime::from_secs(10), SimTime::from_secs(14));
+    let others: Vec<usize> = vec![0, 2, 3];
+    let healing_cut = FaultPlan::new().partition(
+        vec![vec![1], others],
+        SimTime::from_secs(11),
+        Some(SimTime::from_secs(15)),
+    );
+    let mono = |plan: &FaultPlan, fabric: bool| {
+        let cfg = MonoConfig {
+            trace_path: Some("unwritten.json".into()),
+            full_duplex_network: fabric,
+            fetch_timeout_secs: Some(2.0),
+            ..MonoConfig::default()
+        };
+        let out = monotasks_core::run_with_faults(&cluster(), &jobs, &cfg, plan).unwrap();
+        instant_pin(&out.instants)
+    };
+    let spark = |plan: &FaultPlan| {
+        let cfg = SparkConfig {
+            trace_path: Some("unwritten.json".into()),
+            fetch_timeout_secs: Some(2.0),
+            ..SparkConfig::default()
+        };
+        let out = sparklike::run_with_faults(&cluster(), &jobs, &cfg, plan).unwrap();
+        instant_pin(&out.instants)
+    };
+    let pins = [
+        mono(&crash_and_link, false),
+        mono(&crash_and_link, true),
+        spark(&crash_and_link),
+        mono(&healing_cut, false),
+        spark(&healing_cut),
+    ];
+    assert_eq!(
+        pins,
+        [
+            (11, 0xeb67_362d_f51a_c356),
+            (11, 0xeb67_362d_f51a_c356),
+            (43, 0xd8b5_7bab_1d19_10f6),
+            (108, 0x2549_2ed4_0e90_d8a9),
+            (76, 0xfe42_4f74_c6c3_5069),
+        ]
+    );
 }
