@@ -49,7 +49,10 @@
 use std::time::Instant;
 
 use cluster::{ClusterSpec, FaultPlan, MachineSpec};
-use mt_bench::{header, host_bytes_per_monotask, host_json, json_opt, peak_rss_mb, reset_peak_rss};
+use mt_bench::{
+    header, host_bytes_per_monotask, host_json, json_field, json_opt, json_str_field, peak_rss_mb,
+    reset_peak_rss,
+};
 use workloads::{partition_plan, sort_job, straggler_plan, sweep_plan, SortConfig};
 
 const MACHINES: usize = 5;
@@ -309,17 +312,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// Pulls numeric fields out of the sweep JSON without a JSON dependency:
-/// each point record is one line with known key order.
-fn field(line: &str, key: &str) -> Option<f64> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let rest = rest.trim_start_matches([':', ' ']);
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 struct BaseRec {
     engine: String,
     intensity: f64,
@@ -335,19 +327,14 @@ struct BaseRec {
 fn baseline_records(json: &str) -> Vec<BaseRec> {
     json.lines()
         .filter_map(|line| {
-            let engine = {
-                let rest = &line[line.find("\"engine\"")? + 8..];
-                let rest = &rest[rest.find('"')? + 1..];
-                rest[..rest.find('"')?].to_string()
-            };
             Some(BaseRec {
-                engine,
-                intensity: field(line, "\"intensity\"")?,
-                makespan_s: field(line, "\"makespan_s\"")?,
-                wall_s: field(line, "\"wall_s\"")?,
-                tasks_retried: field(line, "\"tasks_retried\""),
-                fetch_retries: field(line, "\"fetch_retries\""),
-                fetches_replanned: field(line, "\"fetches_replanned\""),
+                engine: json_str_field(line, "\"engine\"")?,
+                intensity: json_field(line, "\"intensity\"")?,
+                makespan_s: json_field(line, "\"makespan_s\"")?,
+                wall_s: json_field(line, "\"wall_s\"")?,
+                tasks_retried: json_field(line, "\"tasks_retried\""),
+                fetch_retries: json_field(line, "\"fetch_retries\""),
+                fetches_replanned: json_field(line, "\"fetches_replanned\""),
             })
         })
         .collect()

@@ -66,7 +66,10 @@ use std::time::Instant;
 
 use cluster::{ClusterSpec, MachineSpec};
 use dataflow::{BlockMap, JobSpec};
-use mt_bench::{header, host_bytes_per_monotask, host_json, json_opt, peak_rss_mb, reset_peak_rss};
+use mt_bench::{
+    header, host_bytes_per_monotask, host_json, json_field, json_opt, json_str_field, peak_rss_mb,
+    reset_peak_rss,
+};
 use workloads::{bdb_job, sort_job, BdbQuery, SortConfig};
 
 /// GiB of sort input per machine (weak scaling).
@@ -369,32 +372,19 @@ struct BasePoint {
 /// allocator. Rows marked `"templates": false` measured a launch path that no
 /// longer exists and are skipped.
 fn baseline_points(json: &str) -> Vec<BasePoint> {
-    let field = |line: &str, key: &str| -> Option<f64> {
-        let rest = &line[line.find(key)? + key.len()..];
-        let rest = rest.trim_start_matches([':', ' ']);
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    };
-    let str_field = |line: &str, key: &str| -> Option<String> {
-        let rest = &line[line.find(key)? + key.len()..];
-        let rest = rest.trim_start_matches([':', ' ', '"']);
-        Some(rest[..rest.find('"')?].to_string())
-    };
     json.lines()
         .filter(|line| !line.contains("\"templates\": false"))
         .filter_map(|line| {
-            let machines = field(line, "\"machines\"")? as usize;
-            let wall_s = field(line, "\"wall_s\"")?;
-            let makespan_s = field(line, "\"makespan_s\"")?;
+            let machines = json_field(line, "\"machines\"")? as usize;
+            let wall_s = json_field(line, "\"wall_s\"")?;
+            let makespan_s = json_field(line, "\"makespan_s\"")?;
             Some(BasePoint {
-                workload: str_field(line, "\"workload\"").unwrap_or_else(|| "sort".into()),
+                workload: json_str_field(line, "\"workload\"").unwrap_or_else(|| "sort".into()),
                 machines,
-                epsilon: field(line, "\"epsilon\"").unwrap_or(0.0),
-                quantum_ms: field(line, "\"quantum_ms\"").unwrap_or(0.0),
-                racks: field(line, "\"racks\"").unwrap_or(0.0) as usize,
-                shards: field(line, "\"shards\"").unwrap_or(1.0) as usize,
+                epsilon: json_field(line, "\"epsilon\"").unwrap_or(0.0),
+                quantum_ms: json_field(line, "\"quantum_ms\"").unwrap_or(0.0),
+                racks: json_field(line, "\"racks\"").unwrap_or(0.0) as usize,
+                shards: json_field(line, "\"shards\"").unwrap_or(1.0) as usize,
                 wall_s,
                 makespan_s,
             })

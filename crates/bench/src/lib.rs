@@ -112,6 +112,27 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// The number after `key` (a quoted name such as `"\"wall_s\""`) on one
+/// line of a sweep record, read without a JSON dependency: the run of
+/// digits, `.` and `-` after the key and its colon. `None` when the key is
+/// absent or no number follows it (`null`).
+pub fn json_field(line: &str, key: &str) -> Option<f64> {
+    let rest = &line[line.find(key)? + key.len()..];
+    let rest = rest.trim_start_matches([':', ' ']);
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// The string after `key` on one line of a sweep record; see
+/// [`json_field`].
+pub fn json_str_field(line: &str, key: &str) -> Option<String> {
+    let rest = &line[line.find(key)? + key.len()..];
+    let rest = rest.trim_start_matches([':', ' ', '"']);
+    Some(rest[..rest.find('"')?].to_string())
+}
+
 /// Prints a standard figure header.
 pub fn header(id: &str, title: &str, paper_claim: &str) {
     println!("================================================================");
@@ -138,6 +159,19 @@ mod tests {
         assert_eq!(host_bytes_per_monotask(None, 8), None);
         assert_eq!(json_opt(Some(2.26)), "2.3");
         assert_eq!(json_opt(None), "null");
+    }
+
+    #[test]
+    fn json_fields_read_one_record_line() {
+        let line = r#"    {"engine": "mono", "machines": 200, "epsilon": 0.01, "wall_s": -1.5, "peak_rss_mb": null, "makespan_s": 12.25},"#;
+        assert_eq!(json_field(line, "\"machines\""), Some(200.0));
+        assert_eq!(json_field(line, "\"epsilon\""), Some(0.01));
+        assert_eq!(json_field(line, "\"wall_s\""), Some(-1.5));
+        assert_eq!(json_field(line, "\"makespan_s\""), Some(12.25));
+        assert_eq!(json_field(line, "\"peak_rss_mb\""), None);
+        assert_eq!(json_field(line, "\"racks\""), None);
+        assert_eq!(json_str_field(line, "\"engine\"").as_deref(), Some("mono"));
+        assert_eq!(json_str_field(line, "\"workload\""), None);
     }
 
     #[test]

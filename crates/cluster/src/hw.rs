@@ -241,8 +241,8 @@ pub struct ClusterSpec {
     pub machines: usize,
     /// Per-machine hardware.
     pub machine: MachineSpec,
-    /// Optional rack layout. `None` (the default) keeps the single-level
-    /// flat fabric — bit-identical to every run before topologies existed.
+    /// Optional rack layout. `None` (the default) is a flat fabric: one rack
+    /// spanning the cluster, allocated under the run's ε/Δ policy.
     #[serde(default)]
     pub topology: Option<RackTopology>,
 }
@@ -250,7 +250,6 @@ pub struct ClusterSpec {
 impl ClusterSpec {
     /// Builds a cluster of `machines` identical workers on a flat fabric.
     pub fn new(machines: usize, machine: MachineSpec) -> ClusterSpec {
-        assert!(machines > 0, "cluster needs at least one machine");
         ClusterSpec {
             machines,
             machine,

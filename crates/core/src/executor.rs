@@ -26,7 +26,7 @@ use dataflow::{
     BlockMap, InputSpec, JobId, JobSpec, OutputSpec, RunError, StageId, TaskId, TaskSpec,
 };
 use simcore::stats::median;
-use simcore::{EventQueue, Fabric, FlowAllocator, FlowId, FxHashMap, HierFabric, MaxMinPolicy};
+use simcore::{EventQueue, FlowId, FxHashMap, HierFabric, MaxMinPolicy, RackMap};
 use simcore::{ResourceKind, SimDuration, SimStats, SimTime};
 
 #[cfg(debug_assertions)]
@@ -89,26 +89,32 @@ pub struct MonoConfig {
     /// Model the network as a full-duplex max-min fair fabric (sender *and*
     /// receiver links constrain each transfer) instead of receiver-side
     /// bandwidth only. Symmetric all-to-all shuffles behave identically
-    /// either way; asymmetric traffic (hot senders) needs the fabric.
+    /// either way; asymmetric traffic (hot senders) needs the fabric. The
+    /// fabric is one `simcore::HierFabric` sharded by the cluster's
+    /// [`cluster::RackTopology`]; a cluster without one is a single rack.
     pub full_duplex_network: bool,
     /// Relative rate tolerance ε for the fabric's approximate allocation
     /// mode (only meaningful with `full_duplex_network`). `0.0` — the
     /// default and the spec — is the exact max-min allocator, bit-identical
     /// to runs predating the knob. With ε > 0 every fabric rate is within
     /// `[exact · (1 − ε), exact]` and port capacity is never exceeded; see
-    /// `simcore::MaxMinPolicy`.
+    /// `simcore::MaxMinPolicy`. Without a rack topology ε applies to every
+    /// NIC; with one, only to the rack aggregation core, and allocation
+    /// within each rack stays exact.
     pub fabric_epsilon: f64,
     /// Completion-coalescing quantum Δ in seconds for the fabric (only
     /// meaningful with `full_duplex_network`): flow completions due within Δ
     /// of a wave fire together in one reallocation, each at most
-    /// `rate · Δ` bytes early. `0.0` (the default) coalesces nothing.
+    /// `rate · Δ` bytes early. `0.0` (the default) coalesces nothing. Δ
+    /// applies where ε does.
     pub fabric_quantum_secs: f64,
-    /// Worker threads for the hierarchical fabric's per-rack shards (only
-    /// meaningful when the cluster has a [`cluster::RackTopology`] and
+    /// Worker threads for the fabric's per-rack shards (only meaningful when
+    /// the cluster has a [`cluster::RackTopology`] of several racks and
     /// `full_duplex_network` is on). `1` — the default — runs every rack on
     /// the simulation thread. Results are bit-identical for any shard count:
-    /// cross-rack effects are exchanged at epoch boundaries in a total
-    /// `(time, shard, seq)` order, so this knob trades wall-clock only.
+    /// each rack collects its own completions, and the sweep appends them in
+    /// rack order and sorts them by flow id, so this knob trades wall-clock
+    /// only.
     pub fabric_shards: usize,
     /// Safety valve on simulation iterations.
     pub max_steps: u64,
@@ -533,10 +539,10 @@ struct Exec {
     cold: FxHashMap<(usize, usize), ColdNode>,
     records: Records,
     queue_trace: QueueTrace,
-    /// Full-duplex network fabric (when `cfg.full_duplex_network`): flat
-    /// max-min over every NIC, or the rack-sharded hierarchy when the
-    /// cluster declares a rack topology.
-    fabric: Option<Fabric>,
+    /// Full-duplex network fabric (when `cfg.full_duplex_network`): max-min
+    /// over every NIC, sharded by the cluster's racks (one rack if it
+    /// declares none).
+    fabric: Option<HierFabric>,
     now: SimTime,
     /// Fabric completion buffer reused across events: the poll runs per
     /// event and must not allocate.
@@ -721,35 +727,36 @@ pub fn run_with_faults(
         mts: Vec::new(),
         records: Records::default(),
         queue_trace: QueueTrace::new(disk_slots.len()),
-        fabric: if cfg.full_duplex_network {
+        fabric: cfg.full_duplex_network.then(|| {
             let policy = MaxMinPolicy {
                 epsilon: cfg.fabric_epsilon,
                 quantum: SimDuration::from_secs_f64(cfg.fabric_quantum_secs),
             };
-            Some(match &cluster.topology {
-                Some(topo) => Fabric::Hier(Box::new(HierFabric::new(
+            let nic = cluster.machine.nic;
+            // A flat cluster is one rack under the run's policy. With racks,
+            // allocation is exact within each rack, and ε/Δ apply to the
+            // oversubscribed core where the aggregate super-classes make
+            // approximation worthwhile.
+            let (map, agg_tx, agg_rx, intra) = match &cluster.topology {
+                Some(topo) => (
                     topo.rack_map(n_machines).expect("validated above"),
-                    cluster.machine.nic,
-                    cluster.machine.nic,
                     topo.agg_tx,
                     topo.agg_rx,
-                    // Within a rack the allocation is exact max-min; ε/Δ
-                    // apply to the oversubscribed core where the aggregate
-                    // super-classes make approximation worthwhile.
                     MaxMinPolicy::default(),
-                    policy,
-                    cfg.fabric_shards,
-                ))),
-                None => Fabric::Flat(Box::new(FlowAllocator::new_with_policy(
-                    n_machines,
-                    cluster.machine.nic,
-                    cluster.machine.nic,
-                    policy,
-                ))),
-            })
-        } else {
-            None
-        },
+                ),
+                None => (RackMap::single(n_machines), nic, nic, policy),
+            };
+            HierFabric::new(
+                map,
+                nic,
+                nic,
+                agg_tx,
+                agg_rx,
+                intra,
+                policy,
+                cfg.fabric_shards,
+            )
+        }),
         now: SimTime::ZERO,
         done_flows: Vec::new(),
         faults_on: !plan.is_empty(),
@@ -2372,7 +2379,6 @@ impl Engine for Exec {
         }
         let mut done_flows = std::mem::take(&mut self.done_flows);
         if let Some(fabric) = &mut self.fabric {
-            fabric.advance(self.now);
             fabric.take_completed_into(self.now, &mut done_flows);
             for &fid in &done_flows {
                 let (mt, node) = decode(StreamId(fid.0));
@@ -2409,7 +2415,6 @@ impl Engine for Exec {
         let now = self.now;
         if let Some(fabric) = &mut self.fabric {
             fabric.commit(now);
-            fabric.advance(now);
         }
         let (machines, fabric, queues) = (&self.machines, &self.fabric, &mut self.queue_trace);
         self.hosts.commit(now, &self.rt.alive, |m, traces| {

@@ -95,17 +95,6 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|s| s.time)
     }
 
-    /// Removes and returns the earliest event if it is due at or before
-    /// `now`; leaves later events untouched. The draining primitive for
-    /// epoch-boundary exchange: a shard outbox is drained up to the epoch
-    /// horizon, never past it.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
-        match self.heap.peek() {
-            Some(s) if s.time <= now => self.pop(),
-            _ => None,
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -129,20 +118,6 @@ mod tests {
         q.schedule(SimTime::from_secs(2), 2u32);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn pop_due_respects_the_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(2), "b");
-        q.schedule(SimTime::from_secs(2), "c");
-        let now = SimTime::from_secs(2);
-        let drained: Vec<&str> = std::iter::from_fn(|| q.pop_due(now).map(|(_, e)| e)).collect();
-        assert_eq!(drained, vec!["a", "b", "c"]);
-        q.schedule(SimTime::from_secs(5), "late");
-        assert_eq!(q.pop_due(now), None);
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

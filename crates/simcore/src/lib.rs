@@ -13,10 +13,10 @@
 //!   SSDs (whose throughput *rises* with queue depth up to a device limit).
 //! * [`maxmin`] — max-min fair bandwidth allocation for network flows limited
 //!   at both sender and receiver, the standard fluid model for shuffle traffic.
-//! * [`shard`] — the rack-sharded hierarchical fabric: exact max-min within
-//!   each rack, ε-fair (src-rack, dst-rack) super-classes across the
-//!   oversubscribed core, with deterministic `(time, shard, seq)` cross-shard
-//!   event exchange and scoped-thread fan-out.
+//! * [`shard`] — the full-duplex fabric ([`HierFabric`]): exact max-min within
+//!   each rack (a flat cluster is one rack under the run's policy), ε-fair
+//!   (src-rack, dst-rack) super-classes across the oversubscribed core, and
+//!   per-shard completion sweeps with optional scoped-thread fan-out.
 //! * [`fx`] — a deterministic multiply-rotate hasher for hot-path maps keyed
 //!   by small integers (no random seed, no external crate).
 //! * [`recorder`] — time-weighted utilization traces with interval resampling
@@ -44,6 +44,6 @@ pub use fx::{FxHashMap, FxHashSet};
 pub use maxmin::{FlowAllocator, FlowId, MaxMinPolicy};
 pub use recorder::UtilizationRecorder;
 pub use resource::ResourceKind;
-pub use shard::{Fabric, HierFabric, RackMap};
+pub use shard::{HierFabric, RackMap};
 pub use stats::{median, SimStats};
 pub use time::{SimDuration, SimTime};

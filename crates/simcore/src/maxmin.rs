@@ -193,6 +193,11 @@ const ENTRY_SIZE_BITS: u32 = 22;
 const ENTRY_PEER_BITS: u32 = 18;
 const ENTRY_SIZE_MASK: u64 = (1 << ENTRY_SIZE_BITS) - 1;
 const ENTRY_PEER_MASK: u64 = (1 << ENTRY_PEER_BITS) - 1;
+/// Most ports a fabric may have: a peer field names one of `2 · nodes`
+/// resources.
+const MAX_NODES: usize = 1 << (ENTRY_PEER_BITS - 1);
+/// Most class slots: the class index fills the entry's remaining bits.
+const MAX_CLASSES: usize = 1 << (64 - ENTRY_SIZE_BITS - ENTRY_PEER_BITS);
 
 #[inline]
 fn pack_entry(ci: u32, peer: u32, size: u32) -> PortEntry {
@@ -200,6 +205,12 @@ fn pack_entry(ci: u32, peer: u32, size: u32) -> PortEntry {
     ((ci as u64) << (ENTRY_SIZE_BITS + ENTRY_PEER_BITS))
         | ((peer as u64) << ENTRY_SIZE_BITS)
         | size as u64
+}
+
+/// The slot index of a new class, checked to fit the entry's class field.
+fn new_class_index(len: usize) -> u32 {
+    assert!(len < MAX_CLASSES, "more than {MAX_CLASSES} flow classes");
+    len as u32
 }
 
 #[inline]
@@ -357,7 +368,8 @@ impl FlowAllocator {
     /// # Panics
     ///
     /// Panics if a capacity is not strictly positive and finite, if
-    /// `policy.epsilon` is outside `[0, 1)`, or if it is not finite.
+    /// `policy.epsilon` is outside `[0, 1)` or not finite, or if `nodes`
+    /// exceeds 131,072 (2^17) ports.
     pub fn new_with_policy(
         nodes: usize,
         tx_cap: f64,
@@ -366,6 +378,10 @@ impl FlowAllocator {
     ) -> FlowAllocator {
         assert!(tx_cap.is_finite() && tx_cap > 0.0, "bad tx capacity");
         assert!(rx_cap.is_finite() && rx_cap > 0.0, "bad rx capacity");
+        assert!(
+            nodes <= MAX_NODES,
+            "{nodes} ports exceed the fabric's {MAX_NODES}"
+        );
         assert!(
             policy.epsilon.is_finite() && (0.0..1.0).contains(&policy.epsilon),
             "bad epsilon: {}",
@@ -752,6 +768,10 @@ impl FlowAllocator {
             None => self.create_class(src, dst, now),
         };
         let i = ci as usize;
+        assert!(
+            (self.c_size[i] as u64) < ENTRY_SIZE_MASK,
+            "flow class {src}->{dst} is full ({ENTRY_SIZE_MASK} flows)"
+        );
         Self::drain_class(
             &mut self.classes[i],
             self.c_rate[i],
@@ -835,10 +855,11 @@ impl FlowAllocator {
                 ci
             }
             None => {
+                let ci = new_class_index(self.classes.len());
                 self.classes.push(fresh);
                 self.c_rate.push(0.0);
                 self.c_size.push(0);
-                (self.classes.len() - 1) as u32
+                ci
             }
         };
         self.res_list[src].push(pack_entry(ci, (n + dst) as u32, 0));
@@ -1884,6 +1905,30 @@ mod tests {
             quantum: SimDuration::ZERO,
         };
         FlowAllocator::new_with_policy(2, 1.0, 1.0, policy);
+    }
+
+    #[test]
+    #[should_panic(expected = "131073 ports exceed the fabric's 131072")]
+    fn ports_past_the_entry_peer_field_panic() {
+        FlowAllocator::new(MAX_NODES + 1, 1.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow class 0->1 is full (4194303 flows)")]
+    fn a_full_class_refuses_another_flow() {
+        let mut a = FlowAllocator::new(2, 1.0, 1.0);
+        a.insert(t(0.0), FlowId(0), 0, 1, 1.0);
+        // Filling the class for real takes millions of inserts; its size is
+        // the only thing the check reads.
+        a.c_size[0] = ENTRY_SIZE_MASK as u32;
+        a.insert(t(0.0), FlowId(1), 0, 1, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 16777216 flow classes")]
+    fn a_class_index_past_the_entry_field_panics() {
+        assert_eq!(new_class_index(MAX_CLASSES - 1), (MAX_CLASSES - 1) as u32);
+        new_class_index(MAX_CLASSES);
     }
 
     #[test]

@@ -1,10 +1,14 @@
-//! Rack-sharded hierarchical fabric: exact max-min within racks, ε-fair
-//! across racks, with deterministic cross-shard event exchange.
+//! The full-duplex network fabric: max-min fair flows over every machine's
+//! NIC, sharded along the rack topology — exact within racks, ε-fair across
+//! them.
 //!
-//! The flat [`FlowAllocator`] has an honest Θ(live classes)/event floor: every
-//! reallocation walks the whole fabric's dirty resources, and everything runs
-//! on one thread. At 10k machines that floor is the simulator's wall-clock.
-//! This module splits the fabric along the physical rack topology:
+//! [`HierFabric`] is the one fabric type. A cluster without racks is a single
+//! rack ([`RackMap::single`]) whose allocator runs under the run's
+//! [`MaxMinPolicy`]: every flow is intra-rack, so that allocator sees exactly
+//! the call sequence a lone [`FlowAllocator`] would, and the fabric is
+//! bit-identical to it (`prop_single_rack_matches_flat` pins this). With
+//! racks, the flat allocator's Θ(live classes)/event floor — every
+//! reallocation walks the whole fabric's dirty resources — is split up:
 //!
 //! * **One exact allocator per rack.** Flows whose endpoints share a rack are
 //!   max-min allocated over that rack's ports only — bit-identical physics to
@@ -19,22 +23,14 @@
 //!   additionally contend for their endpoints' NIC — the deliberate
 //!   "exact within the rack, approximate across" trade documented in
 //!   DESIGN.md §9.
-//! * **Epoch-boundary exchange.** Each rack shard owns an outbox
-//!   [`EventQueue`]. A completion sweep runs every rack's collection
-//!   independently (fanned out to scoped worker threads when enough racks
-//!   have work), publishes each rack's completions into its own outbox, and
-//!   only then merges all outboxes — in total `(time, shard, seq)` order —
-//!   into the caller's buffer. Nothing a worker thread does can reorder the
-//!   merged stream: per-shard work is a pure function of that shard's state,
-//!   and the merge is sequential over shards. Results are therefore
+//! * **Per-shard completion sweeps.** Every shard — each rack, then the core
+//!   — collects its own due completions into its own buffer, skipping itself
+//!   when its cached deadline says nothing is due; with `shards > 1` and
+//!   enough racks due, the racks run on scoped worker threads. The buffers
+//!   are appended in rack order, the core's last, and sorted by flow id once.
+//!   A shard's work is a pure function of its own state, so results are
 //!   **bit-identical for any shard count**, which the proptests pin.
-//!
-//! With one rack, every flow is intra-rack, the single rack allocator sees
-//! exactly the call sequence the flat allocator would have seen, and the
-//! merge degenerates to that allocator's own ascending-id output: the
-//! hierarchical path at `racks = 1` is bit-identical to the flat exact path.
 
-use crate::events::EventQueue;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::maxmin::{FlowAllocator, FlowId, MaxMinPolicy, NodeId};
 use crate::stats::SimStats;
@@ -148,42 +144,67 @@ impl RackMap {
     }
 }
 
-/// One rack's shard: its intra-rack allocator plus the outbox through which
-/// its completions are exchanged at epoch boundaries.
+/// One allocator level of the fabric — a rack, or the core over racks — with
+/// its completion buffer and its cached next deadline.
 #[derive(Debug)]
-struct RackShard {
+struct Shard {
     alloc: FlowAllocator,
-    /// Cross-shard effects published by this shard, drained at epoch merge.
-    outbox: EventQueue<FlowId>,
-    /// Scratch for the rack allocator's completion sweep.
-    buf: Vec<FlowId>,
+    /// This shard's completions from the current sweep, ascending.
+    done: Vec<FlowId>,
+    /// The allocator's next completion as of allocator epoch `next_epoch`.
+    next: Option<SimTime>,
+    next_epoch: u64,
 }
 
-impl RackShard {
-    /// Collects this rack's due completions and publishes them into the
-    /// shard outbox. Pure function of this shard's state — safe to run on a
-    /// worker thread without affecting the merged order.
-    fn collect(&mut self, now: SimTime) {
-        self.alloc.take_completed_into(now, &mut self.buf);
-        for &id in &self.buf {
-            self.outbox.schedule(now, id);
+impl Shard {
+    fn new(alloc: FlowAllocator) -> Shard {
+        Shard {
+            alloc,
+            done: Vec::new(),
+            next: None,
+            next_epoch: 0,
         }
-        self.buf.clear();
+    }
+
+    /// Whether a completion may be due at `now`: the cached deadline falls
+    /// within the allocator's quantum of it, or the allocator changed since
+    /// the deadline was cached.
+    fn maybe_due(&self, now: SimTime) -> bool {
+        self.next_epoch != self.alloc.epoch()
+            || self
+                .next
+                .is_some_and(|t| t <= now.saturating_add(self.alloc.policy().quantum))
+    }
+
+    /// Collects this shard's due completions into its buffer. Touches
+    /// nothing outside the shard, so it may run on a worker thread.
+    fn collect(&mut self, now: SimTime) {
+        if self.maybe_due(now) {
+            self.alloc.take_completed_into(now, &mut self.done);
+        }
+    }
+
+    /// The allocator's next completion, asked again only when its epoch moved.
+    fn next_completion(&mut self, now: SimTime) -> Option<SimTime> {
+        if self.next_epoch != self.alloc.epoch() {
+            self.next = self.alloc.next_completion(now);
+            self.next_epoch = self.alloc.epoch();
+        }
+        self.next
     }
 }
 
-/// The two-level, rack-sharded fabric. Same surface as [`FlowAllocator`]
-/// (insert / remove / completions / cuts / port scaling / batching), same
-/// determinism guarantees, Θ(rack classes + rack-pair classes)/event cost.
+/// The full-duplex fabric: one [`FlowAllocator`] per rack plus a core
+/// allocator over the racks. Same surface as [`FlowAllocator`] (insert /
+/// remove / completions / cuts / port scaling / batching), same determinism
+/// guarantees, Θ(rack classes + rack-pair classes)/event cost.
 #[derive(Debug)]
 pub struct HierFabric {
     map: RackMap,
-    racks: Vec<RackShard>,
+    racks: Vec<Shard>,
     /// Allocator over rack aggregation ports; nodes are racks, classes are
     /// (src-rack, dst-rack) super-classes.
-    core: FlowAllocator,
-    core_outbox: EventQueue<FlowId>,
-    core_buf: Vec<FlowId>,
+    core: Shard,
     /// Parked inter-rack flows by cut machine pair: `(id, remaining bytes)`.
     /// An inter-rack machine-pair cut cannot be expressed as a core pair cut
     /// (that would cut the whole rack-pair super-class), so affected flows
@@ -194,17 +215,9 @@ pub struct HierFabric {
     /// Machine-level cuts whose endpoints straddle racks (intra-rack cuts are
     /// delegated to the rack allocator's own exact cut machinery).
     cut_pairs: FxHashSet<(NodeId, NodeId)>,
-    intra_policy: MaxMinPolicy,
-    core_policy: MaxMinPolicy,
     /// Worker-thread count for commit / collection fan-out; 1 = serial.
     shards: usize,
-    /// Per-rack cached next completion, keyed by the rack allocator's epoch.
-    next_cache: Vec<Option<SimTime>>,
-    epoch_cache: Vec<u64>,
-    core_next: Option<SimTime>,
-    core_epoch: u64,
     epoch: u64,
-    last_advance: SimTime,
     batch_depth: u32,
     shard_epochs: u64,
     cross_shard_events: u64,
@@ -212,17 +225,20 @@ pub struct HierFabric {
 }
 
 impl HierFabric {
-    /// Creates a hierarchical fabric over `map`'s racks. Intra-rack ports get
-    /// `tx_cap` / `rx_cap` bytes per second and are allocated under
-    /// `intra_policy` (pass the default policy for the exact-within-racks
-    /// contract); each rack's aggregation uplink/downlink gets `agg_tx` /
-    /// `agg_rx` and is allocated under `core_policy` (ε/Δ welcome — this is
-    /// the level with O(racks²) classes, not O(machines²)).
+    /// Creates a fabric over `map`'s racks. Machine ports get `tx_cap` /
+    /// `rx_cap` bytes per second and are allocated under `intra_policy`
+    /// (pass the default policy for the exact-within-racks contract, or the
+    /// run's policy when `map` is a single rack); each rack's aggregation
+    /// uplink/downlink gets `agg_tx` / `agg_rx` and is allocated under
+    /// `core_policy` (ε/Δ welcome — this is the level with O(racks²)
+    /// classes, not O(machines²)).
     ///
     /// # Panics
     ///
     /// Panics on non-positive capacities or a bad policy (see
-    /// [`FlowAllocator::new_with_policy`]), or `shards == 0`.
+    /// [`FlowAllocator::new_with_policy`]), on `shards == 0`, or when a map
+    /// of several racks has a rack of more than 65,536 machines (an
+    /// inter-rack flow's tag holds both machines' in-rack indices).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         map: RackMap,
@@ -236,40 +252,29 @@ impl HierFabric {
     ) -> HierFabric {
         assert!(shards > 0, "need at least one shard");
         assert!(
-            (0..map.n_racks()).all(|r| map.members(r).len() <= 1 << 16),
+            map.n_racks() == 1 || (0..map.n_racks()).all(|r| map.members(r).len() <= 1 << 16),
             "a rack holds more than 65536 machines"
         );
-        let racks: Vec<RackShard> = (0..map.n_racks())
-            .map(|r| RackShard {
-                alloc: FlowAllocator::new_with_policy(
-                    map.members(r).len(),
+        let racks = (0..map.n_racks())
+            .map(|r| {
+                let n = map.members(r).len();
+                Shard::new(FlowAllocator::new_with_policy(
+                    n,
                     tx_cap,
                     rx_cap,
                     intra_policy,
-                ),
-                outbox: EventQueue::new(),
-                buf: Vec::new(),
+                ))
             })
             .collect();
         let core = FlowAllocator::new_with_policy(map.n_racks(), agg_tx, agg_rx, core_policy);
-        let n_racks = map.n_racks();
         HierFabric {
             map,
             racks,
-            core,
-            core_outbox: EventQueue::new(),
-            core_buf: Vec::new(),
+            core: Shard::new(core),
             parked: FxHashMap::default(),
             cut_pairs: FxHashSet::default(),
-            intra_policy,
-            core_policy,
             shards,
-            next_cache: vec![None; n_racks],
-            epoch_cache: vec![0; n_racks],
-            core_next: None,
-            core_epoch: 0,
             epoch: 0,
-            last_advance: SimTime::ZERO,
             batch_depth: 0,
             shard_epochs: 0,
             cross_shard_events: 0,
@@ -298,7 +303,7 @@ impl HierFabric {
             .iter()
             .map(|r| r.alloc.active_flows())
             .sum::<usize>()
-            + self.core.active_flows()
+            + self.core.alloc.active_flows()
             + self.parked.values().map(Vec::len).sum::<usize>()
     }
 
@@ -308,7 +313,7 @@ impl HierFabric {
             .iter()
             .map(|r| r.alloc.active_classes())
             .sum::<usize>()
-            + self.core.active_classes()
+            + self.core.alloc.active_classes()
     }
 
     /// Total bytes delivered across every level.
@@ -317,13 +322,7 @@ impl HierFabric {
             .iter()
             .map(|r| r.alloc.total_delivered())
             .sum::<f64>()
-            + self.core.total_delivered()
-    }
-
-    /// Drains all flows at their current rates up to `now`. O(1): the clock
-    /// moves here; sub-allocators self-advance lazily when next touched.
-    pub fn advance(&mut self, now: SimTime) {
-        self.last_advance = now;
+            + self.core.alloc.total_delivered()
     }
 
     /// Starts a flow of `bytes` from machine `src` to machine `dst`; returns
@@ -345,7 +344,6 @@ impl HierFabric {
         bytes: f64,
     ) -> u64 {
         assert!(src < self.nodes() && dst < self.nodes(), "bad machine id");
-        self.last_advance = now;
         let (rs, rd) = (self.map.rack_of(src), self.map.rack_of(dst));
         if rs == rd {
             self.racks[rs].alloc.insert(
@@ -365,7 +363,7 @@ impl HierFabric {
             parked.push((id, bytes));
         } else {
             let tag = self.pair_tag(src, dst);
-            self.core.insert_tagged(now, id, rs, rd, bytes, tag);
+            self.core.alloc.insert_tagged(now, id, rs, rd, bytes, tag);
         }
         self.epoch += 1;
         self.epoch
@@ -375,7 +373,6 @@ impl HierFabric {
     /// progress; returns remaining bytes if it was active. Parked flows
     /// return their parked remainder.
     pub fn remove(&mut self, now: SimTime, id: FlowId, src: NodeId, dst: NodeId) -> Option<f64> {
-        self.last_advance = now;
         let (rs, rd) = (self.map.rack_of(src), self.map.rack_of(dst));
         let removed = if rs == rd {
             let (ls, ld) = (self.map.local_of(src), self.map.local_of(dst));
@@ -388,7 +385,7 @@ impl HierFabric {
             }
             Some(bytes)
         } else {
-            self.core.remove(now, id, rs, rd)
+            self.core.alloc.remove(now, id, rs, rd)
         };
         if removed.is_some() {
             self.epoch += 1;
@@ -409,9 +406,9 @@ impl HierFabric {
             Some(0.0)
         } else {
             let tag = self.pair_tag(src, dst);
-            let mut members = self.core.pair_members(rs, rd);
+            let mut members = self.core.alloc.pair_members(rs, rd);
             if members.any(|(_, t)| t == tag) {
-                self.core.rate(rs, rd)
+                self.core.alloc.rate(rs, rd)
             } else {
                 None
             }
@@ -432,16 +429,42 @@ impl HierFabric {
         for rack in &mut self.racks {
             rack.alloc.begin_update();
         }
-        self.core.begin_update();
+        self.core.alloc.begin_update();
     }
 
-    /// Closes a batch scope, committing every level. Racks with deferred
-    /// mutations reallocate independently; when at least
-    /// `PAR_RACK_THRESHOLD` racks have real work (and this fabric was built
-    /// with `shards > 1`), the rack commits are fanned out to scoped worker
-    /// threads in contiguous rack chunks — each rack's reallocation is a
-    /// pure function of that rack's state, so the fan-out cannot change any
-    /// result, only the wall-clock. Returns the current epoch.
+    /// Runs `body` on every rack and then on the core. With more than one
+    /// worker and at least `PAR_RACK_THRESHOLD` racks `busy`, the racks go to
+    /// scoped threads in contiguous chunks while the core runs on this
+    /// thread. A body touches only its own shard, so the fan-out changes the
+    /// wall-clock, never a result. Returns whether it fanned out.
+    fn for_each_shard(
+        &mut self,
+        busy: impl Fn(&Shard) -> bool,
+        body: impl Fn(&mut Shard) + Sync,
+    ) -> bool {
+        let workers = self.shards.min(self.racks.len());
+        let fan_out =
+            workers > 1 && self.racks.iter().filter(|r| busy(r)).count() >= PAR_RACK_THRESHOLD;
+        let chunk_len = self.racks.len().div_ceil(workers);
+        let HierFabric { racks, core, .. } = self;
+        if fan_out {
+            let body = &body;
+            std::thread::scope(|s| {
+                for chunk in racks.chunks_mut(chunk_len) {
+                    s.spawn(move || chunk.iter_mut().for_each(body));
+                }
+                body(core);
+            });
+        } else {
+            racks.iter_mut().for_each(&body);
+            body(core);
+        }
+        fan_out
+    }
+
+    /// Closes a batch scope, committing every level: each rack with deferred
+    /// mutations reallocates on its own (see `for_each_shard` for when the
+    /// racks fan out to worker threads). Returns the current epoch.
     ///
     /// # Panics
     ///
@@ -449,116 +472,28 @@ impl HierFabric {
     pub fn commit(&mut self, now: SimTime) -> u64 {
         assert!(self.batch_depth > 0, "commit without begin_update");
         self.batch_depth -= 1;
-        let pending = self
-            .racks
-            .iter()
-            .filter(|r| r.alloc.batch_pending())
-            .count();
-        let shards = self.shards.min(self.racks.len());
-        if shards > 1 && pending >= PAR_RACK_THRESHOLD {
-            self.parallel_commits += 1;
-            let chunk = self.racks.len().div_ceil(shards);
-            let HierFabric { racks, core, .. } = self;
-            std::thread::scope(|s| {
-                for racks_chunk in racks.chunks_mut(chunk) {
-                    s.spawn(move || {
-                        for rack in racks_chunk {
-                            rack.alloc.commit(now);
-                        }
-                    });
-                }
-                // The core's super-class reallocation rides on this thread
-                // while the rack shards work.
-                core.commit(now);
-            });
-        } else {
-            for rack in &mut self.racks {
-                rack.alloc.commit(now);
-            }
-            self.core.commit(now);
-        }
+        let fanned = self.for_each_shard(
+            |s| s.alloc.batch_pending(),
+            |s| {
+                s.alloc.commit(now);
+            },
+        );
+        self.parallel_commits += u64::from(fanned);
         self.epoch
-    }
-
-    /// Whether rack `i`'s cached deadline admits a completion at or before
-    /// `horizon` (a stale cache — the rack mutated since the cache was
-    /// refreshed — always admits one).
-    fn rack_maybe_due(&self, i: usize, horizon: SimTime) -> bool {
-        self.epoch_cache[i] != self.racks[i].alloc.epoch()
-            || self.next_cache[i].is_some_and(|t| t <= horizon)
     }
 
     /// Removes all flows whose bytes have been fully delivered, appending
     /// their ids to `done` (cleared first) in ascending id order.
     ///
-    /// This is the epoch boundary of the sharded design: every rack's
-    /// collection runs independently (on scoped worker threads when at least
-    /// `PAR_RACK_THRESHOLD` racks are due), publishes into its own outbox,
-    /// and the outboxes — racks in index order, then the core — are merged
-    /// sequentially in total `(time, shard, seq)` order. The merged stream
-    /// is a pure function of per-shard state, so any shard count produces
-    /// identical bytes; the final ascending-id sort preserves the flat
-    /// allocator's public completion order.
+    /// Each shard collects its own due completions (see `for_each_shard` for
+    /// when the racks fan out to worker threads); the shard buffers are then
+    /// appended — racks in index order, the core last — and sorted once, so
+    /// any shard count produces the flat allocator's ascending-id order.
     pub fn take_completed_into(&mut self, now: SimTime, done: &mut Vec<FlowId>) {
-        self.last_advance = now;
         done.clear();
-        debug_assert!(self.core_buf.is_empty());
-        let nr = self.racks.len();
-        let intra_horizon = now.saturating_add(self.intra_policy.quantum);
-        let core_horizon = now.saturating_add(self.core_policy.quantum);
-        let due: Vec<bool> = (0..nr)
-            .map(|i| self.rack_maybe_due(i, intra_horizon))
-            .collect();
-        let core_due = self.core_epoch != self.core.epoch()
-            || self.core_next.is_some_and(|t| t <= core_horizon);
-        let n_due = due.iter().filter(|&&d| d).count();
-        let shards = self.shards.min(nr);
-        if shards > 1 && n_due >= PAR_RACK_THRESHOLD {
-            let chunk = nr.div_ceil(shards);
-            let HierFabric {
-                racks,
-                core,
-                core_buf,
-                ..
-            } = self;
-            std::thread::scope(|s| {
-                for (racks_chunk, due_chunk) in racks.chunks_mut(chunk).zip(due.chunks(chunk)) {
-                    s.spawn(move || {
-                        for (rack, &is_due) in racks_chunk.iter_mut().zip(due_chunk) {
-                            if is_due {
-                                rack.collect(now);
-                            }
-                        }
-                    });
-                }
-                if core_due {
-                    core.take_completed_into(now, core_buf);
-                }
-            });
-        } else {
-            for (rack, &is_due) in self.racks.iter_mut().zip(&due) {
-                if is_due {
-                    rack.collect(now);
-                }
-            }
-            if core_due {
-                self.core.take_completed_into(now, &mut self.core_buf);
-            }
-        }
-        for &id in &self.core_buf {
-            self.core_outbox.schedule(now, id);
-        }
-        self.core_buf.clear();
-        // Epoch boundary: merge every shard's published effects. Racks in
-        // index order, the core last; within a shard, outbox (time, seq)
-        // order — the total (time, shard, seq) order of the exchange.
-        for rack in &mut self.racks {
-            while let Some((_, id)) = rack.outbox.pop_due(now) {
-                done.push(id);
-            }
-        }
-        while let Some((_, id)) = self.core_outbox.pop_due(now) {
-            done.push(id);
+        self.for_each_shard(|s| s.maybe_due(now), |s| s.collect(now));
+        for shard in self.racks.iter_mut().chain(std::iter::once(&mut self.core)) {
+            done.append(&mut shard.done);
         }
         if !done.is_empty() {
             self.shard_epochs += 1;
@@ -579,30 +514,14 @@ impl HierFabric {
             self.batch_depth == 0,
             "next_completion inside an open batch"
         );
-        self.last_advance = now;
-        let mut min: Option<SimTime> = None;
-        for (i, rack) in self.racks.iter_mut().enumerate() {
-            if self.epoch_cache[i] != rack.alloc.epoch() {
-                self.next_cache[i] = rack.alloc.next_completion(now);
-                self.epoch_cache[i] = rack.alloc.epoch();
-            }
-            min = match (min, self.next_cache[i]) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        if self.core_epoch != self.core.epoch() {
-            self.core_next = self.core.next_completion(now);
-            self.core_epoch = self.core.epoch();
-        }
-        min = match (min, self.core_next) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if min.is_none() && !self.parked.is_empty() {
-            min = Some(SimTime::FAR_FUTURE);
-        }
-        min.map(|t| t.max(now))
+        let next = self
+            .racks
+            .iter_mut()
+            .chain(std::iter::once(&mut self.core))
+            .filter_map(|s| s.next_completion(now))
+            .min();
+        next.or((!self.parked.is_empty()).then_some(SimTime::FAR_FUTURE))
+            .map(|t| t.max(now))
     }
 
     /// Scales machine `node`'s intra-rack port to `factor × nominal`
@@ -610,7 +529,6 @@ impl HierFabric {
     /// rack aggregation constraint, so a machine-level degradation does not
     /// throttle them — the documented level-split approximation.
     pub fn set_port_scale(&mut self, now: SimTime, node: NodeId, factor: f64) {
-        self.last_advance = now;
         let r = self.map.rack_of(node);
         self.racks[r]
             .alloc
@@ -628,7 +546,6 @@ impl HierFabric {
     /// zero, and re-inserted on heal in ascending id order. Idempotent.
     pub fn set_pair_cut(&mut self, now: SimTime, src: NodeId, dst: NodeId, cut: bool) {
         assert!(src < self.nodes() && dst < self.nodes(), "bad machine id");
-        self.last_advance = now;
         let (rs, rd) = (self.map.rack_of(src), self.map.rack_of(dst));
         if rs == rd {
             self.racks[rs].alloc.set_pair_cut(
@@ -641,25 +558,24 @@ impl HierFabric {
             return;
         }
         let tag = self.pair_tag(src, dst);
+        let core = &mut self.core.alloc;
         if cut {
             if !self.cut_pairs.insert((src, dst)) {
                 return;
             }
             // The pair's flows are the rack-pair class members carrying its
             // tag: one scan of that class, no per-flow index.
-            let mut ids: Vec<FlowId> = self
-                .core
+            let mut ids: Vec<FlowId> = core
                 .pair_members(rs, rd)
                 .filter(|&(_, t)| t == tag)
                 .map(|(id, _)| id)
                 .collect();
             if !ids.is_empty() {
                 ids.sort_unstable();
-                self.core.begin_update();
+                core.begin_update();
                 let mut parked = Vec::with_capacity(ids.len());
                 for id in ids {
-                    let remaining = self
-                        .core
+                    let remaining = core
                         .remove(now, id, rs, rd)
                         .expect("tagged flow missing from the core");
                     // A flow cut within dust of its completion parks with one
@@ -667,7 +583,7 @@ impl HierFabric {
                     // at completion exactly like the flat allocator's epsilon.
                     parked.push((id, remaining.max(crate::maxmin::BYTES_EPSILON)));
                 }
-                self.core.commit(now);
+                core.commit(now);
                 self.parked.insert((src, dst), parked);
             }
         } else {
@@ -677,11 +593,11 @@ impl HierFabric {
             // Re-insert in ascending id order, however the flows were parked.
             let mut flows = self.parked.remove(&(src, dst)).unwrap_or_default();
             flows.sort_unstable_by_key(|&(id, _)| id);
-            self.core.begin_update();
+            core.begin_update();
             for (id, bytes) in flows {
-                self.core.insert_tagged(now, id, rs, rd, bytes, tag);
+                core.insert_tagged(now, id, rs, rd, bytes, tag);
             }
-            self.core.commit(now);
+            core.commit(now);
         }
         self.epoch += 1;
     }
@@ -717,162 +633,17 @@ impl HierFabric {
     }
 
     /// Control-plane cost counters summed across every level, plus the
-    /// sharding counters (epochs, exchanged events, parallel commit waves).
+    /// sharding counters (completion sweeps, completions, parallel commit
+    /// waves).
     pub fn stats(&self) -> SimStats {
         let mut s = SimStats::default();
-        for rack in &self.racks {
-            s.merge(&rack.alloc.stats());
+        for shard in self.racks.iter().chain(std::iter::once(&self.core)) {
+            s.merge(&shard.alloc.stats());
         }
-        s.merge(&self.core.stats());
         s.shard_epochs = self.shard_epochs;
         s.cross_shard_events = self.cross_shard_events;
         s.parallel_commits = self.parallel_commits;
         s
-    }
-}
-
-/// A fabric that is either the flat single-level [`FlowAllocator`] (the
-/// default, bit-identical to every run before rack topologies existed) or
-/// the rack-sharded [`HierFabric`]. Executors hold this and call through;
-/// every method forwards with identical semantics.
-#[derive(Debug)]
-pub enum Fabric {
-    /// Single-level exact/ε fabric over machine ports.
-    Flat(Box<FlowAllocator>),
-    /// Two-level rack-sharded fabric.
-    ///
-    /// Both variants are boxed: either allocator is hundreds of bytes to
-    /// kilobytes, is built once per run, and is only ever touched through
-    /// this enum's forwarding methods.
-    Hier(Box<HierFabric>),
-}
-
-impl Fabric {
-    /// See [`FlowAllocator::advance`].
-    pub fn advance(&mut self, now: SimTime) {
-        match self {
-            Fabric::Flat(f) => f.advance(now),
-            Fabric::Hier(h) => h.advance(now),
-        }
-    }
-
-    /// See [`FlowAllocator::insert`].
-    pub fn insert(
-        &mut self,
-        now: SimTime,
-        id: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        bytes: f64,
-    ) -> u64 {
-        match self {
-            Fabric::Flat(f) => f.insert(now, id, src, dst, bytes),
-            Fabric::Hier(h) => h.insert(now, id, src, dst, bytes),
-        }
-    }
-
-    /// See [`FlowAllocator::remove`].
-    pub fn remove(&mut self, now: SimTime, id: FlowId, src: NodeId, dst: NodeId) -> Option<f64> {
-        match self {
-            Fabric::Flat(f) => f.remove(now, id, src, dst),
-            Fabric::Hier(h) => h.remove(now, id, src, dst),
-        }
-    }
-
-    /// See [`FlowAllocator::take_completed_into`].
-    pub fn take_completed_into(&mut self, now: SimTime, done: &mut Vec<FlowId>) {
-        match self {
-            Fabric::Flat(f) => f.take_completed_into(now, done),
-            Fabric::Hier(h) => h.take_completed_into(now, done),
-        }
-    }
-
-    /// See [`FlowAllocator::next_completion`].
-    pub fn next_completion(&mut self, now: SimTime) -> Option<SimTime> {
-        match self {
-            Fabric::Flat(f) => f.next_completion(now),
-            Fabric::Hier(h) => h.next_completion(now),
-        }
-    }
-
-    /// See [`FlowAllocator::begin_update`].
-    pub fn begin_update(&mut self) {
-        match self {
-            Fabric::Flat(f) => f.begin_update(),
-            Fabric::Hier(h) => h.begin_update(),
-        }
-    }
-
-    /// See [`FlowAllocator::commit`].
-    pub fn commit(&mut self, now: SimTime) -> u64 {
-        match self {
-            Fabric::Flat(f) => f.commit(now),
-            Fabric::Hier(h) => h.commit(now),
-        }
-    }
-
-    /// See [`FlowAllocator::set_port_scale`].
-    pub fn set_port_scale(&mut self, now: SimTime, node: NodeId, factor: f64) {
-        match self {
-            Fabric::Flat(f) => f.set_port_scale(now, node, factor),
-            Fabric::Hier(h) => h.set_port_scale(now, node, factor),
-        }
-    }
-
-    /// See [`FlowAllocator::set_pair_cut`].
-    pub fn set_pair_cut(&mut self, now: SimTime, src: NodeId, dst: NodeId, cut: bool) {
-        match self {
-            Fabric::Flat(f) => f.set_pair_cut(now, src, dst, cut),
-            Fabric::Hier(h) => h.set_pair_cut(now, src, dst, cut),
-        }
-    }
-
-    /// See [`FlowAllocator::pair_cut`].
-    pub fn pair_cut(&self, src: NodeId, dst: NodeId) -> bool {
-        match self {
-            Fabric::Flat(f) => f.pair_cut(src, dst),
-            Fabric::Hier(h) => h.pair_cut(src, dst),
-        }
-    }
-
-    /// See [`FlowAllocator::rx_busy_fraction`].
-    pub fn rx_busy_fraction(&self, node: NodeId) -> f64 {
-        match self {
-            Fabric::Flat(f) => f.rx_busy_fraction(node),
-            Fabric::Hier(h) => h.rx_busy_fraction(node),
-        }
-    }
-
-    /// See [`FlowAllocator::tx_busy_fraction`].
-    pub fn tx_busy_fraction(&self, node: NodeId) -> f64 {
-        match self {
-            Fabric::Flat(f) => f.tx_busy_fraction(node),
-            Fabric::Hier(h) => h.tx_busy_fraction(node),
-        }
-    }
-
-    /// See [`FlowAllocator::epoch`].
-    pub fn epoch(&self) -> u64 {
-        match self {
-            Fabric::Flat(f) => f.epoch(),
-            Fabric::Hier(h) => h.epoch(),
-        }
-    }
-
-    /// See [`FlowAllocator::active_flows`].
-    pub fn active_flows(&self) -> usize {
-        match self {
-            Fabric::Flat(f) => f.active_flows(),
-            Fabric::Hier(h) => h.active_flows(),
-        }
-    }
-
-    /// See [`FlowAllocator::stats`].
-    pub fn stats(&self) -> SimStats {
-        match self {
-            Fabric::Flat(f) => f.stats(),
-            Fabric::Hier(h) => h.stats(),
-        }
     }
 }
 
@@ -1050,7 +821,7 @@ mod tests {
         assert!(!h.pair_cut(1, 5));
         assert!(h.parked.is_empty());
         assert!(h.rate(1, 5).unwrap() > 0.0);
-        assert_eq!(h.core.pair_members(0, 1).count(), 2);
+        assert_eq!(h.core.alloc.pair_members(0, 1).count(), 2);
         h.take_completed_into(t(200), &mut done);
         assert_eq!(done, vec![FlowId(1), FlowId(3)]);
         assert_eq!(h.active_flows(), 0);
@@ -1113,6 +884,7 @@ mod tests {
         assert!(h.parked.is_empty());
         let mut healed: Vec<u64> = h
             .core
+            .alloc
             .pair_members(0, 1)
             .filter(|&(_, tag)| tag == h.pair_tag(0, 5))
             .map(|(f, _)| f.0)
@@ -1184,6 +956,28 @@ mod tests {
     }
 
     #[test]
+    fn only_a_map_of_several_racks_caps_the_rack_size() {
+        let big = (1 << 16) + 1;
+        let flat = HierFabric::new(
+            RackMap::single(big),
+            1e8,
+            1e8,
+            1e8,
+            1e8,
+            MaxMinPolicy::default(),
+            MaxMinPolicy::default(),
+            1,
+        );
+        assert_eq!(flat.nodes(), big);
+    }
+
+    #[test]
+    #[should_panic(expected = "a rack holds more than 65536 machines")]
+    fn a_rack_past_the_pair_tag_panics_beside_another() {
+        hier((1 << 16) + 2, (1 << 16) + 1, 1);
+    }
+
+    #[test]
     fn stats_count_epochs_and_exchanges() {
         let mut h = hier(8, 2, 1);
         h.insert(t(0), FlowId(1), 0, 5, 1e6);
@@ -1213,45 +1007,93 @@ mod tests {
             prop_assert_eq!(a, b);
         }
 
-        /// One rack ≡ the flat exact allocator, observed bitwise over rates,
-        /// completions, deadlines, and delivered bytes.
+        /// One rack ≡ the flat allocator under the same policy, observed
+        /// bitwise over completions, removals, rates, deadlines and
+        /// delivered bytes. Each step is one batch, as the executor drives
+        /// the fabric: port scaling and cut/heal first, then the completion
+        /// sweep, inserts and a removal, then the commit.
         #[test]
         fn prop_single_rack_matches_flat(
             machines in 2usize..16,
             seed in 0u64..500,
+            approx in any::<bool>(),
+            coalesce in any::<bool>(),
         ) {
-            let mut flat = FlowAllocator::new(machines, 1e8, 1e8);
-            let mut h = hier(machines, machines, 1);
+            let policy = MaxMinPolicy {
+                epsilon: if approx { 0.01 } else { 0.0 },
+                quantum: if coalesce { SimDuration::from_millis(1) } else { SimDuration::ZERO },
+            };
+            let mut flat = FlowAllocator::new_with_policy(machines, 1e8, 1e8, policy);
+            let mut h = HierFabric::new(
+                RackMap::single(machines), 1e8, 1e8, 1e8, 1e8, policy, policy, 1,
+            );
             let mut done_f = Vec::new();
             let mut done_h = Vec::new();
             let mut clock = SimTime::ZERO;
             let mut rng = seed;
-            let mut next_id = 0u64;
-            let mut pairs = Vec::new();
-            for _ in 0..30 {
+            let mut draw = || {
                 rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                clock += SimDuration::from_millis(50 + (rng >> 33) % 400);
+                rng >> 33
+            };
+            let mut next_id = 0u64;
+            let mut live: Vec<(FlowId, NodeId, NodeId)> = Vec::new();
+            for _ in 0..40 {
+                clock += SimDuration::from_millis(50 + draw() % 400);
+                flat.begin_update();
+                h.begin_update();
+                let (a, b) = (draw() as usize % machines, draw() as usize % machines);
+                match draw() % 6 {
+                    0 => {
+                        let factor = [0.25, 0.5, 1.0][draw() as usize % 3];
+                        flat.set_port_scale(clock, a, factor);
+                        h.set_port_scale(clock, a, factor);
+                    }
+                    1 if a != b => {
+                        let cut = !flat.pair_cut(a, b);
+                        flat.set_pair_cut(clock, a, b, cut);
+                        h.set_pair_cut(clock, a, b, cut);
+                        prop_assert_eq!(h.pair_cut(a, b), cut);
+                    }
+                    _ => {}
+                }
                 flat.take_completed_into(clock, &mut done_f);
                 h.take_completed_into(clock, &mut done_h);
                 prop_assert_eq!(&done_f, &done_h);
-                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let src = (rng >> 33) as usize % machines;
-                let dst = (rng >> 13) as usize % machines;
-                if src != dst {
-                    let id = FlowId(next_id);
-                    next_id += 1;
-                    let bytes = 1e5 + ((rng >> 3) % 1000) as f64 * 1e4;
-                    flat.insert(clock, id, src, dst, bytes);
-                    h.insert(clock, id, src, dst, bytes);
-                    pairs.push((src, dst));
+                live.retain(|f| !done_f.contains(&f.0));
+                for _ in 0..2 {
+                    let (src, dst) = (draw() as usize % machines, draw() as usize % machines);
+                    if src != dst {
+                        let id = FlowId(next_id);
+                        next_id += 1;
+                        let bytes = 1e5 + (draw() % 1000) as f64 * 1e4;
+                        flat.insert(clock, id, src, dst, bytes);
+                        h.insert(clock, id, src, dst, bytes);
+                        live.push((id, src, dst));
+                    }
                 }
-                for &(src, dst) in pairs.iter().rev().take(8) {
+                if !live.is_empty() && draw() % 4 == 0 {
+                    let (id, src, dst) = live.swap_remove(draw() as usize % live.len());
+                    prop_assert_eq!(
+                        flat.remove(clock, id, src, dst).map(f64::to_bits),
+                        h.remove(clock, id, src, dst).map(f64::to_bits)
+                    );
+                }
+                flat.commit(clock);
+                h.commit(clock);
+                for &(_, src, dst) in live.iter().rev().take(8) {
                     prop_assert_eq!(
                         flat.rate(src, dst).map(f64::to_bits),
                         h.rate(src, dst).map(f64::to_bits)
                     );
                 }
                 prop_assert_eq!(flat.next_completion(clock), h.next_completion(clock));
+            }
+            // Tear down: every remainder, then the delivered total, matches.
+            for (id, src, dst) in live {
+                prop_assert_eq!(
+                    flat.remove(clock, id, src, dst).map(f64::to_bits),
+                    h.remove(clock, id, src, dst).map(f64::to_bits)
+                );
             }
             prop_assert_eq!(
                 flat.total_delivered().to_bits(),

@@ -76,11 +76,10 @@ pub struct SimStats {
     pub fetch_backoff_nanos: u64,
     /// Fetches whose source assignment partition recovery re-planned.
     pub fetches_replanned: u64,
-    /// Epoch-boundary exchanges executed by the hierarchical fabric: instants
-    /// at which at least one rack shard published cross-shard effects.
+    /// Fabric completion sweeps that collected at least one flow from any
+    /// shard (rack or core).
     pub shard_epochs: u64,
-    /// Completion events published through a shard outbox and merged in
-    /// `(time, shard, seq)` order at an epoch boundary.
+    /// Flow completions those sweeps merged across shards.
     pub cross_shard_events: u64,
     /// Hierarchical commit waves fanned out to scoped worker threads (waves
     /// below the dirty-rack threshold run serially and are not counted).

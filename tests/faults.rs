@@ -4,7 +4,7 @@
 
 mod testsupport;
 
-use cluster::{ClusterSpec, FaultPlan};
+use cluster::{ClusterSpec, FaultPlan, MachineSpec};
 use dataflow::{RunError, StageId};
 use monotasks_core::{MonoConfig, Purpose};
 use simcore::SimTime;
@@ -353,13 +353,15 @@ fn validation_rejects_bad_configs_and_plans() {
         ),
         Err(RunError::InvalidConfig(_))
     ));
-    // A machine without cores, and a stage without tasks: each the only
-    // invalid part of its input, each named by its own message.
+    // An empty cluster, a machine without cores, and a stage without tasks:
+    // each the only invalid part of its input, each named by its own message.
+    let empty = ClusterSpec::new(0, MachineSpec::m2_4xlarge());
     let mut coreless = cluster();
     coreless.machine.cores = 0;
     let mut taskless = job.clone();
     taskless.stages[1].tasks.clear();
     let cases = [
+        (&empty, &job, "cluster has zero machines".to_string()),
         (&coreless, &job, "machine has zero cores".to_string()),
         (
             &cluster(),

@@ -1,16 +1,17 @@
 //! The rack-sharded hierarchical fabric, end to end: shard counts must be
 //! unobservable in results (only in wall-clock), a single rack spanning the
-//! cluster must reproduce the flat fabric bit-for-bit, and a partition
-//! cutting an entire rack must compose with hierarchical mode — quarantine
-//! and lineage resubmission fire, and the recovery counters are identical
-//! for any shard count.
+//! cluster must reproduce the flat fabric bit-for-bit, flat clusters keep
+//! their pinned fingerprints, and a partition cutting an entire rack must
+//! compose with hierarchical mode — quarantine and lineage resubmission
+//! fire, and the recovery counters are identical for any shard count.
 
 mod testsupport;
 
-use cluster::{ClusterSpec, MachineSpec};
+use cluster::{ClusterSpec, FaultPlan, MachineSpec};
 use dataflow::BlockMap;
 use monotasks_core::MonoConfig;
 use proptest::prelude::*;
+use simcore::SimTime;
 use testsupport::jobs_debug_sans_host_time;
 use workloads::{rack_partition_plan, sort_job, SortConfig};
 
@@ -174,4 +175,69 @@ proptest! {
         };
         prop_assert_eq!(digest(&run(shards_a)), digest(&run(shards_b)));
     }
+}
+
+/// FNV-1a over every record's machine, queue/start/end instants and byte
+/// bits, in record order.
+fn record_hash(out: &monotasks_core::MonoRunOutput) -> u64 {
+    let fnv = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for r in &out.records {
+        hash = fnv(hash, r.machine as u64);
+        hash = fnv(hash, r.queued.0);
+        hash = fnv(hash, r.started.0);
+        hash = fnv(hash, r.ended.0);
+        hash = fnv(hash, r.bytes.to_bits());
+    }
+    hash
+}
+
+/// A cluster with no rack topology runs the full-duplex fabric as one rack
+/// under the run's ε/Δ policy. These pins hold that path's makespan bits,
+/// event count and record hash exactly: exact, ε/Δ, and ε/Δ with a degraded
+/// link plus a partition that heals while fetch timeouts are armed.
+#[test]
+fn flat_fabric_runs_keep_their_pinned_fingerprints() {
+    let cluster = testsupport::cluster(8);
+    let jobs = [sort_job(&SortConfig::new(8.0, 24, 8, 2))];
+    let others: Vec<usize> = (0..8).filter(|&m| m != 3).collect();
+    let faults = FaultPlan::new()
+        .degrade_link(2, 0.5, SimTime::from_secs(6), SimTime::from_secs(12))
+        .partition(
+            vec![vec![3], others],
+            SimTime::from_secs(8),
+            Some(SimTime::from_secs(11)),
+        );
+    let pin = |cfg: &MonoConfig, plan: &FaultPlan| {
+        let out = monotasks_core::run_with_faults(&cluster, &jobs, cfg, plan).expect("run");
+        let rec = &out.jobs[0].recovery;
+        assert_eq!(
+            plan.has_partitions(),
+            rec.fetch_retries > 0,
+            "the partition must time a fetch out: {rec:?}"
+        );
+        (
+            out.makespan.as_secs_f64().to_bits(),
+            out.stats.events,
+            record_hash(&out),
+        )
+    };
+    let approx = full_duplex(1, 0.01, 1e-3);
+    let timed = MonoConfig {
+        fetch_timeout_secs: Some(1.0),
+        ..approx.clone()
+    };
+    let pins = [
+        pin(&full_duplex(1, 0.0, 0.0), &FaultPlan::new()),
+        pin(&approx, &FaultPlan::new()),
+        pin(&timed, &faults),
+    ];
+    assert_eq!(
+        pins,
+        [
+            (0x4039_17f5_c9e8_8e41, 246, 0xfd4e_769b_cf24_3945),
+            (0x4039_17f5_9ee8_8df3, 240, 0xe119_c4fc_3920_59c7),
+            (0x403a_6c73_fe32_2824, 500, 0x1857_62d0_4d44_83a7),
+        ]
+    );
 }
