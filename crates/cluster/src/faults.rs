@@ -22,7 +22,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use simcore::SimTime;
+use simcore::{InstantKind, SimTime};
 
 use crate::hw::ClusterSpec;
 
@@ -753,6 +753,30 @@ pub enum FaultAction {
     },
 }
 
+impl From<&FaultAction> for InstantKind {
+    /// The instant an executor records when it applies `action` — the
+    /// same lowering for both executors, so traces agree on fault taxonomy.
+    fn from(action: &FaultAction) -> InstantKind {
+        match *action {
+            FaultAction::Crash { machine } => InstantKind::MachineCrash { machine },
+            FaultAction::SetDiskScale {
+                machine,
+                disk,
+                factor,
+            } => InstantKind::DiskScale {
+                machine,
+                disk,
+                factor,
+            },
+            FaultAction::SetLinkScale { machine, factor } => {
+                InstantKind::LinkScale { machine, factor }
+            }
+            FaultAction::CutPair { src, dst } => InstantKind::PairCut { src, dst },
+            FaultAction::HealPair { src, dst } => InstantKind::PairHeal { src, dst },
+        }
+    }
+}
+
 /// A compiled, time-ordered fault schedule, consumed through
 /// [`crate::Hosts`].
 #[derive(Clone, Debug, Default)]
@@ -1046,6 +1070,17 @@ mod tests {
             Some(FaultAction::CutPair { src: 2, dst: 0 })
         );
         assert_eq!(tl.next_time(), None);
+    }
+
+    #[test]
+    fn actions_lower_to_their_instants() {
+        assert_eq!(
+            InstantKind::from(&FaultAction::Crash { machine: 3 }),
+            InstantKind::MachineCrash { machine: 3 }
+        );
+        let cut = InstantKind::from(&FaultAction::CutPair { src: 0, dst: 4 });
+        assert_eq!(cut, InstantKind::PairCut { src: 0, dst: 4 });
+        assert_eq!(cut.machine(), Some(4));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`Hosts`] holds every machine's [`FluidMachine`] and what the event loop
 //! does to all of them: open and commit each event's batch, poll
 //! completions behind a per-machine deadline cache, apply machine-local
-//! fault actions, sample utilization and log instants. The executors differ
+//! fault actions and sample utilization. The executors differ
 //! in what they run on a machine, not in how its allocator is driven, so
 //! that rule lives here once.
 //!
@@ -18,10 +18,10 @@ use simcore::{SimStats, SimTime};
 use crate::faults::{FaultAction, FaultPlan, FaultTimeline};
 use crate::fluid::{FluidMachine, MachineId, StreamId};
 use crate::hw::ClusterSpec;
-use crate::trace::{InstantKind, RunInstant, TraceSet};
+use crate::trace::TraceSet;
 
-/// Every machine's allocator, the fault schedule, the utilization traces and
-/// the instant log of one run.
+/// Every machine's allocator, the fault schedule and the utilization traces
+/// of one run.
 #[derive(Debug)]
 pub struct Hosts {
     machines: Vec<FluidMachine>,
@@ -36,21 +36,14 @@ pub struct Hosts {
     faults: FaultTimeline,
     traces: TraceSet,
     sample: bool,
-    trace_on: bool,
-    instants: Vec<RunInstant>,
 }
 
 impl Hosts {
     /// One allocator per machine of `cluster`, with `plan` compiled.
-    /// `sample` arms utilization sampling at every commit; `trace_on` arms
-    /// the instant log. Fails with the first violation of
-    /// [`ClusterSpec::validate`], then of [`FaultPlan::validate`].
-    pub fn new(
-        cluster: &ClusterSpec,
-        plan: &FaultPlan,
-        sample: bool,
-        trace_on: bool,
-    ) -> Result<Hosts, String> {
+    /// `sample` arms utilization sampling at every commit. Fails with the
+    /// first violation of [`ClusterSpec::validate`], then of
+    /// [`FaultPlan::validate`].
+    pub fn new(cluster: &ClusterSpec, plan: &FaultPlan, sample: bool) -> Result<Hosts, String> {
         cluster.validate()?;
         plan.validate(cluster)?;
         let n = cluster.machines;
@@ -64,8 +57,6 @@ impl Hosts {
             faults: plan.compile(),
             traces: TraceSet::new(),
             sample,
-            trace_on,
-            instants: Vec::new(),
         })
     }
 
@@ -78,7 +69,7 @@ impl Hosts {
 
     /// Pops the next fault action due at `now`, applying a disk or link
     /// scale to its machine if that machine is alive. Every action is
-    /// returned: the caller logs it and applies the rest.
+    /// returned: the caller records it and applies the rest.
     pub fn pop_fault(&mut self, now: SimTime, alive: &[bool]) -> Option<FaultAction> {
         let action = self.faults.pop_due(now)?;
         match action {
@@ -152,25 +143,13 @@ impl Hosts {
         self.faults.straggle_factor(stage, task)
     }
 
-    /// Whether the instant log is armed.
-    pub fn tracing(&self) -> bool {
-        self.trace_on
-    }
-
-    /// Logs `kind` at `time` if the instant log is armed.
-    pub fn log(&mut self, time: SimTime, kind: InstantKind) {
-        if self.trace_on {
-            self.instants.push(RunInstant { time, kind });
-        }
-    }
-
-    /// The run's utilization traces and instants. Each allocator's counters
-    /// merge into `stats` as machine-local allocation.
-    pub fn into_output(self, stats: &mut SimStats) -> (TraceSet, Vec<RunInstant>) {
+    /// The run's utilization traces. Each allocator's counters merge into
+    /// `stats` as machine-local allocation.
+    pub fn into_output(self, stats: &mut SimStats) -> TraceSet {
         for m in &self.machines {
             stats.merge(&m.stats().as_machine_alloc());
         }
-        (self.traces, self.instants)
+        self.traces
     }
 
     /// Whether machine `m` may have a completion due at `now`: false only
@@ -233,7 +212,7 @@ mod tests {
     }
 
     fn hosts(plan: &FaultPlan) -> Hosts {
-        Hosts::new(&ClusterSpec::new(3, spec()), plan, true, true).expect("valid inputs")
+        Hosts::new(&ClusterSpec::new(3, spec()), plan, true).expect("valid inputs")
     }
 
     /// Starts stream 0, one CPU-second, on machine `m` at time zero.
@@ -248,9 +227,9 @@ mod tests {
         let mut bad = ClusterSpec::new(3, spec());
         bad.machine.cores = 0;
         let bad_plan = FaultPlan::new().crash(7, SimTime::from_secs(1));
-        let err = Hosts::new(&bad, &bad_plan, true, true).unwrap_err();
+        let err = Hosts::new(&bad, &bad_plan, true).unwrap_err();
         assert_eq!(err, "machine has zero cores");
-        let err = Hosts::new(&ClusterSpec::new(3, spec()), &bad_plan, true, true).unwrap_err();
+        let err = Hosts::new(&ClusterSpec::new(3, spec()), &bad_plan, true).unwrap_err();
         assert_eq!(
             err,
             bad_plan.validate(&ClusterSpec::new(3, spec())).unwrap_err()
@@ -345,27 +324,20 @@ mod tests {
             assert_eq!(h[m].stats().reallocs, 1, "machine {m}");
         }
         let mut stats = SimStats::new();
-        let (traces, instants) = h.into_output(&mut stats);
+        let traces = h.into_output(&mut stats);
         assert_eq!(stats.reallocs, 3);
         assert_eq!(traces.machines().len(), 3);
-        assert!(instants.is_empty());
     }
 
     #[test]
-    fn the_instant_log_and_sampling_follow_their_flags() {
+    fn sampling_off_samples_nothing() {
         let cluster = ClusterSpec::new(3, spec());
-        let kind = InstantKind::MachineCrash { machine: 1 };
-        for armed in [false, true] {
-            let mut h = Hosts::new(&cluster, &FaultPlan::new(), false, armed).unwrap();
-            assert_eq!(h.tracing(), armed);
-            h.open_batch();
-            h.commit(SimTime::ZERO, &[true; 3], |_, _| {
-                panic!("sampled with sampling off")
-            });
-            h.log(SimTime::from_secs(2), kind);
-            let (_, instants) = h.into_output(&mut SimStats::new());
-            assert_eq!(instants.len(), usize::from(armed));
-        }
+        let mut h = Hosts::new(&cluster, &FaultPlan::new(), false).unwrap();
+        h.open_batch();
+        h.commit(SimTime::ZERO, &[true; 3], |_, _| {
+            panic!("sampled with sampling off")
+        });
+        assert!(h.into_output(&mut SimStats::new()).machines().is_empty());
     }
 
     /// The deadline cache driven the way the executors drive it — mutate,

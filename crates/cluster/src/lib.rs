@@ -17,10 +17,12 @@
 //! * [`trace`] — per-machine, per-resource utilization traces used to
 //!   regenerate the paper's utilization figures.
 //! * [`hosts`] — the machine layer both executors share: every machine's
-//!   allocator with its batches, completion polls, machine-local faults,
-//!   sampling and the instant log.
+//!   allocator with its batches, completion polls, machine-local faults and
+//!   sampling.
 //! * [`faults`] — deterministic fault injection: scheduled machine crashes,
-//!   disk/link degradation windows, and task stragglers (DESIGN.md §6).
+//!   disk/link degradation windows, and task stragglers (DESIGN.md §6). Each
+//!   fault action lowers to the [`InstantKind`] a traced run logs for it;
+//!   the instant types themselves live in `simcore`, re-exported here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,4 +39,5 @@ pub use faults::{FaultAction, FaultEvent, FaultPlan, FaultSpec};
 pub use fluid::{DiskId, FluidMachine, MachineId, StreamDemand, StreamId};
 pub use hosts::Hosts;
 pub use hw::{ClusterSpec, DiskKind, DiskSpec, MachineSpec, RackTopology};
-pub use trace::{ClassMeans, InstantKind, ResourceSel, RunInstant, TraceSet};
+pub use simcore::{InstantKind, RunInstant};
+pub use trace::{ClassMeans, ResourceSel, TraceSet};

@@ -13,7 +13,8 @@
 //! * in-memory inputs and outputs simply omit the corresponding I/O nodes.
 //!
 //! The executor does not call this per task: it stamps each DAG from the
-//! stage's execution template ([`crate::template`]). [`decompose`] is the
+//! stage's execution template (`dataflow::runtime::StageTemplate`).
+//! [`decompose`] is the
 //! reference that stamping must reproduce, and debug builds assert every
 //! launch against it.
 

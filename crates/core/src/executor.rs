@@ -21,7 +21,7 @@ use cluster::{
     StreamId, TraceSet,
 };
 use dataflow::driver::{self, Engine};
-use dataflow::runtime::{Decision, Runtime, RuntimeConfig, Stall};
+use dataflow::runtime::{Runtime, RuntimeConfig, Stall};
 use dataflow::{
     BlockMap, InputSpec, JobId, JobSpec, OutputSpec, RunError, StageId, TaskId, TaskSpec,
 };
@@ -36,7 +36,6 @@ use crate::metrics::{MonotaskRecord, Purpose, QueueTrace, Records};
 use crate::monotask::MonotaskDag;
 use crate::monotask::{MonoOp, MultitaskKey};
 use crate::scheduler::{MachineScheduler, QueuedRef};
-use crate::template::{StageTemplate, TemplateSender};
 
 /// How the worker picks a disk for a multitask's output write.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -49,18 +48,6 @@ pub enum DiskChoice {
     /// improvement ("a better strategy would consider the load on each disk
     /// … for example, writing to the disk with the shorter queue").
     ShortestQueue,
-}
-
-/// How the job scheduler orders multiple concurrent jobs (§8: the multitask
-/// scheduler "could be used to implement more sophisticated policies, e.g.,
-/// to share machines between different users").
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum JobPolicy {
-    /// Interleave jobs fairly at task-assignment granularity.
-    #[default]
-    Fair,
-    /// Serve jobs strictly in submission order.
-    Fifo,
 }
 
 /// Configuration of the monotasks executor. Defaults are the paper's choices;
@@ -79,8 +66,6 @@ pub struct MonoConfig {
     pub ssd_slots_override: Option<usize>,
     /// Disk selection for output writes.
     pub write_disk_choice: DiskChoice,
-    /// Ordering of concurrent jobs.
-    pub job_policy: JobPolicy,
     /// §3.5 memory regulation: when a machine's in-flight monotask buffers
     /// exceed this fraction of its RAM, its disk queues prefer writes so
     /// buffered data drains. `None` (the paper's implementation) disables
@@ -172,7 +157,6 @@ impl Default for MonoConfig {
             concurrency_override: None,
             ssd_slots_override: None,
             write_disk_choice: DiskChoice::RoundRobin,
-            job_policy: JobPolicy::Fair,
             memory_limit_fraction: None,
             full_duplex_network: false,
             fabric_epsilon: 0.0,
@@ -561,9 +545,6 @@ struct Exec {
     /// Deterministic wake-ups at projected threshold-crossing instants, so a
     /// straggler is caught even when no completion event lands near it.
     spec_timers: EventQueue<()>,
-    /// Captured control decisions per `[job][stage]` (`None` until the
-    /// stage's first shuffle-input task launches).
-    templates: Vec<Vec<Option<StageTemplate>>>,
 }
 
 /// Encodes a `(multitask, node)` reference as a fluid stream id: 32 bits
@@ -675,8 +656,7 @@ pub fn run_with_faults(
     plan: &FaultPlan,
 ) -> Result<MonoRunOutput, RunError> {
     cfg.validate().map_err(RunError::InvalidConfig)?;
-    let hosts = Hosts::new(cluster, plan, cfg.collect_traces, cfg.trace_path.is_some())
-        .map_err(RunError::InvalidConfig)?;
+    let hosts = Hosts::new(cluster, plan, cfg.collect_traces).map_err(RunError::InvalidConfig)?;
     let n_machines = cluster.machines;
     let disk_slots: Vec<usize> = cluster
         .machine
@@ -709,7 +689,7 @@ pub fn run_with_faults(
         })
         .collect();
     let rt_cfg = RuntimeConfig {
-        fifo: cfg.job_policy == JobPolicy::Fifo,
+        trace: cfg.trace_path.is_some(),
         lineage: !plan.is_empty(),
         partitions: plan.has_partitions(),
         max_task_retries: cfg.max_task_retries,
@@ -763,10 +743,6 @@ pub fn run_with_faults(
         spec_on: cfg.mono_speculation_multiplier.is_some(),
         durations: BTreeMap::new(),
         spec_timers: EventQueue::new(),
-        templates: jobs
-            .iter()
-            .map(|(spec, _)| vec![None; spec.stages.len()])
-            .collect(),
         cold: FxHashMap::default(),
     };
     let stats = driver::run(&mut exec, cfg.max_steps)?;
@@ -825,34 +801,6 @@ impl Exec {
             n.queued
         } else {
             self.mts[mt].serve_queued
-        }
-    }
-
-    /// Records a trace instant at the current simulated time, after the
-    /// runtime's pending decisions so instants keep decision order. Pushes to
-    /// side Vecs only, so traced runs stay bit-identical to untraced ones.
-    fn emit_instant(&mut self, kind: InstantKind) {
-        self.mirror_decisions();
-        self.hosts.log(self.now, kind);
-    }
-
-    /// Drops the templates of every stage consuming `(ji, si)`'s shuffle.
-    fn invalidate_consumers(&mut self, ji: usize, si: usize) {
-        for sj in 0..self.rt.jobs[ji].stages.len() {
-            let consumes = self.rt.jobs[ji].spec.stages[sj]
-                .deps
-                .iter()
-                .any(|d| d.0 as usize == si);
-            if consumes && self.templates[ji][sj].take().is_some() {
-                self.rt.jobs[ji].stages[sj].control.template_invalidations += 1;
-                self.hosts.log(
-                    self.now,
-                    InstantKind::TemplateInvalidate {
-                        job: ji as u32,
-                        stage: sj as u32,
-                    },
-                );
-            }
         }
     }
 
@@ -1004,13 +952,10 @@ impl Exec {
             replanned += 1;
         }
         self.rt.jobs[ji].recovery.stalled_fetch_seconds += stalled;
-        self.rt.jobs[ji].recovery.fetches_replanned += replanned;
-        let si = self.mts[mt].key.stage.0;
+        let (job, stage) = (ji as u32, self.mts[mt].key.stage.0);
         for _ in 0..replanned {
-            self.emit_instant(InstantKind::FetchReplan {
-                job: ji as u32,
-                stage: si,
-            });
+            self.rt
+                .record(self.now, InstantKind::FetchReplan { job, stage });
         }
     }
 
@@ -1064,6 +1009,7 @@ impl Exec {
             key.stage.0 as usize,
             key.task.0 as usize,
             self.mts[mt].recompute,
+            self.now,
         )
     }
 
@@ -1107,10 +1053,11 @@ impl Exec {
     /// Builds the monotask DAG for one task and enqueues its roots.
     ///
     /// Every task's nodes are stamped from an execution template: a
-    /// shuffle-input task reads the stage's captured [`StageTemplate`]
-    /// (building it on first use or after invalidation); everything that
-    /// varies per task — straggle factors, disk cursors, enqueue order,
-    /// stream ids — is stamped at launch. Debug builds check each launch
+    /// shuffle-input task reads the stage's captured
+    /// [`dataflow::runtime::StageTemplate`] (the runtime captures it on
+    /// first use or after invalidation); everything that varies per task —
+    /// straggle factors, disk cursors, enqueue order, stream ids — is
+    /// stamped at launch. Debug builds check each launch
     /// against [`crate::decompose::decompose`] (see
     /// [`Self::decompose_reference`]).
     fn start_multitask(&mut self, m: usize, ji: usize, si: usize, ti: usize) {
@@ -1150,13 +1097,7 @@ impl Exec {
             0
         };
         if matches!(task.input, InputSpec::ShuffleFetch { .. }) {
-            let control = &mut self.rt.jobs[ji].stages[si].control;
-            if self.templates[ji][si].is_some() {
-                control.template_hits += 1;
-            } else {
-                control.template_misses += 1;
-                self.templates[ji][si] = Some(self.sender_layout(ji, si));
-            }
+            self.rt.capture_template(ji, si);
         }
         let t_built = std::time::Instant::now();
         #[cfg(debug_assertions)]
@@ -1222,35 +1163,6 @@ impl Exec {
         run.control.instantiate_nanos += t_built.elapsed().as_nanos() as u64;
     }
 
-    /// The `(job, stage)` sender layout derived from the producers' current
-    /// shuffle tables: the control decision every task of the stage shares.
-    fn sender_layout(&self, ji: usize, si: usize) -> StageTemplate {
-        let n_tasks = self.rt.jobs[ji].spec.stages[si].tasks.len() as f64;
-        let mut tpl = StageTemplate::default();
-        for d in &self.rt.jobs[ji].spec.stages[si].deps {
-            let drun = &self.rt.jobs[ji].stages[d.0 as usize];
-            debug_assert!(drun.done, "fetching from unfinished stage");
-            let total: f64 = drun.shuffle_by_machine.iter().sum();
-            if total <= 0.0 {
-                continue;
-            }
-            let per_task = total / n_tasks;
-            let via_disk = !drun.shuffle_in_memory;
-            for (s, &bytes) in drun.shuffle_by_machine.iter().enumerate() {
-                let b = per_task * (bytes / total);
-                if b <= 0.0 {
-                    continue;
-                }
-                tpl.senders.push(TemplateSender {
-                    machine: s,
-                    bytes: b,
-                    via_disk,
-                });
-            }
-        }
-        tpl
-    }
-
     /// Stamps one task's monotask nodes: compute at index 0, input nodes in
     /// template/sender order, the output write last — the node layout of
     /// [`crate::decompose::decompose`], done arithmetically instead of via
@@ -1269,9 +1181,9 @@ impl Exec {
         let now = self.now;
         let blank = |op: MonoOp, purpose: Purpose| MonoNode::new(op, purpose, now);
         let cap = 2 + match task.input {
-            InputSpec::ShuffleFetch { .. } => self.templates[ji][si]
-                .as_ref()
-                .map_or(0, |t| t.senders.len()),
+            InputSpec::ShuffleFetch { .. } => {
+                self.rt.template(ji, si).map_or(0, |t| t.senders.len())
+            }
             _ => 1,
         };
         let mut nodes: Vec<MonoNode> = Vec::with_capacity(cap);
@@ -1291,8 +1203,9 @@ impl Exec {
                 }
             }
             InputSpec::ShuffleFetch { .. } => {
-                let tpl = self.templates[ji][si]
-                    .as_ref()
+                let tpl = self
+                    .rt
+                    .template(ji, si)
                     .expect("template ensured before stamping");
                 for e in &tpl.senders {
                     // The serve-disk cursor advances once per positive
@@ -1385,8 +1298,8 @@ impl Exec {
         };
         let mut cursors = FxHashMap::default();
         if let InputSpec::ShuffleFetch { .. } = task.input {
-            let layout = self.sender_layout(ji, si);
-            let cached = self.templates[ji][si].as_ref();
+            let layout = self.rt.sender_layout(ji, si);
+            let cached = self.rt.template(ji, si);
             assert!(
                 cached.is_some_and(|t| *t == layout),
                 "stale execution template for job {ji} stage {si}: {cached:?} vs {layout:?}"
@@ -1975,14 +1888,15 @@ impl Exec {
         self.cold_mut(mt, idx).copy_of = Some(node);
         self.cold_mut(mt, node).copy = Some(idx);
         let key = self.mts[mt].key;
-        let ji = key.job.0 as usize;
-        self.rt.jobs[ji].recovery.mono_copies[res_index(&orig_op)] += 1;
-        self.emit_instant(cluster::InstantKind::MonoCopy {
-            job: key.job.0,
-            stage: key.stage.0,
-            task: key.task.0,
-            resource: res_index(&orig_op),
-        });
+        self.rt.record(
+            self.now,
+            InstantKind::MonoCopy {
+                job: key.job.0,
+                stage: key.stage.0,
+                task: key.task.0,
+                resource: res_index(&orig_op),
+            },
+        );
         match copy_op {
             MonoOp::Compute { .. } => self.machines[home].sched.enqueue_cpu(qref(mt, idx)),
             _ => {
@@ -2030,15 +1944,15 @@ impl Exec {
         self.mts[mt].nodes[copy].set(DONE, true);
         self.mts[mt].nodes[copy].set(RUNNING, false);
         let key = self.mts[mt].key;
-        let ji = key.job.0 as usize;
-        let win_res = res_index(&self.op(mt, orig));
-        self.rt.jobs[ji].recovery.mono_copy_wins[win_res] += 1;
-        self.emit_instant(cluster::InstantKind::MonoCopyWin {
-            job: key.job.0,
-            stage: key.stage.0,
-            task: key.task.0,
-            resource: win_res,
-        });
+        self.rt.record(
+            self.now,
+            InstantKind::MonoCopyWin {
+                job: key.job.0,
+                stage: key.stage.0,
+                task: key.task.0,
+                resource: res_index(&self.op(mt, orig)),
+            },
+        );
         self.push_sample(mt, copy);
         // … then perform, exactly once for the pair, the completion
         // bookkeeping the original would have done.
@@ -2279,13 +2193,14 @@ impl Exec {
             "cold node state written without speculation or partitions"
         );
         let makespan = self.now;
-        let (traces, instants) = self.hosts.into_output(&mut stats);
+        let traces = self.hosts.into_output(&mut stats);
         if let Some(fabric) = &self.fabric {
             stats.merge(&fabric.stats());
         }
         let peak_buffered = self.machines.iter().map(|m| m.peak_buffered).collect();
+        let (jobs, instants) = self.rt.into_reports(&mut stats);
         MonoRunOutput {
-            jobs: self.rt.into_reports(&mut stats),
+            jobs,
             records: self.records,
             traces,
             queue_trace: self.queue_trace,
@@ -2316,9 +2231,7 @@ impl Engine for Exec {
             fabric.begin_update();
         }
         while let Some(action) = self.hosts.pop_fault(now, &self.rt.alive) {
-            if self.hosts.tracing() {
-                self.emit_instant(InstantKind::from(&action));
-            }
+            self.rt.record(now, InstantKind::from(&action));
             match action {
                 FaultAction::Crash { machine } => self.crash_machine(machine)?,
                 FaultAction::CutPair { src, dst } => self.apply_cut(src, dst),
@@ -2332,41 +2245,6 @@ impl Engine for Exec {
             }
         }
         Ok(())
-    }
-
-    /// Mirrors the runtime's recovery decisions as instants, and drops the
-    /// consumer templates a lost shuffle output made stale — the one
-    /// invalidation guard (DESIGN.md §7), counted.
-    fn mirror_decisions(&mut self) {
-        for d in self.rt.take_decisions() {
-            let kind = match d {
-                Decision::TaskRetry {
-                    job,
-                    stage,
-                    task,
-                    recompute,
-                } => InstantKind::TaskRetry {
-                    job,
-                    stage,
-                    task,
-                    recompute,
-                },
-                Decision::FetchRetry {
-                    job,
-                    stage,
-                    attempt,
-                } => InstantKind::FetchRetry {
-                    job,
-                    stage,
-                    attempt,
-                },
-                Decision::ShuffleLost { job, stage } => {
-                    self.invalidate_consumers(job, stage);
-                    continue;
-                }
-            };
-            self.hosts.log(self.now, kind);
-        }
     }
 
     fn complete(&mut self) {
@@ -2758,34 +2636,6 @@ mod tests {
             "shortest-queue {} vs round-robin {}",
             sq.jobs[0].duration_secs(),
             rr.jobs[0].duration_secs()
-        );
-    }
-
-    #[test]
-    fn fifo_job_policy_prioritizes_the_first_job() {
-        let (a, ba) = sort_job(2.0, 16);
-        let (b, bb) = sort_job(2.0, 16);
-        let fair = run(
-            &small_cluster(),
-            &[(a.clone(), ba.clone()), (b.clone(), bb.clone())],
-            &MonoConfig::default(),
-        );
-        let cfg = MonoConfig {
-            job_policy: JobPolicy::Fifo,
-            ..MonoConfig::default()
-        };
-        let fifo = run(&small_cluster(), &[(a, ba), (b, bb)], &cfg);
-        assert!(
-            fifo.jobs[0].duration_secs() <= fair.jobs[0].duration_secs(),
-            "fifo job0 {} vs fair job0 {}",
-            fifo.jobs[0].duration_secs(),
-            fair.jobs[0].duration_secs()
-        );
-        // Total work is the same either way (within scheduling noise).
-        assert!(
-            (fifo.makespan.as_secs_f64() - fair.makespan.as_secs_f64()).abs()
-                / fair.makespan.as_secs_f64()
-                < 0.25
         );
     }
 

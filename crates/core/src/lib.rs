@@ -30,11 +30,7 @@ pub mod executor;
 pub mod metrics;
 pub mod monotask;
 pub mod scheduler;
-pub mod template;
 
-pub use executor::{
-    run, run_with_faults, try_run, DiskChoice, JobPolicy, MonoConfig, MonoRunOutput,
-};
+pub use executor::{run, run_with_faults, try_run, DiskChoice, MonoConfig, MonoRunOutput};
 pub use metrics::{MonotaskRecord, Purpose, QueueSnapshot, QueueTrace, QueueTraceIter, Records};
 pub use monotask::{MonoOp, Monotask, MultitaskKey};
-pub use template::{StageTemplate, TemplateSender};

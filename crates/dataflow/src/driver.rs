@@ -15,11 +15,14 @@
 //! 2. partition recovery, with partitions on: fire due stall clocks
 //!    ([`Engine::sweep_stalls`]) and gate timeouts, escalating through
 //!    [`replan`];
-//! 3. [`Engine::mirror_decisions`]: mirror the runtime's decisions;
-//! 4. [`Engine::complete`]: local timers and allocator completions;
-//! 5. [`Engine::step`] to a fixpoint (assign, dispatch, speculate);
-//! 6. arm the gate timers, with partitions on;
-//! 7. [`Engine::commit`]: commit the batches, sample.
+//! 3. [`Engine::complete`]: local timers and allocator completions;
+//! 4. [`Engine::step`] to a fixpoint (assign, dispatch, speculate);
+//! 5. arm the gate timers, with partitions on;
+//! 6. [`Engine::commit`]: commit the batches, sample.
+//!
+//! Every recovery decision is taken in steps 1 and 2 or by the engine's own
+//! handlers, and each is recorded where it is taken
+//! ([`Runtime::record`]), so the instant log needs no step of its own.
 //!
 //! Everything happens at one instant, so each allocator reallocates once per
 //! event. The run ends as soon as every job is done. Otherwise the next
@@ -43,9 +46,6 @@ pub trait Engine {
     /// Opens a batch at `now`: moves the executor's clock there, opens every
     /// allocator's batched-update scope and applies the fault actions due.
     fn open_batch(&mut self, now: SimTime) -> Result<(), RunError>;
-
-    /// Mirrors the runtime's pending [`crate::runtime::Decision`]s.
-    fn mirror_decisions(&mut self);
 
     /// Drains the local timers and allocator completions due now, running
     /// their handlers.
@@ -89,7 +89,6 @@ pub fn run<E: Engine>(e: &mut E, max_steps: u64) -> Result<SimStats, RunError> {
         if partitions {
             recover_partitions(e, now)?;
         }
-        e.mirror_decisions();
         e.complete();
         while e.step() {}
         if partitions {
@@ -206,7 +205,7 @@ mod tests {
                 .map(1.0, 1.0, false)
                 .write_disk(1.0);
             let cfg = RuntimeConfig {
-                fifo: false,
+                trace: false,
                 lineage: false,
                 partitions: false,
                 max_task_retries: 0,
@@ -233,9 +232,6 @@ mod tests {
             self.now = now;
             self.log.push("open");
             Ok(())
-        }
-        fn mirror_decisions(&mut self) {
-            self.log.push("mirror");
         }
         fn complete(&mut self) {
             self.log.push("complete");
@@ -287,7 +283,7 @@ mod tests {
         // Three one-second tasks back to back: three events after t = 0.
         assert_eq!(stats.events, 3);
         assert_eq!(e.now, SimTime::from_secs(3));
-        let batch = ["open", "mirror", "complete", "step", "step", "commit"];
+        let batch = ["open", "complete", "step", "step", "commit"];
         assert_eq!(e.log.len(), 4 * batch.len() - 1, "{:?}", e.log);
         assert_eq!(e.log[..batch.len()], batch);
     }

@@ -11,16 +11,22 @@
 //! escalation skeleton need (stall timers, gate clocks, sender-level
 //! re-planning) are private to the crate.
 //!
+//! It also keeps the run's recovery ledger. [`Runtime::record`] is the one
+//! place a recovery counter is bumped, and it logs the matching
+//! [`InstantKind`] in the same call when the trace is armed, so counters and
+//! instants cannot drift apart; the executors record their fault firings
+//! and their own decisions (speculation, fetch re-plans) through it too.
+//! The per-stage sender layout every shuffle-input launch stamps from, the
+//! [`StageTemplate`], is cached here as well, and dropped where a loss of
+//! shuffle output makes it stale.
+//!
 //! Each executor keeps what really differs: how a task's work runs, how
 //! in-flight work is aborted or parked, and which machines can host a task —
-//! the [`Gate`] it hands to [`Runtime::new`]. The runtime cannot see the
-//! trace layer's instant type, so it logs what it decided as [`Decision`]s;
-//! executors drain them with [`Runtime::take_decisions`] and emit the
-//! matching instants in decision order.
+//! the [`Gate`] it hands to [`Runtime::new`].
 
 use std::collections::HashSet;
 
-use simcore::{EventQueue, SimDuration, SimStats, SimTime};
+use simcore::{EventQueue, InstantKind, RunInstant, SimDuration, SimStats, SimTime};
 
 use crate::{
     BlockMap, InputSpec, JobId, JobReport, JobSpec, OutputSpec, RecoveryStats, RunError,
@@ -36,9 +42,8 @@ pub type Gate = fn(rt: &Runtime, m: usize, job: usize, stage: usize, task: usize
 /// configuration and fault plan.
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
-    /// Serve jobs strictly in submission order instead of rotating between
-    /// them at every assignment.
-    pub fifo: bool,
+    /// Log every recorded instant (the executor's trace is armed).
+    pub trace: bool,
     /// Keep the lineage index (fault runs only).
     pub lineage: bool,
     /// The fault plan cuts links: task picks pass the reachability gate.
@@ -92,6 +97,9 @@ pub struct StageRun {
     /// Stall clock of the current gate blockage: running while the pending
     /// tasks have no placement passing the gate.
     gate: Stall,
+    /// The captured sender layout of a shuffle-input stage, until lost
+    /// output of a stage it fetches from drops it.
+    template: Option<StageTemplate>,
 }
 
 /// Scheduling state of one job.
@@ -113,38 +121,36 @@ pub struct JobRun {
     pub recovery: RecoveryStats,
 }
 
-/// A recovery decision the runtime took, for the executor to mirror.
+/// One sender entry of a captured shuffle layout: a machine holding a
+/// positive share of every task's fetch.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Decision {
-    /// A task was re-queued (counted in `tasks_retried`).
-    TaskRetry {
-        /// Job index.
-        job: u32,
-        /// Stage index.
-        stage: u32,
-        /// Task index.
-        task: u32,
-        /// The task re-runs finished work whose output was lost.
-        recompute: bool,
-    },
-    /// A stalled fetch or gate-blocked stage spent a retry (counted in
-    /// `fetch_retries`).
-    FetchRetry {
-        /// Job index.
-        job: u32,
-        /// Stage index.
-        stage: u32,
-        /// Retries spent in this stall episode, this one included.
-        attempt: u32,
-    },
-    /// Shuffle output of `stage` was lost: its consumers must drop anything
-    /// derived from the old placement.
-    ShuffleLost {
-        /// Job index.
-        job: usize,
-        /// Stage whose output was lost.
-        stage: usize,
-    },
+pub struct TemplateSender {
+    /// Sender machine.
+    pub machine: usize,
+    /// Bytes each task of the stage fetches from this sender.
+    pub bytes: f64,
+    /// Whether the share lives on the sender's disk (false: in memory).
+    pub via_disk: bool,
+}
+
+/// The execution template of a shuffle-input stage (after *Execution
+/// Templates*, Mashayekhi et al. — see PAPERS.md): its per-task sender
+/// layout, the one control decision every task of the stage shares. Each
+/// task fetches `total / n_tasks` bytes split across senders in proportion
+/// to where the bytes landed, so the layout is captured once, at the first
+/// launch, and the monotasks executor stamps every task's DAG from it.
+///
+/// A template is captured once its stage is ready, so every producer has
+/// finished and its shuffle-byte table is final, until output is lost. The
+/// one invalidation guard is therefore the loss itself:
+/// [`Runtime::lose_shuffle_outputs`] drops every consumer's template, and
+/// the next launch re-captures it. Immutable once captured. The serve
+/// *disk* of each sender is deliberately not cached: the executor's
+/// per-machine cursors hand it out at every launch.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct StageTemplate {
+    /// Positive per-task sender shares, dependency-major and machine-minor.
+    pub senders: Vec<TemplateSender>,
 }
 
 /// One stall clock: an in-flight fetch, or a ready stage whose pending
@@ -198,18 +204,19 @@ impl Stall {
     pub fn tick(&mut self, rt: &mut Runtime, ji: usize, si: usize, now: SimTime) -> Option<u32> {
         self.retries += 1;
         let attempt = self.retries;
-        let recovery = &mut rt.jobs[ji].recovery;
-        recovery.fetch_retries += 1;
-        rt.decisions.push(Decision::FetchRetry {
-            job: ji as u32,
-            stage: si as u32,
-            attempt,
-        });
+        rt.record(
+            now,
+            InstantKind::FetchRetry {
+                job: ji as u32,
+                stage: si as u32,
+                attempt,
+            },
+        );
         if attempt > rt.cfg.fetch_max_retries {
             return Some(attempt);
         }
         let backoff = rt.cfg.fetch_backoff_base_secs * 2f64.powi(attempt as i32 - 1);
-        recovery.fetch_backoff_seconds += backoff;
+        rt.jobs[ji].recovery.fetch_backoff_seconds += backoff;
         let mut at = now + SimDuration::from_secs_f64(backoff);
         if at <= now {
             at = SimTime(now.0 + 1);
@@ -255,8 +262,8 @@ pub struct Runtime {
     quarantined: Vec<bool>,
     /// Wake-ups at stall-timeout and backoff expiries.
     fetch_timers: EventQueue<()>,
-    /// Decisions not yet taken by the executor.
-    decisions: Vec<Decision>,
+    /// Every recorded instant, in recording order (trace runs only).
+    instants: Vec<RunInstant>,
 }
 
 impl Runtime {
@@ -308,6 +315,7 @@ impl Runtime {
                         task_done: vec![false; st.tasks.len()],
                         populated: false,
                         gate: Stall::default(),
+                        template: None,
                     })
                     .collect(),
                 done: false,
@@ -335,7 +343,7 @@ impl Runtime {
             cut_pairs: HashSet::new(),
             quarantined: vec![false; n_machines],
             fetch_timers: EventQueue::new(),
-            decisions: Vec::new(),
+            instants: Vec::new(),
         };
         for ji in 0..rt.jobs.len() {
             for si in 0..rt.jobs[ji].stages.len() {
@@ -380,9 +388,79 @@ impl Runtime {
         self.jobs[ji].stages[si].task_done[ti]
     }
 
-    /// Decisions taken since the last call, oldest first.
-    pub fn take_decisions(&mut self) -> Vec<Decision> {
-        std::mem::take(&mut self.decisions)
+    /// Books one fault firing or recovery event at `now`: bumps the counter
+    /// `kind` counts against, if it has one, and logs the instant when the
+    /// trace is armed. Counters move whether or not the trace is armed, and
+    /// nothing else writes them, so every counter equals the number of its
+    /// instants in a traced run.
+    pub fn record(&mut self, now: SimTime, kind: InstantKind) {
+        if let Some(ji) = kind.job() {
+            let job = &mut self.jobs[ji as usize];
+            let r = &mut job.recovery;
+            match kind {
+                InstantKind::TaskRetry { .. } => r.tasks_retried += 1,
+                InstantKind::TaskSpeculate { .. } => r.tasks_speculated += 1,
+                InstantKind::MonoCopy { resource, .. } => r.mono_copies[resource] += 1,
+                InstantKind::MonoCopyWin { resource, .. } => r.mono_copy_wins[resource] += 1,
+                InstantKind::FetchRetry { .. } => r.fetch_retries += 1,
+                InstantKind::FetchReplan { .. } => r.fetches_replanned += 1,
+                InstantKind::TemplateInvalidate { stage, .. } => {
+                    job.stages[stage as usize].control.template_invalidations += 1;
+                }
+                // Fault firings belong to no job.
+                _ => {}
+            }
+        }
+        if self.cfg.trace {
+            self.instants.push(RunInstant { time: now, kind });
+        }
+    }
+
+    /// Looks up stage `(ji, si)`'s template for one task launch: a hit, or
+    /// a miss that captures it from the producers' shuffle tables.
+    pub fn capture_template(&mut self, ji: usize, si: usize) {
+        if self.jobs[ji].stages[si].template.is_some() {
+            self.jobs[ji].stages[si].control.template_hits += 1;
+        } else {
+            let tpl = self.sender_layout(ji, si);
+            let run = &mut self.jobs[ji].stages[si];
+            run.control.template_misses += 1;
+            run.template = Some(tpl);
+        }
+    }
+
+    /// Stage `(ji, si)`'s captured template, if any.
+    pub fn template(&self, ji: usize, si: usize) -> Option<&StageTemplate> {
+        self.jobs[ji].stages[si].template.as_ref()
+    }
+
+    /// The sender layout of stage `(ji, si)` derived from the producers'
+    /// current shuffle tables.
+    pub fn sender_layout(&self, ji: usize, si: usize) -> StageTemplate {
+        let n_tasks = self.jobs[ji].spec.stages[si].tasks.len() as f64;
+        let mut tpl = StageTemplate::default();
+        for d in &self.jobs[ji].spec.stages[si].deps {
+            let drun = &self.jobs[ji].stages[d.0 as usize];
+            debug_assert!(drun.done, "fetching from unfinished stage");
+            let total: f64 = drun.shuffle_by_machine.iter().sum();
+            if total <= 0.0 {
+                continue;
+            }
+            let per_task = total / n_tasks;
+            let via_disk = !drun.shuffle_in_memory;
+            for (s, &bytes) in drun.shuffle_by_machine.iter().enumerate() {
+                let b = per_task * (bytes / total);
+                if b <= 0.0 {
+                    continue;
+                }
+                tpl.senders.push(TemplateSender {
+                    machine: s,
+                    bytes: b,
+                    via_disk,
+                });
+            }
+        }
+        tpl
     }
 
     /// Marks machine `m` crashed; `false` if it already was.
@@ -466,7 +544,7 @@ impl Runtime {
     }
 
     /// Chooses the next task for machine `m`: a local task from any ready
-    /// stage (jobs fair-share rotated, or in FIFO order), else any pending
+    /// stage (jobs fair-share rotated), else any pending
     /// task — no-preference queues first, then stolen remote-local ones.
     /// With partitions on, each queue is searched back to front for the
     /// first entry passing the gate; gated entries stay queued for a machine
@@ -476,7 +554,7 @@ impl Runtime {
             return None;
         }
         let n_jobs = self.jobs.len();
-        let offset = if self.cfg.fifo { 0 } else { self.rr_job };
+        let offset = self.rr_job;
         // Pass 1: locality.
         for jo in 0..n_jobs {
             let ji = (offset + jo) % n_jobs;
@@ -541,13 +619,14 @@ impl Runtime {
         (ji, si, ti)
     }
 
-    /// Bounded-retry re-queue of one task attempt.
+    /// Bounded-retry re-queue of one task attempt at `now`.
     pub fn requeue_task(
         &mut self,
         ji: usize,
         si: usize,
         ti: usize,
         recompute: bool,
+        now: SimTime,
     ) -> Result<(), RunError> {
         let a = &mut self.attempts[ji][si][ti];
         *a += 1;
@@ -559,13 +638,15 @@ impl Runtime {
                 attempts: *a,
             });
         }
-        self.jobs[ji].recovery.tasks_retried += 1;
-        self.decisions.push(Decision::TaskRetry {
-            job: ji as u32,
-            stage: si as u32,
-            task: ti as u32,
-            recompute,
-        });
+        self.record(
+            now,
+            InstantKind::TaskRetry {
+                job: ji as u32,
+                stage: si as u32,
+                task: ti as u32,
+                recompute,
+            },
+        );
         if recompute {
             self.recompute_pending.insert((ji, si, ti));
         }
@@ -605,7 +686,10 @@ impl Runtime {
     /// output stored on machine `m` that an unfinished stage still needs,
     /// re-queues exactly the tasks that produced those bytes (the lineage
     /// index) and closes downstream stages until the data exists again.
-    /// Fails the run at `now` if no machine is left alive to recompute on.
+    /// Every consumer's template derives from the old placement, so it is
+    /// dropped first, before the re-queues and before any task launches
+    /// again. Fails the run at `now` if no machine is left alive to
+    /// recompute on.
     pub fn lose_shuffle_outputs(&mut self, m: usize, now: SimTime) -> Result<(), RunError> {
         for ji in 0..self.jobs.len() {
             let n_stages = self.jobs[ji].stages.len();
@@ -634,10 +718,14 @@ impl Runtime {
                 }
                 let was_done = std::mem::replace(&mut run.done, false);
                 run.ended = None;
-                self.decisions
-                    .push(Decision::ShuffleLost { job: ji, stage: si });
+                for &sj in &consumers {
+                    if self.jobs[ji].stages[sj].template.take().is_some() {
+                        let (job, stage) = (ji as u32, sj as u32);
+                        self.record(now, InstantKind::TemplateInvalidate { job, stage });
+                    }
+                }
                 for ti in lost {
-                    self.requeue_task(ji, si, ti as usize, true)?;
+                    self.requeue_task(ji, si, ti as usize, true, now)?;
                 }
                 if was_done {
                     for sj in consumers {
@@ -943,11 +1031,11 @@ impl Runtime {
         }
     }
 
-    /// Rolls the run's control and recovery counters into `stats` and builds
-    /// the per-job reports. `stats.control_nanos` enters as raw loop wall and
-    /// leaves as the executor-control remainder, so merge the allocators'
-    /// stats first.
-    pub fn into_reports(self, stats: &mut SimStats) -> Vec<JobReport> {
+    /// Rolls the run's control and recovery counters into `stats`, and
+    /// returns the per-job reports with the recorded instants.
+    /// `stats.control_nanos` enters as raw loop wall and leaves as the
+    /// executor-control remainder, so merge the allocators' stats first.
+    pub fn into_reports(self, stats: &mut SimStats) -> (Vec<JobReport>, Vec<RunInstant>) {
         let mut total = RecoveryStats::default();
         for j in &self.jobs {
             total.merge(&j.recovery);
@@ -973,7 +1061,8 @@ impl Runtime {
         stats.stalled_fetch_nanos = (total.stalled_fetch_seconds * 1e9).round() as u64;
         stats.fetch_backoff_nanos = (total.fetch_backoff_seconds * 1e9).round() as u64;
         stats.fetches_replanned = total.fetches_replanned;
-        self.jobs
+        let reports = self
+            .jobs
             .into_iter()
             .map(|j| JobReport {
                 job: j.id,
@@ -993,20 +1082,21 @@ impl Runtime {
                     .collect(),
                 recovery: j.recovery,
             })
-            .collect()
+            .collect();
+        (reports, self.instants)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostModel, JobBuilder};
+    use crate::{CostModel, JobBuilder, RES_DISK, RES_NET};
 
     const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 
     fn cfg(partitions: bool) -> RuntimeConfig {
         RuntimeConfig {
-            fifo: false,
+            trace: true,
             lineage: true,
             partitions,
             max_task_retries: 2,
@@ -1022,6 +1112,10 @@ mod tests {
 
     /// A two-stage sort over 4 map and 2 reduce tasks on 2 machines.
     fn sort(partitions: bool) -> Runtime {
+        sort_with(cfg(partitions))
+    }
+
+    fn sort_with(cfg: RuntimeConfig) -> Runtime {
         let job = JobBuilder::new("sort", CostModel::spark_1_3())
             .read_disk(GIB, 1e6, GIB / 4.0)
             .map(1.0, 1.0, true)
@@ -1029,7 +1123,7 @@ mod tests {
             .map(1.0, 1.0, true)
             .write_disk(1.0);
         let blocks = BlockMap::round_robin(4, 2, 1);
-        Runtime::new(&[(job, blocks)], 2, cfg(partitions), shuffle_gate).unwrap()
+        Runtime::new(&[(job, blocks)], 2, cfg, shuffle_gate).unwrap()
     }
 
     /// Picks and immediately finishes one task per listed machine.
@@ -1059,7 +1153,7 @@ mod tests {
         assert!(rt.jobs[0].done);
         assert_eq!(rt.jobs[0].end, SimTime::from_secs(3));
         let mut stats = SimStats::new();
-        let reports = rt.into_reports(&mut stats);
+        let (reports, _) = rt.into_reports(&mut stats);
         assert_eq!(reports[0].stages[1].end, SimTime::from_secs(3));
     }
 
@@ -1068,35 +1162,106 @@ mod tests {
         let mut rt = sort(false);
         run_on(&mut rt, &[0, 1, 0, 1], SimTime::from_secs(1));
         assert!(rt.jobs[0].stages[1].ready);
-        rt.lose_shuffle_outputs(1, SimTime::from_secs(1)).unwrap();
+        rt.capture_template(0, 1);
+        let t = SimTime::from_secs(1);
+        rt.lose_shuffle_outputs(1, t).unwrap();
         // Machine 1 ran map tasks 1 and 3: both re-run as recomputations,
-        // and the reduce stage waits for them.
+        // and the reduce stage waits for them. Its template is dropped first.
         assert!(!rt.jobs[0].stages[1].ready && !rt.jobs[0].stages[0].done);
+        assert!(rt.template(0, 1).is_none());
+        let retry = |task| InstantKind::TaskRetry {
+            job: 0,
+            stage: 0,
+            task,
+            recompute: true,
+        };
+        let expected = [
+            InstantKind::TemplateInvalidate { job: 0, stage: 1 },
+            retry(1),
+            retry(3),
+        ];
         assert_eq!(
-            rt.take_decisions(),
-            vec![
-                Decision::ShuffleLost { job: 0, stage: 0 },
-                Decision::TaskRetry {
-                    job: 0,
-                    stage: 0,
-                    task: 1,
-                    recompute: true
-                },
-                Decision::TaskRetry {
-                    job: 0,
-                    stage: 0,
-                    task: 3,
-                    recompute: true
-                },
-            ]
+            rt.instants,
+            expected.map(|kind| RunInstant { time: t, kind })
         );
         assert!(rt.take_recompute(0, 0, 3) && !rt.take_recompute(0, 0, 3));
-        rt.requeue_task(0, 0, 3, false).unwrap();
-        let err = rt.requeue_task(0, 0, 3, false).unwrap_err();
+        rt.requeue_task(0, 0, 3, false, t).unwrap();
+        let err = rt.requeue_task(0, 0, 3, false, t).unwrap_err();
         assert!(matches!(
             err,
             RunError::RetriesExhausted { attempts: 3, .. }
         ));
+    }
+
+    #[test]
+    fn record_counts_whether_or_not_the_log_is_armed() {
+        let kinds = [
+            InstantKind::TaskRetry {
+                job: 0,
+                stage: 0,
+                task: 1,
+                recompute: false,
+            },
+            InstantKind::TaskSpeculate {
+                job: 0,
+                stage: 0,
+                task: 2,
+                machine: 1,
+            },
+            InstantKind::MonoCopy {
+                job: 0,
+                stage: 1,
+                task: 0,
+                resource: RES_NET,
+            },
+            InstantKind::MonoCopyWin {
+                job: 0,
+                stage: 0,
+                task: 3,
+                resource: RES_DISK,
+            },
+            InstantKind::TemplateInvalidate { job: 0, stage: 1 },
+            InstantKind::FetchRetry {
+                job: 0,
+                stage: 1,
+                attempt: 1,
+            },
+            InstantKind::FetchReplan { job: 0, stage: 1 },
+            InstantKind::MachineCrash { machine: 1 },
+        ];
+        for trace in [false, true] {
+            let mut rt = sort_with(RuntimeConfig {
+                trace,
+                ..cfg(false)
+            });
+            let at = |k: usize| SimTime::from_secs(k as u64);
+            for (k, &kind) in kinds.iter().enumerate() {
+                rt.record(at(k), kind);
+            }
+            let r = &rt.jobs[0].recovery;
+            let once = (1, 1, 1, 1, 1, 1);
+            let counted = (
+                r.tasks_retried,
+                r.tasks_speculated,
+                r.fetch_retries,
+                r.fetches_replanned,
+                r.mono_copies_total(),
+                r.mono_copy_wins_total(),
+            );
+            assert_eq!(counted, once, "trace {trace}");
+            assert_eq!((r.mono_copies[RES_NET], r.mono_copy_wins[RES_DISK]), (1, 1));
+            let stages = &rt.jobs[0].stages;
+            assert_eq!(stages[1].control.template_invalidations, 1);
+            assert_eq!(stages[0].control.template_invalidations, 0);
+            let logged: Vec<RunInstant> = (0..kinds.len())
+                .filter(|_| trace)
+                .map(|k| RunInstant {
+                    time: at(k),
+                    kind: kinds[k],
+                })
+                .collect();
+            assert_eq!(rt.instants, logged, "trace {trace}");
+        }
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!   each rack (a flat cluster is one rack under the run's policy), ε-fair
 //!   (src-rack, dst-rack) super-classes across the oversubscribed core, and
 //!   per-shard completion sweeps with optional scoped-thread fan-out.
+//! * [`instant`] — the fault and recovery instants of a traced run
+//!   ([`InstantKind`], [`RunInstant`]), defined here so the job/stage runtime
+//!   can log its own decisions.
 //! * [`fx`] — a deterministic multiply-rotate hasher for hot-path maps keyed
 //!   by small integers (no random seed, no external crate).
 //! * [`recorder`] — time-weighted utilization traces with interval resampling
@@ -24,7 +27,8 @@
 //! * [`stats`] — wall-clock counters ([`SimStats`]) for the simulator's own
 //!   control plane: events fired, allocator reallocations, allocator time.
 //!
-//! Nothing in this crate knows about tasks, jobs, or analytics; it is the
+//! Apart from the instant vocabulary, which names jobs and tasks by index,
+//! nothing in this crate knows about tasks, jobs, or analytics; it is the
 //! "operating system and hardware physics" layer.
 
 #![forbid(unsafe_code)]
@@ -32,6 +36,7 @@
 
 pub mod events;
 pub mod fx;
+pub mod instant;
 pub mod maxmin;
 pub mod recorder;
 pub mod resource;
@@ -41,6 +46,7 @@ pub mod time;
 
 pub use events::EventQueue;
 pub use fx::{FxHashMap, FxHashSet};
+pub use instant::{InstantKind, RunInstant};
 pub use maxmin::{FlowAllocator, FlowId, MaxMinPolicy};
 pub use recorder::UtilizationRecorder;
 pub use resource::ResourceKind;

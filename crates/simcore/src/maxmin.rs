@@ -562,11 +562,16 @@ impl FlowAllocator {
         self.pair_index.len()
     }
 
-    /// Total bytes delivered so far across all flows.
+    /// Total bytes delivered by `now` across all flows: every live class is
+    /// interpolated to `now` at its current rate, whether or not the
+    /// allocator's clock was advanced there.
     ///
     /// O(classes): pending virtual drain is summed per class, not per flow.
-    pub fn total_delivered(&self) -> f64 {
-        let now = self.last_advance;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` precedes a class's last drain.
+    pub fn total_delivered(&self, now: SimTime) -> f64 {
         let pending: f64 = self
             .classes
             .iter()
@@ -1599,7 +1604,7 @@ mod tests {
             fab.take_completed(now);
         }
         let total: f64 = sizes.iter().sum();
-        assert!((fab.total_delivered() - total).abs() < 1e-3);
+        assert!((fab.total_delivered(now) - total).abs() < 1e-3);
     }
 
     // Without a per-flow map the check is a class scan, so debug builds only.
@@ -1740,7 +1745,7 @@ mod tests {
         assert_eq!(fab.take_completed(c3), vec![FlowId(7)]);
         assert_eq!(fab.active_flows(), 0);
         assert_eq!(fab.active_classes(), 0);
-        assert!((fab.total_delivered() - 600.0).abs() < 1e-3);
+        assert!((fab.total_delivered(c3) - 600.0).abs() < 1e-3);
     }
 
     #[test]
@@ -1767,7 +1772,7 @@ mod tests {
         }
         assert_eq!(done, vec![FlowId(1), FlowId(2)]);
         // 100 + 1000 + 500 bytes offered, 50 withdrawn.
-        assert!((fab.total_delivered() - 1550.0).abs() < 1e-3);
+        assert!((fab.total_delivered(now) - 1550.0).abs() < 1e-3);
     }
 
     #[test]
@@ -1779,7 +1784,7 @@ mod tests {
         // and by t=3 the class drain has credited it 50 B past its size.
         assert_eq!(fab.remove(t(3.0), FlowId(1), 0, 1), Some(0.0));
         // 150 B to flow 2 plus flow 1's 100 B: the overshoot is given back.
-        assert_eq!(fab.total_delivered(), 250.0);
+        assert_eq!(fab.total_delivered(t(3.0)), 250.0);
         // Gone for good, and a wrong pair finds nothing.
         assert_eq!(fab.remove(t(3.0), FlowId(1), 0, 1), None);
         assert_eq!(fab.remove(t(3.0), FlowId(2), 1, 0), None);
@@ -1825,7 +1830,7 @@ mod tests {
         assert_eq!(fab.next_completion(c), Some(t(2.0)));
         assert_eq!(fab.take_completed(t(2.0)), vec![FlowId(3)]);
         // The 0.5 B the quantum forgave still count as delivered.
-        assert!((fab.total_delivered() - 400.5).abs() < 1e-3);
+        assert!((fab.total_delivered(t(2.0)) - 400.5).abs() < 1e-3);
     }
 
     #[test]
@@ -1947,7 +1952,7 @@ mod tests {
         assert_eq!(fab.rate(0, 1), Some(100.0));
         assert_eq!(fab.next_completion(t(3.0)), Some(t(12.0)));
         assert_eq!(fab.take_completed(t(12.0)), vec![FlowId(1)]);
-        assert!((fab.total_delivered() - 1000.0).abs() < 1e-3);
+        assert!((fab.total_delivered(t(12.0)) - 1000.0).abs() < 1e-3);
     }
 
     #[test]

@@ -316,13 +316,15 @@ impl HierFabric {
             + self.core.alloc.active_classes()
     }
 
-    /// Total bytes delivered across every level.
-    pub fn total_delivered(&self) -> f64 {
+    /// Total bytes delivered by `now` across every level, each live class
+    /// interpolated to `now` ([`FlowAllocator::total_delivered`]): a rack a
+    /// completion sweep skipped is not behind.
+    pub fn total_delivered(&self, now: SimTime) -> f64 {
         self.racks
             .iter()
-            .map(|r| r.alloc.total_delivered())
+            .map(|r| r.alloc.total_delivered(now))
             .sum::<f64>()
-            + self.core.alloc.total_delivered()
+            + self.core.alloc.total_delivered(now)
     }
 
     /// Starts a flow of `bytes` from machine `src` to machine `dst`; returns
@@ -726,7 +728,7 @@ mod tests {
             }
             obs.push((4, fabric.next_completion(clock).map(|x| x.0).unwrap_or(0)));
         }
-        obs.push((5, fabric.total_delivered().to_bits()));
+        obs.push((5, fabric.total_delivered(clock).to_bits()));
         obs
     }
 
@@ -791,9 +793,36 @@ mod tests {
             assert_eq!(flat.next_completion(clock), h.next_completion(clock));
         }
         assert_eq!(
-            flat.total_delivered().to_bits(),
-            h.total_delivered().to_bits()
+            flat.total_delivered(clock).to_bits(),
+            h.total_delivered(clock).to_bits()
         );
+    }
+
+    /// A completion sweep at 5 s finds nothing due (the one flow ends at
+    /// 10 s), so it never moves the rack allocator's clock; the delivered
+    /// total is still the 5e8 bytes the flow has moved by then, as the flat
+    /// allocator reports.
+    #[test]
+    fn total_delivered_reaches_the_callers_clock_past_a_skipped_sweep() {
+        let mut flat = FlowAllocator::new(2, 1e8, 1e8);
+        let mut h = hier(2, 2, 1);
+        let mut done = Vec::new();
+        let t5 = SimTime::from_secs(5);
+        flat.insert(SimTime::ZERO, FlowId(1), 0, 1, 1e9);
+        h.insert(SimTime::ZERO, FlowId(1), 0, 1, 1e9);
+        assert_eq!(
+            flat.next_completion(SimTime::ZERO),
+            Some(SimTime::from_secs(10))
+        );
+        assert_eq!(
+            h.next_completion(SimTime::ZERO),
+            Some(SimTime::from_secs(10))
+        );
+        flat.take_completed_into(t5, &mut done);
+        h.take_completed_into(t5, &mut done);
+        assert!(done.is_empty());
+        assert_eq!(flat.total_delivered(t5), 5e8);
+        assert_eq!(h.total_delivered(t5), 5e8);
     }
 
     #[test]
@@ -1096,8 +1125,8 @@ mod tests {
                 );
             }
             prop_assert_eq!(
-                flat.total_delivered().to_bits(),
-                h.total_delivered().to_bits()
+                flat.total_delivered(clock).to_bits(),
+                h.total_delivered(clock).to_bits()
             );
         }
     }

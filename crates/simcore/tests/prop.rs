@@ -88,7 +88,7 @@ proptest! {
             guard += 1;
             prop_assert!(guard < 10_000);
         }
-        prop_assert!((fab.total_delivered() - total).abs() / total < 1e-6);
+        prop_assert!((fab.total_delivered(now) - total).abs() / total < 1e-6);
     }
 
     #[test]
@@ -234,8 +234,8 @@ proptest! {
         }
         prop_assert_eq!(fab.active_flows(), 0);
         prop_assert!(
-            (fab.total_delivered() - total).abs() / total < 1e-6,
-            "delivered {} of {} bytes", fab.total_delivered(), total
+            (fab.total_delivered(now) - total).abs() / total < 1e-6,
+            "delivered {} of {} bytes", fab.total_delivered(now), total
         );
     }
 
@@ -309,7 +309,7 @@ proptest! {
                 }
             }
         }
-        let (da, dp) = (batched.total_delivered(), plain.total_delivered());
+        let (da, dp) = (batched.total_delivered(now), plain.total_delivered(now));
         prop_assert!((da - dp).abs() <= dp.abs() * 1e-9 + 1e-6);
     }
 
@@ -444,8 +444,8 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            exact.total_delivered().to_bits(),
-            approx.total_delivered().to_bits()
+            exact.total_delivered(now).to_bits(),
+            approx.total_delivered(now).to_bits()
         );
     }
 
@@ -494,8 +494,8 @@ proptest! {
             "coalesced run finished later: {:?} vs {:?}", end_coal, end_exact
         );
         prop_assert!(
-            (coal.total_delivered() - total).abs() / total < 1e-6,
-            "delivered {} of {} bytes", coal.total_delivered(), total
+            (coal.total_delivered(end_coal) - total).abs() / total < 1e-6,
+            "delivered {} of {} bytes", coal.total_delivered(end_coal), total
         );
     }
 
@@ -704,18 +704,18 @@ proptest! {
         }
         prop_assert!(live.is_empty(), "flows never completed: {:?}", live);
         prop_assert_eq!(h.active_flows(), 0);
-        // Sub-allocators drain lazily on their own clocks, so delivered
-        // totals are comparable once nothing is in flight.
+        // Once nothing is in flight, no class is left to interpolate and
+        // the delivered totals agree bit for bit.
         if let Some(f) = &flat {
-            prop_assert_eq!(h.total_delivered().to_bits(), f.total_delivered().to_bits());
+            prop_assert_eq!(h.total_delivered(now).to_bits(), f.total_delivered(now).to_bits());
         }
         // A flow cut within dust of its finish parks with one dust byte,
         // which heal re-inserts and completion forgives.
         let expected = offered - withdrawn;
         let tol = expected.abs() * 1e-9 + 1e-6 * (parks + 1) as f64;
         prop_assert!(
-            (h.total_delivered() - expected).abs() <= tol,
-            "delivered {} of {} bytes", h.total_delivered(), expected
+            (h.total_delivered(now) - expected).abs() <= tol,
+            "delivered {} of {} bytes", h.total_delivered(now), expected
         );
     }
 }

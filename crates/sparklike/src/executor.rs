@@ -7,7 +7,7 @@ use cluster::{
     StreamDemand, StreamId, TraceSet, WriteOutcome,
 };
 use dataflow::driver::{self, Engine};
-use dataflow::runtime::{Decision, Runtime, RuntimeConfig, Stall};
+use dataflow::runtime::{Runtime, RuntimeConfig, Stall};
 use dataflow::{BlockMap, InputSpec, JobId, JobReport, JobSpec, RunError, StageId, TaskId};
 use simcore::stats::median;
 use simcore::{EventQueue, SimDuration, SimStats, SimTime};
@@ -358,8 +358,7 @@ pub fn run_with_faults(
     plan: &FaultPlan,
 ) -> Result<SparkRunOutput, RunError> {
     cfg.validate().map_err(RunError::InvalidConfig)?;
-    let hosts = Hosts::new(cluster, plan, true, cfg.trace_path.is_some())
-        .map_err(RunError::InvalidConfig)?;
+    let hosts = Hosts::new(cluster, plan, true).map_err(RunError::InvalidConfig)?;
     let n_machines = cluster.machines;
     let slots = cfg
         .slots_per_machine
@@ -377,7 +376,7 @@ pub fn run_with_faults(
         })
         .collect();
     let rt_cfg = RuntimeConfig {
-        fifo: false,
+        trace: cfg.trace_path.is_some(),
         lineage: !plan.is_empty(),
         partitions: plan.has_partitions(),
         max_task_retries: cfg.max_task_retries,
@@ -412,13 +411,6 @@ pub fn run_with_faults(
 impl Exec {
     fn n_machines(&self) -> usize {
         self.machines.len()
-    }
-
-    /// Records a trace instant at the current simulated time, after the
-    /// runtime's pending decisions so instants keep decision order.
-    fn emit_instant(&mut self, kind: InstantKind) {
-        self.mirror_decisions();
-        self.hosts.log(self.now, kind);
     }
 
     /// Permanently fails machine `m`: kills every task running on it, fails
@@ -520,12 +512,9 @@ impl Exec {
         let stalled = &mut self.rt.jobs[ji].recovery.stalled_fetch_seconds;
         self.tasks[t_idx].stall.stop(self.now, stalled);
         self.tasks[t_idx].parked = None;
-        self.rt.jobs[ji].recovery.fetches_replanned += 1;
-        let si = self.tasks[t_idx].stage;
-        self.emit_instant(InstantKind::FetchReplan {
-            job: ji as u32,
-            stage: si as u32,
-        });
+        let (job, stage) = (ji as u32, self.tasks[t_idx].stage as u32);
+        self.rt
+            .record(self.now, InstantKind::FetchReplan { job, stage });
     }
 
     /// Tears down one in-flight attempt ([`Self::kill_task`]) and re-queues
@@ -541,7 +530,7 @@ impl Exec {
         if other_attempt_live || self.rt.task_done(ji, si, ti) {
             return Ok(());
         }
-        self.rt.requeue_task(ji, si, ti, recompute)
+        self.rt.requeue_task(ji, si, ti, recompute, self.now)
     }
 
     /// Drops any flush-entry reference to `t_idx` so a later write-back
@@ -645,13 +634,15 @@ impl Exec {
                 t.job == ji && t.stage == si && t.task == ti && !t.done && !t.killed && t.recompute
             });
             self.spec_copies.insert((ji, si, ti));
-            self.rt.jobs[ji].recovery.tasks_speculated += 1;
-            self.emit_instant(cluster::InstantKind::TaskSpeculate {
-                job: ji as u32,
-                stage: si as u32,
-                task: ti as u32,
-                machine: m,
-            });
+            self.rt.record(
+                self.now,
+                InstantKind::TaskSpeculate {
+                    job: ji as u32,
+                    stage: si as u32,
+                    task: ti as u32,
+                    machine: m,
+                },
+            );
         } else if self.faults_on {
             recompute = self.rt.take_recompute(ji, si, ti);
             if self.rt.attempts(ji, si, ti) == 0 {
@@ -1029,9 +1020,10 @@ impl Exec {
 
     fn into_output(self, mut stats: SimStats) -> SparkRunOutput {
         let makespan = self.now;
-        let (traces, instants) = self.hosts.into_output(&mut stats);
+        let traces = self.hosts.into_output(&mut stats);
+        let (jobs, instants) = self.rt.into_reports(&mut stats);
         SparkRunOutput {
-            jobs: self.rt.into_reports(&mut stats),
+            jobs,
             tasks: self.records,
             traces,
             makespan,
@@ -1054,9 +1046,7 @@ impl Engine for Exec {
         self.now = now;
         self.hosts.open_batch();
         while let Some(action) = self.hosts.pop_fault(now, &self.rt.alive) {
-            if self.hosts.tracing() {
-                self.emit_instant(InstantKind::from(&action));
-            }
+            self.rt.record(now, InstantKind::from(&action));
             match action {
                 FaultAction::Crash { machine } => self.crash_machine(machine)?,
                 FaultAction::CutPair { src, dst } => self.apply_cut(src, dst),
@@ -1065,37 +1055,6 @@ impl Engine for Exec {
             }
         }
         Ok(())
-    }
-
-    /// Mirrors the runtime's recovery decisions as trace instants.
-    fn mirror_decisions(&mut self) {
-        for d in self.rt.take_decisions() {
-            let kind = match d {
-                Decision::TaskRetry {
-                    job,
-                    stage,
-                    task,
-                    recompute,
-                } => InstantKind::TaskRetry {
-                    job,
-                    stage,
-                    task,
-                    recompute,
-                },
-                Decision::FetchRetry {
-                    job,
-                    stage,
-                    attempt,
-                } => InstantKind::FetchRetry {
-                    job,
-                    stage,
-                    attempt,
-                },
-                // No cached state derives from shuffle placement here.
-                Decision::ShuffleLost { .. } => continue,
-            };
-            self.hosts.log(self.now, kind);
-        }
     }
 
     /// Flush timers and finished streams, whose handlers cascade into

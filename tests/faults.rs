@@ -4,7 +4,7 @@
 
 mod testsupport;
 
-use cluster::{ClusterSpec, FaultPlan, MachineSpec};
+use cluster::{ClusterSpec, FaultPlan, InstantKind, MachineSpec, RunInstant};
 use dataflow::{RunError, StageId};
 use monotasks_core::{MonoConfig, Purpose};
 use simcore::SimTime;
@@ -449,8 +449,10 @@ fn a_crash_runs_queue_trace_keeps_every_snapshot_in_order() {
 }
 
 /// The order-sensitive fingerprint of a run's instant stream: the count and
-/// an FNV-1a hash over every `(time, label, machine, job)` in emission order.
-fn instant_pin(instants: &[cluster::RunInstant]) -> (usize, u64) {
+/// an FNV-1a hash over every field of every instant in emission order — its
+/// time, its label, then each field of its kind (scale factors by their
+/// bits).
+fn instant_pin(instants: &[RunInstant]) -> (usize, u64) {
     let fnv = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
     let mut hash = 0xcbf2_9ce4_8422_2325;
     for i in instants {
@@ -458,18 +460,75 @@ fn instant_pin(instants: &[cluster::RunInstant]) -> (usize, u64) {
         for &b in i.kind.label().as_bytes() {
             hash = fnv(hash, b.into());
         }
-        hash = fnv(hash, i.kind.machine().map_or(u64::MAX, |m| m as u64));
-        hash = fnv(hash, i.kind.job().map_or(u64::MAX, u64::from));
+        let fields: Vec<u64> = match i.kind {
+            InstantKind::MachineCrash { machine } => vec![machine as u64],
+            InstantKind::DiskScale {
+                machine,
+                disk,
+                factor,
+            } => vec![machine as u64, disk as u64, factor.to_bits()],
+            InstantKind::LinkScale { machine, factor } => vec![machine as u64, factor.to_bits()],
+            InstantKind::PairCut { src, dst } | InstantKind::PairHeal { src, dst } => {
+                vec![src as u64, dst as u64]
+            }
+            InstantKind::TaskRetry {
+                job,
+                stage,
+                task,
+                recompute,
+            } => vec![job.into(), stage.into(), task.into(), recompute.into()],
+            InstantKind::TaskSpeculate {
+                job,
+                stage,
+                task,
+                machine,
+            } => vec![job.into(), stage.into(), task.into(), machine as u64],
+            InstantKind::MonoCopy {
+                job,
+                stage,
+                task,
+                resource,
+            }
+            | InstantKind::MonoCopyWin {
+                job,
+                stage,
+                task,
+                resource,
+            } => vec![job.into(), stage.into(), task.into(), resource as u64],
+            InstantKind::TemplateInvalidate { job, stage }
+            | InstantKind::FetchReplan { job, stage } => vec![job.into(), stage.into()],
+            InstantKind::FetchRetry {
+                job,
+                stage,
+                attempt,
+            } => vec![job.into(), stage.into(), attempt.into()],
+        };
+        for v in fields {
+            hash = fnv(hash, v);
+        }
     }
     (instants.len(), hash)
 }
 
+/// Positions of the instants matching `f`, in emission order.
+fn positions(instants: &[RunInstant], f: impl Fn(&InstantKind) -> bool) -> Vec<usize> {
+    (0..instants.len())
+        .filter(|&k| f(&instants[k].kind))
+        .collect()
+}
+
 /// Fault instants and recovery-decision instants interleave in one stream;
 /// the golden traces only carry disk-scale instants, so these pins hold the
-/// order of crash, link-scale, cut, heal, retry and re-plan instants on both
-/// executors: a crash plus a link degraded at the same instant (the crash's
-/// retries must precede the link instant; the monotasks executor with and
-/// without the fabric), and a partition that heals while fetches time out.
+/// whole stream of crash, link-scale, cut, heal, retry, re-plan, template
+/// and speculation instants on both executors:
+/// - a crash plus a link degraded at the same instant (the crash's retries
+///   must precede the link instant; the monotasks executor with and without
+///   the fabric);
+/// - a partition that heals while fetches time out;
+/// - a mid-shuffle crash that drops the live reduce template, so its
+///   invalidation sits between the aborted reduce attempt's retry and the
+///   lost map tasks' retries;
+/// - a CPU straggler beaten by a monotask copy, and by a slot-level copy.
 #[test]
 fn fault_and_decision_instants_keep_their_order() {
     let (job, blocks) = sort();
@@ -483,40 +542,90 @@ fn fault_and_decision_instants_keep_their_order() {
         SimTime::from_secs(11),
         Some(SimTime::from_secs(15)),
     );
-    let mono = |plan: &FaultPlan, fabric: bool| {
-        let cfg = MonoConfig {
-            trace_path: Some("unwritten.json".into()),
-            full_duplex_network: fabric,
-            fetch_timeout_secs: Some(2.0),
-            ..MonoConfig::default()
-        };
-        let out = monotasks_core::run_with_faults(&cluster(), &jobs, &cfg, plan).unwrap();
-        instant_pin(&out.instants)
+    let free = monotasks_core::try_run(&cluster(), &jobs, &MonoConfig::default()).unwrap();
+    let mid_shuffle = mid_shuffle_crash(1, free.makespan.as_secs_f64() * 0.5);
+    let straggler = FaultPlan::new().straggle(0, 3, 8.0);
+    let mono_cfg = |fabric: bool| MonoConfig {
+        trace_path: Some("unwritten.json".into()),
+        full_duplex_network: fabric,
+        fetch_timeout_secs: Some(2.0),
+        ..MonoConfig::default()
     };
-    let spark = |plan: &FaultPlan| {
-        let cfg = SparkConfig {
-            trace_path: Some("unwritten.json".into()),
-            fetch_timeout_secs: Some(2.0),
-            ..SparkConfig::default()
-        };
-        let out = sparklike::run_with_faults(&cluster(), &jobs, &cfg, plan).unwrap();
-        instant_pin(&out.instants)
+    let mono_run = |plan: &FaultPlan, cfg: &MonoConfig| {
+        monotasks_core::run_with_faults(&cluster(), &jobs, cfg, plan)
+            .unwrap()
+            .instants
     };
+    let spark_run = |plan: &FaultPlan, cfg: &SparkConfig| {
+        sparklike::run_with_faults(&cluster(), &jobs, cfg, plan)
+            .unwrap()
+            .instants
+    };
+    let spark_cfg = SparkConfig {
+        trace_path: Some("unwritten.json".into()),
+        fetch_timeout_secs: Some(2.0),
+        ..SparkConfig::default()
+    };
+
+    let dropped = mono_run(&mid_shuffle, &mono_cfg(false));
+    let invalidated = positions(&dropped, |k| {
+        matches!(k, InstantKind::TemplateInvalidate { .. })
+    });
+    let retried = positions(&dropped, |k| matches!(k, InstantKind::TaskRetry { .. }));
+    assert!(
+        invalidated
+            .iter()
+            .any(|&k| retried.iter().any(|&r| r < k) && retried.iter().any(|&r| r > k)),
+        "no template invalidation between task retries: {dropped:?}"
+    );
+
+    let mono_spec = MonoConfig {
+        mono_speculation_multiplier: Some(1.5),
+        mono_speculation_min_runtime: Some(0.05),
+        ..mono_cfg(false)
+    };
+    let copied = mono_run(&straggler, &mono_spec);
+    assert!(
+        !positions(&copied, |k| matches!(k, InstantKind::MonoCopy { .. })).is_empty()
+            && !positions(&copied, |k| matches!(k, InstantKind::MonoCopyWin { .. })).is_empty(),
+        "no monotask copy launched and won: {copied:?}"
+    );
+
+    let spark_spec = SparkConfig {
+        speculation_multiplier: Some(1.5),
+        ..spark_cfg.clone()
+    };
+    let speculated = spark_run(&straggler, &spark_spec);
+    assert!(
+        !positions(&speculated, |k| matches!(
+            k,
+            InstantKind::TaskSpeculate { .. }
+        ))
+        .is_empty(),
+        "no slot-level copy launched: {speculated:?}"
+    );
+
     let pins = [
-        mono(&crash_and_link, false),
-        mono(&crash_and_link, true),
-        spark(&crash_and_link),
-        mono(&healing_cut, false),
-        spark(&healing_cut),
+        instant_pin(&mono_run(&crash_and_link, &mono_cfg(false))),
+        instant_pin(&mono_run(&crash_and_link, &mono_cfg(true))),
+        instant_pin(&spark_run(&crash_and_link, &spark_cfg)),
+        instant_pin(&mono_run(&healing_cut, &mono_cfg(false))),
+        instant_pin(&spark_run(&healing_cut, &spark_cfg)),
+        instant_pin(&dropped),
+        instant_pin(&copied),
+        instant_pin(&speculated),
     ];
     assert_eq!(
         pins,
         [
-            (11, 0xeb67_362d_f51a_c356),
-            (11, 0xeb67_362d_f51a_c356),
-            (43, 0xd8b5_7bab_1d19_10f6),
-            (108, 0x2549_2ed4_0e90_d8a9),
-            (76, 0xfe42_4f74_c6c3_5069),
+            (11, 0x0691_9dcb_1112_719d),
+            (11, 0x0691_9dcb_1112_719d),
+            (43, 0xad63_0057_6f2d_afd3),
+            (108, 0x4fcd_17c5_26d8_1d59),
+            (76, 0xdb4b_86ed_a589_fd89),
+            (41, 0xfe79_be3f_ef69_f52b),
+            (22, 0x6bf4_169a_106b_8c25),
+            (1, 0x08d5_0054_8122_8bc7),
         ]
     );
 }

@@ -7,7 +7,7 @@
 
 use cluster::{ClusterSpec, MachineSpec};
 use dataflow::{BlockMap, CostModel, JobBuilder, JobSpec};
-use monotasks_core::{DiskChoice, JobPolicy, MonoConfig, Purpose};
+use monotasks_core::{DiskChoice, MonoConfig, Purpose};
 use perfmodel::{profile_stages, Scenario};
 use proptest::prelude::*;
 
@@ -169,7 +169,6 @@ proptest! {
         rr in any::<bool>(),
         duplex in any::<bool>(),
         shortest_queue in any::<bool>(),
-        fifo in any::<bool>(),
         mem_limit in prop_oneof![Just(None), (0.001f64..0.1).prop_map(Some)],
     ) {
         // Whatever the configuration knobs, the executor must complete the
@@ -185,7 +184,6 @@ proptest! {
             } else {
                 DiskChoice::RoundRobin
             },
-            job_policy: if fifo { JobPolicy::Fifo } else { JobPolicy::Fair },
             memory_limit_fraction: mem_limit,
             ..MonoConfig::default()
         };
