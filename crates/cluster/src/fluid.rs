@@ -29,10 +29,27 @@
 //! Executors touch every machine at every simulation step, so the per-step
 //! cost of one machine must not scale with its stream count:
 //!
+//! * **Id-ordered rows.** Streams live in two parallel `Vec`s sorted by
+//!   [`StreamId`]: the ids and the stream rows. Insert and remove are a
+//!   binary search plus a shift (machines hold tens of streams), heap
+//!   entries find their row by binary search, and every pass over the
+//!   streams walks contiguous rows.
 //! * **Sparse demands and resource counts.** Each stream keeps a sparse
-//!   `(resource, demand)` list, and the allocator maintains per-disk
-//!   reader/writer counts, so reallocation rounds and the concurrency-aware
-//!   capacity vector cost O(non-zero demands), not O(streams × resources).
+//!   `(resource, demand)` list, and the allocator keeps per-disk
+//!   reader/writer counts, per-resource claimant counts and the number of
+//!   multi-demand streams current on every insert and removal, so
+//!   reallocation rounds and the concurrency-aware capacity vector cost
+//!   O(non-zero demands), not O(streams × resources).
+//! * **A closed-form round for monotasks.** When every stream has exactly
+//!   one demand (every monotasks machine), round one of progressive filling
+//!   is one pass: each stream gets its resource's fair share over its
+//!   demand, capped at one core. If every stream that is not cap-bound sits
+//!   on a saturated resource, those rates are final; otherwise, and on any
+//!   machine with a pipelined stream, the general round loop runs.
+//! * **Fold order.** Every per-resource float sum — round usage, the
+//!   `cap_left` debits, the delivered-rate accumulators — adds streams in
+//!   ascending id order, whichever path assigned the rates, so rates,
+//!   deadlines and busy fractions are bit-identical across the paths.
 //! * **Deferred (virtual-time) drain.** [`FluidMachine::advance`] only moves
 //!   the clock; progress fractions are materialised lazily at the next
 //!   mutation. Between reallocations rates are constant, so the drain is
@@ -48,7 +65,7 @@
 //!
 //! The original quadratic algorithm is kept verbatim as
 //! [`FluidMachine::reference_reallocate`]; with the `slowcheck` cargo feature
-//! every reallocation is `debug_assert!`-checked against it.
+//! every reallocation is `assert!`-checked against it, in release builds too.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -168,22 +185,29 @@ impl StreamDemand {
 
 /// Working buffers of one progressive fill ([`FluidMachine::fill_rates`]),
 /// kept on the machine so a reallocation allocates nothing after warm-up.
+/// Streams are named by row index, and row order is id order.
 #[derive(Debug, Default)]
 struct FillScratch {
     cap_left: Vec<f64>,
     counts: Vec<usize>,
-    unfrozen: Vec<StreamId>,
-    tentative: Vec<(StreamId, f64, bool)>,
+    share: Vec<f64>,
+    uncapped: Vec<bool>,
+    unfrozen: Vec<u32>,
+    tentative: Vec<(u32, f64, bool)>,
     usage: Vec<f64>,
     saturated: Vec<bool>,
-    to_freeze: Vec<(StreamId, f64)>,
+    to_freeze: Vec<(u32, f64)>,
 }
 
 #[derive(Clone, Debug)]
 struct Stream {
-    demand: StreamDemand,
-    /// Non-zero `(resource column, demand)` pairs of `demand`.
+    /// CPU work in core-seconds (0 for none); sets the single-thread cap.
+    cpu: f64,
+    /// Non-zero `(resource column, demand)` pairs in ascending column order.
     sparse: Vec<(usize, f64)>,
+    /// Bit `i` set: the stream reads / writes disk `i`.
+    reads: u64,
+    writes: u64,
     /// Fraction of the phase still to run as of the machine's `synced`
     /// instant, in `[0, 1]` (drain is materialised lazily).
     remaining: f64,
@@ -198,15 +222,31 @@ struct Stream {
     frozen_at: u64,
 }
 
+/// Bit `i` set where `bytes[i] > 0`.
+fn disk_mask(bytes: &[f64]) -> u64 {
+    bytes
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| **b > 0.0)
+        .fold(0, |m, (i, _)| m | 1 << i)
+}
+
 /// One machine's fluid resource allocator. See the module docs for the model.
 #[derive(Debug)]
 pub struct FluidMachine {
     spec: MachineSpec,
-    streams: BTreeMap<StreamId, Stream>,
-    /// Streams currently reading / writing each disk (drives the
-    /// concurrency-dependent capacity without scanning streams).
+    /// Active stream ids in ascending order; `rows[i]` is stream `ids[i]`.
+    /// Every per-resource float fold walks the rows in this order.
+    ids: Vec<StreamId>,
+    rows: Vec<Stream>,
+    /// Streams reading / writing each disk (drives the concurrency-dependent
+    /// capacity without scanning streams).
     disk_readers: Vec<usize>,
     disk_writers: Vec<usize>,
+    /// Streams with a non-zero demand on each resource column.
+    claimants: Vec<usize>,
+    /// Streams with more than one non-zero demand (pipelined phases).
+    multi_demand: usize,
     /// Fault-injection service-rate multiplier per resource column (1.0 =
     /// healthy). Multiplying by exactly 1.0 is a bit-exact no-op, so a run
     /// without degradations is unchanged.
@@ -238,14 +278,22 @@ pub struct FluidMachine {
 
 impl FluidMachine {
     /// Creates an idle machine with the given hardware.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than 64 disks.
     pub fn new(spec: MachineSpec) -> FluidMachine {
         let nd = spec.disks.len();
+        assert!(nd <= 64, "at most 64 disks per machine, got {nd}");
         let nr = 2 + nd;
         let mut m = FluidMachine {
             spec,
-            streams: BTreeMap::new(),
+            ids: Vec::new(),
+            rows: Vec::new(),
             disk_readers: vec![0; nd],
             disk_writers: vec![0; nd],
+            claimants: vec![0; nr],
+            multi_demand: 0,
             scale: vec![1.0; nr],
             caps: vec![0.0; nr],
             res_used: vec![0.0; nr],
@@ -279,12 +327,17 @@ impl FluidMachine {
 
     /// Number of active streams.
     pub fn active_streams(&self) -> usize {
-        self.streams.len()
+        self.ids.len()
     }
 
     /// Whether `id` is currently active.
     pub fn contains(&self, id: StreamId) -> bool {
-        self.streams.contains_key(&id)
+        self.row(id).is_some()
+    }
+
+    /// Row index of stream `id`, if active. O(log streams).
+    fn row(&self, id: StreamId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
     }
 
     /// Control-plane cost counters for this machine.
@@ -319,7 +372,7 @@ impl FluidMachine {
         if dt == 0.0 {
             return;
         }
-        for s in self.streams.values_mut() {
+        for s in &mut self.rows {
             s.remaining = (s.remaining - s.rate * dt).max(0.0);
         }
     }
@@ -391,44 +444,26 @@ impl FluidMachine {
                 && demand.disk_write.iter().all(|b| *b >= 0.0),
             "negative demand component: {demand:?}"
         );
+        let Err(at) = self.ids.binary_search(&id) else {
+            panic!("stream {id:?} inserted twice");
+        };
         self.advance(now);
-        for i in 0..self.spec.disks.len() {
-            if demand.disk_read[i] > 0.0 {
-                self.disk_readers[i] += 1;
-            }
-            if demand.disk_write[i] > 0.0 {
-                self.disk_writers[i] += 1;
-            }
-        }
-        let sparse = demand.sparse();
-        let prev = self.streams.insert(
-            id,
-            Stream {
-                demand,
-                sparse,
-                remaining: 1.0,
-                rate: 0.0,
-                gen: 0,
-                deadline: SimTime::ZERO,
-                frozen_at: 0,
-            },
-        );
-        assert!(prev.is_none(), "stream {id:?} inserted twice");
+        let s = Stream {
+            cpu: demand.cpu,
+            sparse: demand.sparse(),
+            reads: disk_mask(&demand.disk_read),
+            writes: disk_mask(&demand.disk_write),
+            remaining: 1.0,
+            rate: 0.0,
+            gen: 0,
+            deadline: SimTime::ZERO,
+            frozen_at: 0,
+        };
+        self.count(&s, true);
+        self.ids.insert(at, id);
+        self.rows.insert(at, s);
         self.after_mutation();
         self.epoch
-    }
-
-    /// Drops a (just removed) stream's contribution to the per-disk
-    /// reader/writer counts.
-    fn detach(&mut self, s: &Stream) {
-        for i in 0..self.spec.disks.len() {
-            if s.demand.disk_read[i] > 0.0 {
-                self.disk_readers[i] -= 1;
-            }
-            if s.demand.disk_write[i] > 0.0 {
-                self.disk_writers[i] -= 1;
-            }
-        }
     }
 
     /// Removes a stream regardless of progress; returns the remaining
@@ -440,11 +475,38 @@ impl FluidMachine {
     /// eager full drain.
     pub fn remove(&mut self, now: SimTime, id: StreamId) -> Option<f64> {
         self.advance(now);
-        let remaining = self.streams.get(&id).map(|s| self.remaining_now(s))?;
-        let s = self.streams.remove(&id).expect("stream present");
-        self.detach(&s);
+        let i = self.row(id)?;
+        let remaining = self.remaining_now(&self.rows[i]);
+        self.remove_row(i);
         self.after_mutation();
         Some(remaining)
+    }
+
+    /// Drops row `i`; the rows after it shift down, so id order holds.
+    fn remove_row(&mut self, i: usize) {
+        self.ids.remove(i);
+        let s = self.rows.remove(i);
+        self.count(&s, false);
+    }
+
+    /// Counts stream `s` into (`add`) or out of the per-disk, per-resource
+    /// and multi-demand counts.
+    fn count(&mut self, s: &Stream, add: bool) {
+        let step = |c: &mut usize| if add { *c += 1 } else { *c -= 1 };
+        for i in 0..self.disk_readers.len() {
+            if s.reads >> i & 1 == 1 {
+                step(&mut self.disk_readers[i]);
+            }
+            if s.writes >> i & 1 == 1 {
+                step(&mut self.disk_writers[i]);
+            }
+        }
+        for &(r, _) in &s.sparse {
+            step(&mut self.claimants[r]);
+        }
+        if s.sparse.len() > 1 {
+            step(&mut self.multi_demand);
+        }
     }
 
     /// Removes and returns all streams whose phase has fully drained, in
@@ -476,22 +538,23 @@ impl FluidMachine {
                 break;
             }
             self.heap.pop();
-            let Some(s) = self.streams.get(&id) else {
+            let Some(i) = self.row(id) else {
                 continue; // stale: stream already gone
             };
+            let s = &self.rows[i];
             if s.gen != gen {
                 continue; // stale: rate changed since this entry was pushed
             }
-            if self.remaining_now(s) <= PROGRESS_EPSILON {
+            let remaining = self.remaining_now(s);
+            if remaining <= PROGRESS_EPSILON {
                 done.push(id);
             } else {
                 // Floating-point drift: the deadline undershot the true
                 // completion by a whisker. Reschedule from current progress.
-                let next = now
-                    + SimDuration::from_secs_f64(self.remaining_now(s) / s.rate)
-                        .max(SimDuration::NANO);
+                let next =
+                    now + SimDuration::from_secs_f64(remaining / s.rate).max(SimDuration::NANO);
                 self.gen_counter += 1;
-                let s = self.streams.get_mut(&id).expect("stream present");
+                let s = &mut self.rows[i];
                 s.gen = self.gen_counter;
                 s.deadline = next;
                 self.heap.push(Reverse((next, id, s.gen)));
@@ -500,9 +563,9 @@ impl FluidMachine {
         self.completion_nanos += timer.elapsed().as_nanos() as u64;
         if !done.is_empty() {
             done.sort_unstable();
-            for id in done.iter() {
-                let s = self.streams.remove(id).expect("completed stream present");
-                self.detach(&s);
+            for &id in done.iter() {
+                let i = self.row(id).expect("completed stream present");
+                self.remove_row(i);
             }
             self.after_mutation();
         }
@@ -525,20 +588,20 @@ impl FluidMachine {
         );
         self.advance(now);
         while let Some(&Reverse((deadline, id, gen))) = self.heap.peek() {
-            match self.streams.get(&id) {
-                Some(s) if s.gen == gen => return Some(deadline.max(now)),
+            match self.row(id) {
+                Some(i) if self.rows[i].gen == gen => return Some(deadline.max(now)),
                 _ => {
                     self.heap.pop();
                 }
             }
         }
-        debug_assert!(self.streams.is_empty(), "live stream missing a heap entry");
+        debug_assert!(self.ids.is_empty(), "live stream missing a heap entry");
         None
     }
 
     /// Current progress rate of `id` in fractions/second, if active.
     pub fn rate(&self, id: StreamId) -> Option<f64> {
-        self.streams.get(&id).map(|s| s.rate)
+        self.row(id).map(|i| self.rows[i].rate)
     }
 
     /// Number of resource "columns": CPU, each disk, NIC receive.
@@ -613,15 +676,13 @@ impl FluidMachine {
         self.after_mutation();
     }
 
-    /// Demand of `s` on resource column `r` (dense; used by the reference).
-    fn demand_at(s: &Stream, r: usize, nd: usize) -> f64 {
-        if r == 0 {
-            s.demand.cpu
-        } else if r <= nd {
-            s.demand.disk_total(r - 1)
-        } else {
-            s.demand.rx
-        }
+    /// Demand of `s` on resource column `r`, 0 where it has none (used by
+    /// the reference).
+    fn demand_at(s: &Stream, r: usize) -> f64 {
+        s.sparse
+            .iter()
+            .find(|&&(c, _)| c == r)
+            .map_or(0.0, |&(_, d)| d)
     }
 
     /// Recomputes stream rates, capacities, used-rate accumulators, and
@@ -640,14 +701,72 @@ impl FluidMachine {
         for u in &mut self.res_used {
             *u = 0.0;
         }
-        if !self.streams.is_empty() {
+        if !self.rows.is_empty() {
             self.fill_rates();
-            self.refresh_res_used();
             self.refresh_deadlines();
             #[cfg(feature = "slowcheck")]
             self.assert_matches_reference();
         }
         self.alloc_nanos += timer.elapsed().as_nanos() as u64;
+    }
+
+    /// Assigns every stream's rate and the delivered-rate accumulators: in
+    /// closed form when every stream has one demand and round one settles
+    /// them all, else by the general round loop.
+    fn fill_rates(&mut self) {
+        if self.multi_demand == 0 && self.fill_closed_form() {
+            // Round one's usage fold is, term for term, the delivered-rate
+            // fold.
+            self.res_used.copy_from_slice(&self.fill.usage);
+        } else {
+            self.fill_round_loop();
+            self.refresh_res_used();
+        }
+    }
+
+    /// Round one of [`FluidMachine::fill_round_loop`] in closed form, for a
+    /// machine whose every stream has exactly one demand (every monotasks
+    /// machine). Such a stream's tentative rate is its resource's fair share
+    /// over its demand, capped at one core, and it freezes in round one when
+    /// it is cap-bound or its resource saturates. One pass over the rows, in
+    /// id order, assigns every rate and folds `usage` exactly as round one
+    /// does. Returns whether that settled every stream; if not, the rows'
+    /// rates are partial and the round loop must run from the start.
+    fn fill_closed_form(&mut self) -> bool {
+        let nr = self.n_resources();
+        let FillScratch {
+            share,
+            uncapped,
+            usage,
+            ..
+        } = &mut self.fill;
+        share.clear();
+        share.extend(
+            self.caps
+                .iter()
+                .zip(&self.claimants)
+                .map(|(&cap, &n)| (cap / n as f64).max(0.0)),
+        );
+        usage.clear();
+        usage.resize(nr, 0.0);
+        uncapped.clear();
+        uncapped.resize(nr, false);
+        for s in &mut self.rows {
+            let (r, d) = s.sparse[0];
+            let mut rate = share[r] / d;
+            // Single-threaded cap: at most one core of CPU.
+            let cap = 1.0 / s.cpu;
+            if s.cpu > 0.0 && cap <= rate {
+                rate = cap;
+            } else {
+                uncapped[r] = true;
+            }
+            s.rate = rate;
+            usage[r] += rate * d;
+        }
+        // A stream that is not cap-bound runs at exactly its resource's
+        // share, so it freezes iff that resource saturates.
+        (0..nr).all(|r| !uncapped[r] || usage[r] >= self.caps[r] * (1.0 - 1e-9))
     }
 
     /// Progressive filling proper (module docs). Each round computes every
@@ -664,7 +783,7 @@ impl FluidMachine {
     /// Identical round structure to [`FluidMachine::reference_reallocate`],
     /// but iterates sparse demands and maintains claimant counts across
     /// rounds instead of rescanning every stream × resource.
-    fn fill_rates(&mut self) {
+    fn fill_round_loop(&mut self) {
         let nr = self.n_resources();
         let mut scratch = std::mem::take(&mut self.fill);
         let FillScratch {
@@ -675,18 +794,14 @@ impl FluidMachine {
             usage,
             saturated,
             to_freeze,
+            ..
         } = &mut scratch;
         cap_left.clear();
         cap_left.extend_from_slice(&self.caps);
         counts.clear();
-        counts.resize(nr, 0);
-        for s in self.streams.values() {
-            for &(r, _) in &s.sparse {
-                counts[r] += 1;
-            }
-        }
+        counts.extend_from_slice(&self.claimants);
         unfrozen.clear();
-        unfrozen.extend(self.streams.keys().copied());
+        unfrozen.extend(0..self.rows.len() as u32);
         self.freeze_stamp += 1;
         let stamp = self.freeze_stamp;
         usage.clear();
@@ -699,30 +814,30 @@ impl FluidMachine {
             };
             // Tentative rate for each unfrozen stream from fair shares.
             tentative.clear();
-            for id in unfrozen.iter() {
-                let s = &self.streams[id];
+            for &i in unfrozen.iter() {
+                let s = &self.rows[i as usize];
                 let mut rate = f64::INFINITY;
                 for &(r, d) in &s.sparse {
                     rate = rate.min(share(r, counts, cap_left) / d);
                 }
                 // Single-threaded cap: at most one core of CPU.
                 let mut cap_bound = false;
-                if s.demand.cpu > 0.0 {
-                    let cap = 1.0 / s.demand.cpu;
+                if s.cpu > 0.0 {
+                    let cap = 1.0 / s.cpu;
                     if cap <= rate {
                         rate = cap;
                         cap_bound = true;
                     }
                 }
                 debug_assert!(rate.is_finite());
-                tentative.push((*id, rate, cap_bound));
+                tentative.push((i, rate, cap_bound));
             }
             // Which resources would the tentative rates saturate?
             for u in usage.iter_mut() {
                 *u = 0.0;
             }
-            for (id, rate, _) in tentative.iter() {
-                for &(r, d) in &self.streams[id].sparse {
+            for &(i, rate, _) in tentative.iter() {
+                for &(r, d) in &self.rows[i as usize].sparse {
                     usage[r] += rate * d;
                 }
             }
@@ -735,26 +850,27 @@ impl FluidMachine {
             to_freeze.extend(
                 tentative
                     .iter()
-                    .filter(|(id, rate, cap_bound)| {
-                        if *cap_bound {
+                    .filter(|&&(i, rate, cap_bound)| {
+                        if cap_bound {
                             return true;
                         }
-                        self.streams[id].sparse.iter().any(|&(r, d)| {
-                            saturated[r] && *rate >= share(r, counts, cap_left) / d * (1.0 - 1e-9)
+                        self.rows[i as usize].sparse.iter().any(|&(r, d)| {
+                            saturated[r] && rate >= share(r, counts, cap_left) / d * (1.0 - 1e-9)
                         })
                     })
-                    .map(|(id, rate, _)| (*id, *rate)),
+                    .map(|&(i, rate, _)| (i, rate)),
             );
             if to_freeze.is_empty() {
-                // Fallback: freeze the single slowest stream.
+                // Fallback: freeze the single slowest stream (ties broken by
+                // row, which is id order).
                 let slowest = tentative
                     .iter()
                     .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN rate").then(a.0.cmp(&b.0)))
                     .expect("unfrozen set non-empty");
                 to_freeze.push((slowest.0, slowest.1));
             }
-            for &(id, rate) in to_freeze.iter() {
-                let s = self.streams.get_mut(&id).expect("stream vanished");
+            for &(i, rate) in to_freeze.iter() {
+                let s = &mut self.rows[i as usize];
                 s.rate = rate;
                 s.frozen_at = stamp;
                 for &(r, d) in &s.sparse {
@@ -763,7 +879,7 @@ impl FluidMachine {
                 }
             }
             let before = unfrozen.len();
-            unfrozen.retain(|id| self.streams[id].frozen_at != stamp);
+            unfrozen.retain(|&i| self.rows[i as usize].frozen_at != stamp);
             debug_assert!(unfrozen.len() < before, "filling made no progress");
             if unfrozen.len() >= before {
                 break; // release-mode safety valve; unreachable in practice
@@ -772,10 +888,30 @@ impl FluidMachine {
         self.fill = scratch;
     }
 
+    /// Rates of the current streams, in ascending id order, as the
+    /// closed-form round and the general round loop assign them; `None` when
+    /// the closed form does not settle this population. Leaves the machine's
+    /// own rates as they were. Exposed for the equivalence property test.
+    #[doc(hidden)]
+    pub fn closed_form_vs_round_loop(&mut self) -> Option<Vec<(StreamId, f64, f64)>> {
+        let own: Vec<f64> = self.rows.iter().map(|s| s.rate).collect();
+        let settled = self.multi_demand == 0 && self.fill_closed_form();
+        let closed: Vec<f64> = self.rows.iter().map(|s| s.rate).collect();
+        self.fill_round_loop();
+        let out = settled.then(|| {
+            let rows = self.ids.iter().zip(&closed).zip(&self.rows);
+            rows.map(|((&id, &c), s)| (id, c, s.rate)).collect()
+        });
+        for (s, rate) in self.rows.iter_mut().zip(own) {
+            s.rate = rate;
+        }
+        out
+    }
+
     /// Refreshes the per-resource delivered-rate accumulators from the
     /// just-assigned rates.
     fn refresh_res_used(&mut self) {
-        for s in self.streams.values() {
+        for s in &self.rows {
             for &(r, d) in &s.sparse {
                 self.res_used[r] += s.rate * d;
             }
@@ -788,7 +924,7 @@ impl FluidMachine {
         let now = self.last_advance;
         let heap = &mut self.heap;
         let gen_counter = &mut self.gen_counter;
-        for (&id, s) in self.streams.iter_mut() {
+        for (&id, s) in self.ids.iter().zip(&mut self.rows) {
             let deadline = if s.remaining <= PROGRESS_EPSILON {
                 now
             } else {
@@ -804,9 +940,9 @@ impl FluidMachine {
         }
         // Stale entries are dropped lazily; rebuild when they dominate so the
         // heap stays O(streams).
-        if self.heap.len() > 2 * self.streams.len() + 64 {
+        if self.heap.len() > 2 * self.rows.len() + 64 {
             self.heap.clear();
-            for (&id, s) in self.streams.iter() {
+            for (&id, s) in self.ids.iter().zip(&self.rows) {
                 self.heap.push(Reverse((s.deadline, id, s.gen)));
             }
         }
@@ -817,17 +953,17 @@ impl FluidMachine {
     /// without touching machine state. With the `slowcheck` feature, every
     /// reallocation is checked against this.
     pub fn reference_reallocate(&self) -> BTreeMap<StreamId, f64> {
-        let nd = self.spec.disks.len();
         let nr = self.n_resources();
+        let stream = |id: &StreamId| &self.rows[self.row(*id).expect("active stream")];
         let mut rates: BTreeMap<StreamId, f64> = BTreeMap::new();
         let mut cap_left = self.capacities();
-        let mut unfrozen: Vec<StreamId> = self.streams.keys().copied().collect();
+        let mut unfrozen: Vec<StreamId> = self.ids.clone();
         while !unfrozen.is_empty() {
             let mut counts = vec![0usize; nr];
             for id in &unfrozen {
-                let s = &self.streams[id];
+                let s = stream(id);
                 for (r, c) in counts.iter_mut().enumerate() {
-                    if Self::demand_at(s, r, nd) > 0.0 {
+                    if Self::demand_at(s, r) > 0.0 {
                         *c += 1;
                     }
                 }
@@ -837,17 +973,17 @@ impl FluidMachine {
             };
             let mut tentative: Vec<(StreamId, f64, bool)> = Vec::with_capacity(unfrozen.len());
             for id in &unfrozen {
-                let s = &self.streams[id];
+                let s = stream(id);
                 let mut rate = f64::INFINITY;
                 for r in 0..nr {
-                    let d = Self::demand_at(s, r, nd);
+                    let d = Self::demand_at(s, r);
                     if d > 0.0 {
                         rate = rate.min(share(r, &counts, &cap_left) / d);
                     }
                 }
                 let mut cap_bound = false;
-                if s.demand.cpu > 0.0 {
-                    let cap = 1.0 / s.demand.cpu;
+                if s.cpu > 0.0 {
+                    let cap = 1.0 / s.cpu;
                     if cap <= rate {
                         rate = cap;
                         cap_bound = true;
@@ -858,9 +994,9 @@ impl FluidMachine {
             }
             let mut usage = vec![0.0f64; nr];
             for (id, rate, _) in &tentative {
-                let s = &self.streams[id];
+                let s = stream(id);
                 for (r, u) in usage.iter_mut().enumerate() {
-                    *u += rate * Self::demand_at(s, r, nd);
+                    *u += rate * Self::demand_at(s, r);
                 }
             }
             let saturated: Vec<bool> = (0..nr)
@@ -872,10 +1008,10 @@ impl FluidMachine {
                     if *cap_bound {
                         return true;
                     }
-                    let s = &self.streams[id];
+                    let s = stream(id);
                     (0..nr).any(|r| {
                         saturated[r] && {
-                            let d = Self::demand_at(s, r, nd);
+                            let d = Self::demand_at(s, r);
                             d > 0.0 && *rate >= share(r, &counts, &cap_left) / d * (1.0 - 1e-9)
                         }
                     })
@@ -890,10 +1026,10 @@ impl FluidMachine {
                 to_freeze.push((slowest.0, slowest.1));
             }
             for (id, rate) in to_freeze {
-                let s = &self.streams[&id];
+                let s = stream(&id);
                 rates.insert(id, rate);
                 for (r, cap) in cap_left.iter_mut().enumerate() {
-                    *cap = (*cap - rate * Self::demand_at(s, r, nd)).max(0.0);
+                    *cap = (*cap - rate * Self::demand_at(s, r)).max(0.0);
                 }
                 unfrozen.retain(|u| *u != id);
             }
@@ -905,10 +1041,10 @@ impl FluidMachine {
     #[cfg(feature = "slowcheck")]
     fn assert_matches_reference(&self) {
         let reference = self.reference_reallocate();
-        for (id, s) in &self.streams {
+        for (id, s) in self.ids.iter().zip(&self.rows) {
             let want = reference[id];
             let tol = want.abs() * 1e-9 + 1e-12;
-            debug_assert!(
+            assert!(
                 (s.rate - want).abs() <= tol,
                 "rate mismatch for {id:?}: incremental {} vs reference {want}",
                 s.rate

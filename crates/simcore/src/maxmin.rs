@@ -26,7 +26,7 @@
 //!   instant. (Coarser keys do not work: flows whose ports merely have equal
 //!   flow *counts* can have different rates, because the rate depends on the
 //!   whole constraint graph.) With the `slowcheck` cargo feature every
-//!   reallocation is `debug_assert!`-checked against the quadratic per-flow
+//!   reallocation is `assert!`-checked against the quadratic per-flow
 //!   reference, [`FlowAllocator::reference_reallocate`].
 //! * **Progressive filling runs over port *resources*, not classes.** The
 //!   fabric has `2n` resources (each port's tx side and rx side). Filling
@@ -1490,12 +1490,12 @@ impl FlowAllocator {
             let want = reference[&id];
             let tol = want.abs() * 1e-9 + 1e-12;
             if eps == 0.0 {
-                debug_assert!(
+                assert!(
                     (got - want).abs() <= tol,
                     "rate mismatch for {id:?}: class {got} vs reference {want}"
                 );
             } else {
-                debug_assert!(
+                assert!(
                     got <= want + tol && got >= want * (1.0 - eps) - tol,
                     "rate outside ε band for {id:?}: {got} vs reference {want} (ε={eps})"
                 );
@@ -1512,13 +1512,13 @@ impl FlowAllocator {
             rx_used[c.dst] += r;
         }
         for i in 0..n {
-            debug_assert!(
+            assert!(
                 tx_used[i] <= self.tx_cap[i] * (1.0 + 1e-9) + 1e-9,
                 "tx port {i} over capacity: {} > {}",
                 tx_used[i],
                 self.tx_cap[i]
             );
-            debug_assert!(
+            assert!(
                 rx_used[i] <= self.rx_cap[i] * (1.0 + 1e-9) + 1e-9,
                 "rx port {i} over capacity: {} > {}",
                 rx_used[i],
