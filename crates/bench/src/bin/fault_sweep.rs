@@ -111,8 +111,9 @@ fn workload(partitions: bool) -> (dataflow::JobSpec, dataflow::BlockMap) {
     (job, replicated)
 }
 
-/// Stall timeout armed in partition mode; retries (3) and backoff base
-/// (1 s) stay at the executor defaults.
+/// Stall timeout armed in partition mode; the retries and the backoff are
+/// `dataflow::runtime::{FETCH_MAX_RETRIES, FETCH_BACKOFF_BASE_SECS}` (3 and
+/// 1 s).
 const FETCH_TIMEOUT_S: f64 = 5.0;
 
 /// The fault horizon is the *fault-free monotasks makespan*: simulated, hence
@@ -154,7 +155,6 @@ fn run_mono(
     let cfg = monotasks_core::MonoConfig {
         collect_traces: false,
         mono_speculation_multiplier: spec.then_some(SPEC_MULTIPLIER),
-        mono_speculation_min_runtime: spec.then_some(0.05),
         fetch_timeout_secs: partitions.then_some(FETCH_TIMEOUT_S),
         ..monotasks_core::MonoConfig::default()
     };

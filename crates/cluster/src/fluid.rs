@@ -888,26 +888,6 @@ impl FluidMachine {
         self.fill = scratch;
     }
 
-    /// Rates of the current streams, in ascending id order, as the
-    /// closed-form round and the general round loop assign them; `None` when
-    /// the closed form does not settle this population. Leaves the machine's
-    /// own rates as they were. Exposed for the equivalence property test.
-    #[doc(hidden)]
-    pub fn closed_form_vs_round_loop(&mut self) -> Option<Vec<(StreamId, f64, f64)>> {
-        let own: Vec<f64> = self.rows.iter().map(|s| s.rate).collect();
-        let settled = self.multi_demand == 0 && self.fill_closed_form();
-        let closed: Vec<f64> = self.rows.iter().map(|s| s.rate).collect();
-        self.fill_round_loop();
-        let out = settled.then(|| {
-            let rows = self.ids.iter().zip(&closed).zip(&self.rows);
-            rows.map(|((&id, &c), s)| (id, c, s.rate)).collect()
-        });
-        for (s, rate) in self.rows.iter_mut().zip(own) {
-            s.rate = rate;
-        }
-        out
-    }
-
     /// Refreshes the per-resource delivered-rate accumulators from the
     /// just-assigned rates.
     fn refresh_res_used(&mut self) {
@@ -1073,6 +1053,7 @@ impl FluidMachine {
 mod tests {
     use super::*;
     use crate::hw::{DiskSpec, MIB};
+    use proptest::prelude::*;
 
     fn machine(cores: u32, disks: usize) -> FluidMachine {
         FluidMachine::new(MachineSpec {
@@ -1288,5 +1269,67 @@ mod tests {
             done,
             vec![StreamId(0), StreamId(1), StreamId(2), StreamId(3)]
         );
+    }
+
+    /// Rates of `m`'s streams, in ascending id order, as the closed-form
+    /// round and the general round loop assign them; `None` when the closed
+    /// form does not settle this population. Leaves `m`'s own rates as they
+    /// were.
+    fn closed_form_vs_round_loop(m: &mut FluidMachine) -> Option<Vec<(StreamId, f64, f64)>> {
+        let own: Vec<f64> = m.rows.iter().map(|s| s.rate).collect();
+        let settled = m.multi_demand == 0 && m.fill_closed_form();
+        let closed: Vec<f64> = m.rows.iter().map(|s| s.rate).collect();
+        m.fill_round_loop();
+        let out = settled.then(|| {
+            let rows = m.ids.iter().zip(&closed).zip(&m.rows);
+            rows.map(|((&id, &c), s)| (id, c, s.rate)).collect()
+        });
+        for (s, rate) in m.rows.iter_mut().zip(own) {
+            s.rate = rate;
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn closed_form_round_matches_round_loop_bit_for_bit(
+            // `cores = n_cpu + delta - 3` puts the CPU population above, at and
+            // below the core count.
+            n_cpu in 0usize..12,
+            delta in 0usize..7,
+            others in prop::collection::vec((1usize..4, 0usize..2, 0.01f64..1.0), 0..30),
+            sizes in prop::collection::vec(0.01f64..1.0, 12),
+            ids in prop::collection::vec((0u64..5000, 0u64..40), 42),
+            scales in (0.2f64..3.0, 0.2f64..3.0, 0.2f64..3.0),
+        ) {
+            let cores = (n_cpu + delta).saturating_sub(3).max(1) as u32;
+            let mut m = machine(cores, 2);
+            m.set_disk_scale(SimTime::ZERO, 0, scales.0);
+            m.set_disk_scale(SimTime::ZERO, 1, scales.1);
+            m.set_nic_scale(SimTime::ZERO, scales.2);
+            let demands = (0..n_cpu)
+                .map(|i| StreamDemand::cpu_only(4.0 * sizes[i], 2))
+                .chain(others.iter().map(|&(kind, disk, size)| match kind {
+                    1 => StreamDemand::disk_read_only(DiskId(disk), size * 256.0 * MIB, 2),
+                    2 => StreamDemand::disk_write_only(DiskId(disk), size * 256.0 * MIB, 2),
+                    _ => StreamDemand::rx_only(size * 256.0 * MIB, 2),
+                }));
+            // Ids in the executors' `(monotask << 32) | node` pattern arrive
+            // out of order.
+            for (d, &(mt, node)) in demands.zip(&ids) {
+                let id = StreamId(mt << 32 | node);
+                if !m.contains(id) {
+                    m.insert(SimTime::ZERO, id, d);
+                }
+            }
+            let rows = closed_form_vs_round_loop(&mut m);
+            prop_assert!(rows.is_some(), "closed form left a single-demand population unsettled");
+            for (id, closed, looped) in rows.unwrap() {
+                prop_assert_eq!(closed.to_bits(), looped.to_bits(), "{:?}: {} vs {}", id, closed, looped);
+                prop_assert_eq!(m.rate(id).map(f64::to_bits), Some(closed.to_bits()));
+            }
+        }
     }
 }

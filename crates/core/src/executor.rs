@@ -50,26 +50,41 @@ pub enum DiskChoice {
     ShortestQueue,
 }
 
+/// Minimum elapsed service seconds before a monotask may be speculated,
+/// whenever [`MonoConfig::mono_speculation_multiplier`] arms speculation:
+/// it guards against copy storms on tiny monotasks.
+pub const MONO_SPECULATION_MIN_RUNTIME_SECS: f64 = 0.05;
+
 /// Configuration of the monotasks executor. Defaults are the paper's choices;
-/// the knobs exist for the ablation benchmarks and the §8 extensions.
+/// the knobs exist for the ablation benchmarks and the §8 extensions, and
+/// each field's doc names the bin or BENCH record that runs it at two
+/// settings. The limits no experiment varies are constants:
+/// [`driver::MAX_STEPS`], [`MONO_SPECULATION_MIN_RUNTIME_SECS`] and
+/// `dataflow::runtime`'s `MAX_TASK_RETRIES`, `FETCH_MAX_RETRIES` and
+/// `FETCH_BACKOFF_BASE_SECS`.
 #[derive(Clone, Debug)]
 pub struct MonoConfig {
     /// Receiver-side limit on concurrently-fetching multitasks (§3.3: 4).
+    /// `abl_net_outstanding` sweeps it.
     pub net_outstanding: usize,
     /// Assign one extra multitask beyond the resource slots (§3.4).
+    /// `abl_concurrency_plus_one` turns it off.
     pub extra_multitask: bool,
     /// Round-robin disk queues between reads and writes (§3.3).
+    /// `abl_round_robin` runs both.
     pub rr_disk_queues: bool,
     /// Override the per-machine multitask concurrency (None = auto).
+    /// `abl_concurrency_plus_one` sweeps it against auto.
     pub concurrency_override: Option<usize>,
     /// Override each SSD's scheduler slots (None = the device queue depth).
+    /// `abl_ssd_qd` sweeps it.
     pub ssd_slots_override: Option<usize>,
-    /// Disk selection for output writes.
+    /// Disk selection for output writes. `abl_disk_choice` runs both.
     pub write_disk_choice: DiskChoice,
     /// §3.5 memory regulation: when a machine's in-flight monotask buffers
     /// exceed this fraction of its RAM, its disk queues prefer writes so
     /// buffered data drains. `None` (the paper's implementation) disables
-    /// regulation.
+    /// regulation. `abl_memory_pressure` runs it off and on.
     pub memory_limit_fraction: Option<f64>,
     /// Model the network as a full-duplex max-min fair fabric (sender *and*
     /// receiver links constrain each transfer) instead of receiver-side
@@ -77,6 +92,7 @@ pub struct MonoConfig {
     /// either way; asymmetric traffic (hot senders) needs the fabric. The
     /// fabric is one `simcore::HierFabric` sharded by the cluster's
     /// [`cluster::RackTopology`]; a cluster without one is a single rack.
+    /// `abl_network_model` runs both.
     pub full_duplex_network: bool,
     /// Relative rate tolerance ε for the fabric's approximate allocation
     /// mode (only meaningful with `full_duplex_network`). `0.0` — the
@@ -85,13 +101,15 @@ pub struct MonoConfig {
     /// `[exact · (1 − ε), exact]` and port capacity is never exceeded; see
     /// `simcore::MaxMinPolicy`. Without a rack topology ε applies to every
     /// NIC; with one, only to the rack aggregation core, and allocation
-    /// within each rack stays exact.
+    /// within each rack stays exact. `scale_sweep --epsilon 0,0.01`
+    /// (BENCH_PR4) runs both.
     pub fabric_epsilon: f64,
     /// Completion-coalescing quantum Δ in seconds for the fabric (only
     /// meaningful with `full_duplex_network`): flow completions due within Δ
     /// of a wave fire together in one reallocation, each at most
     /// `rate · Δ` bytes early. `0.0` (the default) coalesces nothing. Δ
-    /// applies where ε does.
+    /// applies where ε does. `scale_sweep --quantum-ms 0,1` (BENCH_PR4)
+    /// runs both.
     pub fabric_quantum_secs: f64,
     /// Worker threads for the fabric's per-rack shards (only meaningful when
     /// the cluster has a [`cluster::RackTopology`] of several racks and
@@ -99,44 +117,33 @@ pub struct MonoConfig {
     /// the simulation thread. Results are bit-identical for any shard count:
     /// each rack collects its own completions, and the sweep appends them in
     /// rack order and sorts them by flow id, so this knob trades wall-clock
-    /// only.
+    /// only. `scale_sweep --shards 1,2,8` (BENCH_PR9) runs several.
     pub fabric_shards: usize,
-    /// Safety valve on simulation iterations.
-    pub max_steps: u64,
     /// Record utilization and queue-length traces (one sample per machine
     /// per event). Figure generation needs them; large-scale benchmarks turn
     /// them off — at hundreds of machines the samples dominate memory and
-    /// per-event cost without affecting simulation results.
+    /// per-event cost without affecting simulation results. The figure bins
+    /// keep them; `scale_sweep` and `fault_sweep` turn them off.
     pub collect_traces: bool,
-    /// Retries allowed per task beyond its original attempt before the run
-    /// fails with [`RunError::RetriesExhausted`]. Only reachable under fault
-    /// injection.
-    pub max_task_retries: u32,
     /// Monotask-level speculation threshold: a running monotask whose elapsed
     /// service time exceeds `multiplier ×` the median of completed monotasks
     /// of the same `(job, stage, purpose)` gets a single-resource copy — a
     /// slow disk read re-issued on another replica disk, a slow fetch
     /// re-served from a different sender disk, a slow compute duplicated —
-    /// with first-finisher-wins and deterministic loser cancellation. `None`
-    /// (the default) disables the machinery entirely: runs are bit-identical
-    /// to builds predating the knob (proptested).
+    /// with first-finisher-wins and deterministic loser cancellation. Only
+    /// monotasks in service for at least
+    /// [`MONO_SPECULATION_MIN_RUNTIME_SECS`] qualify. `None` (the default)
+    /// disables the machinery entirely. `fault_sweep --matrix` (BENCH_PR5)
+    /// runs it off and on.
     pub mono_speculation_multiplier: Option<f64>,
-    /// Minimum elapsed service seconds before a monotask may be speculated
-    /// (guards against copy storms on tiny monotasks). Only meaningful with
-    /// `mono_speculation_multiplier`; `None` means no floor.
-    pub mono_speculation_min_runtime: Option<f64>,
     /// Partition recovery: simulated seconds a fetch may sit at ~zero rate
     /// on a cut fabric pair before the timeout/retry machinery engages.
     /// `None` (the default) disables timeouts entirely — stalled fetches
     /// wait for the partition to heal, and runs without `Partition` events
     /// are bit-identical to builds predating the knob.
+    /// `fault_sweep --partitions` (BENCH_PR8) arms it; the other sweeps
+    /// leave it `None`.
     pub fetch_timeout_secs: Option<f64>,
-    /// Retry decisions allowed per stalled fetch before recovery escalates
-    /// to re-planning (relocation, replica, or lineage resubmission).
-    pub fetch_max_retries: u32,
-    /// Base of the deterministic exponential backoff between fetch retries:
-    /// retry `k` waits `base × 2^(k-1)` simulated seconds.
-    pub fetch_backoff_base_secs: f64,
     /// Arm the performance-clarity trace layer and name where its
     /// Perfetto-loadable Chrome Trace Event JSON should be written. `Some`
     /// collects one [`cluster::RunInstant`] per fault firing and recovery
@@ -145,6 +152,7 @@ pub struct MonoConfig {
     /// run to this path. Collection is observation-only: `None` — the
     /// default — collects nothing, and traced runs are `to_bits`-identical
     /// to untraced ones (proptested in `tests/trace_props.rs`).
+    /// `trace_export` sets it; every other bin leaves it `None`.
     pub trace_path: Option<std::path::PathBuf>,
 }
 
@@ -162,14 +170,9 @@ impl Default for MonoConfig {
             fabric_epsilon: 0.0,
             fabric_quantum_secs: 0.0,
             fabric_shards: 1,
-            max_steps: 50_000_000,
             collect_traces: true,
-            max_task_retries: 4,
             mono_speculation_multiplier: None,
-            mono_speculation_min_runtime: None,
             fetch_timeout_secs: None,
-            fetch_max_retries: 3,
-            fetch_backoff_base_secs: 1.0,
             trace_path: None,
         }
     }
@@ -193,9 +196,6 @@ impl MonoConfig {
                 return Err(format!("memory_limit_fraction {f} must be finite and > 0"));
             }
         }
-        if self.max_steps == 0 {
-            return Err("max_steps must be >= 1".into());
-        }
         if !(self.fabric_epsilon.is_finite() && (0.0..1.0).contains(&self.fabric_epsilon)) {
             return Err(format!(
                 "fabric_epsilon {} must be finite and in [0, 1)",
@@ -218,23 +218,10 @@ impl MonoConfig {
                 ));
             }
         }
-        if let Some(r) = self.mono_speculation_min_runtime {
-            if !(r.is_finite() && r >= 0.0) {
-                return Err(format!(
-                    "mono_speculation_min_runtime {r} must be finite and >= 0"
-                ));
-            }
-        }
         if let Some(t) = self.fetch_timeout_secs {
             if !(t.is_finite() && t > 0.0) {
                 return Err(format!("fetch_timeout_secs {t} must be finite and > 0"));
             }
-        }
-        if !(self.fetch_backoff_base_secs.is_finite() && self.fetch_backoff_base_secs >= 0.0) {
-            return Err(format!(
-                "fetch_backoff_base_secs {} must be finite and >= 0",
-                self.fetch_backoff_base_secs
-            ));
         }
         Ok(())
     }
@@ -692,10 +679,7 @@ pub fn run_with_faults(
         trace: cfg.trace_path.is_some(),
         lineage: !plan.is_empty(),
         partitions: plan.has_partitions(),
-        max_task_retries: cfg.max_task_retries,
         fetch_timeout_secs: cfg.fetch_timeout_secs,
-        fetch_max_retries: cfg.fetch_max_retries,
-        fetch_backoff_base_secs: cfg.fetch_backoff_base_secs,
     };
 
     let mut exec = Exec {
@@ -745,7 +729,7 @@ pub fn run_with_faults(
         spec_timers: EventQueue::new(),
         cold: FxHashMap::default(),
     };
-    let stats = driver::run(&mut exec, cfg.max_steps)?;
+    let stats = driver::run(&mut exec)?;
     Ok(exec.into_output(stats))
 }
 
@@ -881,11 +865,13 @@ impl Exec {
                 }
                 if in_transfer && self.fabric.is_none() {
                     // Park the in-flight receive stream: pull it out of the
-                    // receiver's allocator, remembering the bytes left.
+                    // receiver's allocator, remembering the bytes left (the
+                    // allocator reports the fraction left).
                     let sid = stream_id(mt, node);
                     if self.hosts[dst].contains(sid) {
-                        let rem = self.hosts[dst].remove(self.now, sid);
-                        self.cold_mut(mt, node).parked_bytes = Some(rem.unwrap_or(0.0).max(1e-9));
+                        let rem = self.hosts[dst].remove(self.now, sid).unwrap_or(0.0);
+                        let bytes = rem * self.mts[mt].nodes[node].op.bytes;
+                        self.cold_mut(mt, node).parked_bytes = Some(bytes.max(1e-9));
                     }
                 }
                 self.mark_stalled(mt, node);
@@ -1674,7 +1660,6 @@ impl Exec {
             .cfg
             .mono_speculation_multiplier
             .expect("check_speculation called with speculation off");
-        let min_rt = self.cfg.mono_speculation_min_runtime.unwrap_or(0.0);
         let mut changed = false;
         for mt in 0..self.mts.len() {
             if self.mts[mt].aborted || self.mts[mt].remaining == 0 {
@@ -1733,7 +1718,7 @@ impl Exec {
                 if !enough || med <= 0.0 {
                     continue;
                 }
-                let threshold = (mult * med).max(min_rt);
+                let threshold = (mult * med).max(MONO_SPECULATION_MIN_RUNTIME_SECS);
                 let elapsed = self.now.since(anchor).as_secs_f64();
                 if elapsed > threshold {
                     changed |= self.launch_copy(mt, node);

@@ -76,10 +76,19 @@ pub trait Engine {
     fn stalled_fetch_error(&self) -> Option<RunError>;
 }
 
-/// Runs `e` until every job is done, or fails after `max_steps` events.
+/// Safety valve on simulation events: a run that takes more fails with
+/// [`RunError::StepBudgetExhausted`] instead of looping forever.
+pub const MAX_STEPS: u64 = 50_000_000;
+
+/// Runs `e` until every job is done, or fails after [`MAX_STEPS`] events.
 /// Returns the loop's stats: `events` and the raw loop wall in
 /// `control_nanos` (see [`Runtime::into_reports`]).
-pub fn run<E: Engine>(e: &mut E, max_steps: u64) -> Result<SimStats, RunError> {
+pub fn run<E: Engine>(e: &mut E) -> Result<SimStats, RunError> {
+    run_for(e, MAX_STEPS)
+}
+
+/// [`run`] with a step budget of `max_steps` events.
+fn run_for<E: Engine>(e: &mut E, max_steps: u64) -> Result<SimStats, RunError> {
     let loop_timer = std::time::Instant::now();
     let partitions = e.rt().partitions_on();
     let mut now = SimTime::ZERO;
@@ -208,10 +217,7 @@ mod tests {
                 trace: false,
                 lineage: false,
                 partitions: false,
-                max_task_retries: 0,
                 fetch_timeout_secs: None,
-                fetch_max_retries: 0,
-                fetch_backoff_base_secs: 1.0,
             };
             let blocks = BlockMap::round_robin(tasks, 1, 1);
             Fake {
@@ -279,7 +285,7 @@ mod tests {
     #[test]
     fn one_batch_per_event_in_order_until_every_job_is_done() {
         let mut e = Fake::new(3, false);
-        let stats = run(&mut e, 100).expect("run completes");
+        let stats = run(&mut e).expect("run completes");
         // Three one-second tasks back to back: three events after t = 0.
         assert_eq!(stats.events, 3);
         assert_eq!(e.now, SimTime::from_secs(3));
@@ -291,10 +297,10 @@ mod tests {
     #[test]
     fn the_step_budget_and_an_empty_fold_fail_the_run() {
         let mut e = Fake::new(3, false);
-        let err = run(&mut e, 2).unwrap_err();
+        let err = run_for(&mut e, 2).unwrap_err();
         assert_eq!(err, RunError::StepBudgetExhausted { steps: 3 });
         let mut e = Fake::new(3, true);
-        let err = run(&mut e, 100).unwrap_err();
+        let err = run(&mut e).unwrap_err();
         assert_eq!(err, RunError::no_runnable_work(SimTime::ZERO));
     }
 }

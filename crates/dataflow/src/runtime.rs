@@ -38,8 +38,20 @@ use crate::{
 /// the fault plan cuts links.
 pub type Gate = fn(rt: &Runtime, m: usize, job: usize, stage: usize, task: usize) -> bool;
 
-/// The scheduling knobs a [`Runtime`] takes from its executor's
-/// configuration and fault plan.
+/// Retries allowed per task beyond its original attempt before the run
+/// fails with [`RunError::RetriesExhausted`]. Only fault runs re-queue tasks.
+pub const MAX_TASK_RETRIES: u32 = 4;
+
+/// Retry decisions per stall episode before recovery re-plans (relocation,
+/// replica, or lineage resubmission).
+pub const FETCH_MAX_RETRIES: u32 = 3;
+
+/// Base of the deterministic exponential backoff between stall retries:
+/// retry `k` waits `base × 2^(k-1)` simulated seconds.
+pub const FETCH_BACKOFF_BASE_SECS: f64 = 1.0;
+
+/// What a [`Runtime`] takes from its executor's configuration and fault
+/// plan, per run.
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
     /// Log every recorded instant (the executor's trace is armed).
@@ -48,16 +60,9 @@ pub struct RuntimeConfig {
     pub lineage: bool,
     /// The fault plan cuts links: task picks pass the reachability gate.
     pub partitions: bool,
-    /// Retries allowed per task beyond its original attempt.
-    pub max_task_retries: u32,
     /// Simulated seconds a fetch or a gate-blocked stage may stall before
     /// retries start; `None` waits for the heal.
     pub fetch_timeout_secs: Option<f64>,
-    /// Retry decisions per stall episode before recovery re-plans.
-    pub fetch_max_retries: u32,
-    /// Base of the backoff between retries: retry `k` waits
-    /// `base × 2^(k-1)` simulated seconds.
-    pub fetch_backoff_base_secs: f64,
 }
 
 /// Scheduling state of one stage.
@@ -198,9 +203,10 @@ impl Stall {
     }
 
     /// Fires a due expiry of a stall in stage `(ji, si)`: spends a retry
-    /// (counted in `fetch_retries`) and, within budget, arms the
-    /// deterministic backoff (`base × 2^(k-1)` seconds for retry `k`). Once
-    /// the budget is spent, returns the retries spent: recovery must re-plan.
+    /// (counted in `fetch_retries`) and, within [`FETCH_MAX_RETRIES`], arms
+    /// the deterministic backoff ([`FETCH_BACKOFF_BASE_SECS`] `× 2^(k-1)`
+    /// seconds for retry `k`). Once the budget is spent, returns the retries
+    /// spent: recovery must re-plan.
     pub fn tick(&mut self, rt: &mut Runtime, ji: usize, si: usize, now: SimTime) -> Option<u32> {
         self.retries += 1;
         let attempt = self.retries;
@@ -212,15 +218,12 @@ impl Stall {
                 attempt,
             },
         );
-        if attempt > rt.cfg.fetch_max_retries {
+        if attempt > FETCH_MAX_RETRIES {
             return Some(attempt);
         }
-        let backoff = rt.cfg.fetch_backoff_base_secs * 2f64.powi(attempt as i32 - 1);
+        let backoff = FETCH_BACKOFF_BASE_SECS * 2f64.powi(attempt as i32 - 1);
         rt.jobs[ji].recovery.fetch_backoff_seconds += backoff;
-        let mut at = now + SimDuration::from_secs_f64(backoff);
-        if at <= now {
-            at = SimTime(now.0 + 1);
-        }
+        let at = now + SimDuration::from_secs_f64(backoff);
         rt.fetch_timers.schedule(at, ());
         self.deadline = Some(at);
         None
@@ -630,7 +633,7 @@ impl Runtime {
     ) -> Result<(), RunError> {
         let a = &mut self.attempts[ji][si][ti];
         *a += 1;
-        if *a > self.cfg.max_task_retries {
+        if *a > MAX_TASK_RETRIES {
             return Err(RunError::RetriesExhausted {
                 job: JobId(ji as u32),
                 stage: StageId(si as u32),
@@ -1099,10 +1102,7 @@ mod tests {
             trace: true,
             lineage: true,
             partitions,
-            max_task_retries: 2,
             fetch_timeout_secs: Some(1.0),
-            fetch_max_retries: 2,
-            fetch_backoff_base_secs: 1.0,
         }
     }
 
@@ -1185,11 +1185,15 @@ mod tests {
             expected.map(|kind| RunInstant { time: t, kind })
         );
         assert!(rt.take_recompute(0, 0, 3) && !rt.take_recompute(0, 0, 3));
-        rt.requeue_task(0, 0, 3, false, t).unwrap();
+        // The loss was task 3's first re-queue; re-queue number
+        // `MAX_TASK_RETRIES + 1` exhausts the budget.
+        for _ in 1..MAX_TASK_RETRIES {
+            rt.requeue_task(0, 0, 3, false, t).unwrap();
+        }
         let err = rt.requeue_task(0, 0, 3, false, t).unwrap_err();
         assert!(matches!(
             err,
-            RunError::RetriesExhausted { attempts: 3, .. }
+            RunError::RetriesExhausted { attempts: 5, .. }
         ));
     }
 
@@ -1283,17 +1287,17 @@ mod tests {
                     break e;
                 }
             };
-            // Timeout 1 s, then backoffs of 1 s and 2 s, then re-plan.
-            assert_eq!(fired, vec![1.0, 2.0, 4.0], "episode {episode}");
-            assert_eq!(escalation, (0, 3));
+            // Timeout 1 s, then backoffs of 1, 2 and 4 s, then re-plan.
+            assert_eq!(fired, vec![1.0, 2.0, 4.0, 8.0], "episode {episode}");
+            assert_eq!(escalation, (0, FETCH_MAX_RETRIES + 1));
         }
-        assert_eq!(rt.jobs[0].recovery.fetch_retries, 6);
-        assert_eq!(rt.jobs[0].recovery.fetch_backoff_seconds, 6.0);
+        assert_eq!(rt.jobs[0].recovery.fetch_retries, 8);
+        assert_eq!(rt.jobs[0].recovery.fetch_backoff_seconds, 14.0);
         // The best receiver reaches itself; the other sender is offending
         // and its producers can re-run only on the receiver.
-        let (mstar, offending) = rt.unreachable_plan(0, 1, 0, 3, SimTime::ZERO).unwrap();
+        let (mstar, offending) = rt.unreachable_plan(0, 1, 0, 4, SimTime::ZERO).unwrap();
         assert_eq!((mstar, offending.clone()), (0, vec![1]));
-        rt.check_resubmittable((0, 1, 0), 1, mstar, 3).unwrap();
+        rt.check_resubmittable((0, 1, 0), 1, mstar, 4).unwrap();
         rt.resubmit_from(1, SimTime::from_secs(1)).unwrap();
         assert!(!rt.schedulable(1));
         assert!(rt.heal(1, 0) && rt.schedulable(1));

@@ -12,59 +12,39 @@ use dataflow::{BlockMap, InputSpec, JobId, JobReport, JobSpec, RunError, StageId
 use simcore::stats::median;
 use simcore::{EventQueue, SimDuration, SimStats, SimTime};
 
-/// Configuration of the baseline executor.
-#[derive(Clone, Debug)]
+/// Configuration of the baseline executor. Each field is run at two
+/// settings by the bench bin its doc names. The limits no experiment varies
+/// are constants: [`driver::MAX_STEPS`] and `dataflow::runtime`'s
+/// `MAX_TASK_RETRIES`, `FETCH_MAX_RETRIES` and `FETCH_BACKOFF_BASE_SECS`.
+#[derive(Clone, Debug, Default)]
 pub struct SparkConfig {
     /// Concurrent tasks per machine; `None` = one per core (Spark's default,
-    /// §3.4). Fig 18 sweeps this.
+    /// §3.4). `fig18_autoconfig` sweeps it; every other bin runs the
+    /// default.
     pub slots_per_machine: Option<usize>,
     /// Force writes through to disk instead of the buffer cache (the second
-    /// Spark configuration in Fig 5).
+    /// Spark configuration in Fig 5: `fig05_bdb_runtimes` runs both).
     pub write_through: bool,
-    /// Safety valve on simulation iterations.
-    pub max_steps: u64,
-    /// Retries allowed per task beyond its original attempt before the run
-    /// fails with [`RunError::RetriesExhausted`]. `0` = fail fast.
-    pub max_task_retries: u32,
     /// Speculative execution: when a slot is otherwise idle and a running
     /// task has exceeded this multiple of its stage's median completed
     /// duration (with at least half the stage complete), launch a copy on
     /// another machine; first finisher wins. `None` disables speculation and
     /// keeps the executor bit-identical to the pre-fault code.
+    /// `fault_sweep --matrix` (BENCH_PR5) runs it off and on.
     pub speculation_multiplier: Option<f64>,
     /// How long a shuffle fetch may sit stalled on a cut pair before the
     /// first retry fires. `None` disables the timeout machinery entirely: a
     /// partitioned fetch waits for the heal (or starves into
     /// [`RunError::Unreachable`] once nothing else can run).
+    /// `fault_sweep --partitions` (BENCH_PR8) arms it; the other sweeps
+    /// leave it `None`.
     pub fetch_timeout_secs: Option<f64>,
-    /// Fetch retries allowed per attempt after the stall timeout, each
-    /// separated by exponential backoff, before partition recovery gives up
-    /// waiting and re-plans around the unreachable sender.
-    pub fetch_max_retries: u32,
-    /// Base of the deterministic exponential backoff between fetch retries:
-    /// retry `k` waits `base × 2^(k-1)` seconds.
-    pub fetch_backoff_base_secs: f64,
     /// Arms the trace layer: when set, the run collects instant events
     /// ([`cluster::RunInstant`]) for trace export. Observation-only — the
     /// schedule is bit-identical whether or not a path is set. The executor
     /// never writes the file itself; `mt-trace` export helpers honor it.
+    /// `trace_export` sets it; every other bin leaves it `None`.
     pub trace_path: Option<std::path::PathBuf>,
-}
-
-impl Default for SparkConfig {
-    fn default() -> Self {
-        SparkConfig {
-            slots_per_machine: None,
-            write_through: false,
-            max_steps: 50_000_000,
-            max_task_retries: 4,
-            speculation_multiplier: None,
-            fetch_timeout_secs: None,
-            fetch_max_retries: 3,
-            fetch_backoff_base_secs: 1.0,
-            trace_path: None,
-        }
-    }
 }
 
 impl SparkConfig {
@@ -72,9 +52,6 @@ impl SparkConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.slots_per_machine == Some(0) {
             return Err("slots_per_machine must be at least 1".into());
-        }
-        if self.max_steps == 0 {
-            return Err("max_steps must be at least 1".into());
         }
         if let Some(f) = self.speculation_multiplier {
             if !f.is_finite() || f < 1.0 {
@@ -89,12 +66,6 @@ impl SparkConfig {
                     "fetch_timeout_secs must be finite and > 0, got {t}"
                 ));
             }
-        }
-        if !self.fetch_backoff_base_secs.is_finite() || self.fetch_backoff_base_secs < 0.0 {
-            return Err(format!(
-                "fetch_backoff_base_secs must be finite and >= 0, got {}",
-                self.fetch_backoff_base_secs
-            ));
         }
         Ok(())
     }
@@ -379,10 +350,7 @@ pub fn run_with_faults(
         trace: cfg.trace_path.is_some(),
         lineage: !plan.is_empty(),
         partitions: plan.has_partitions(),
-        max_task_retries: cfg.max_task_retries,
         fetch_timeout_secs: cfg.fetch_timeout_secs,
-        fetch_max_retries: cfg.fetch_max_retries,
-        fetch_backoff_base_secs: cfg.fetch_backoff_base_secs,
     };
     let mut exec = Exec {
         cfg: cfg.clone(),
@@ -404,7 +372,7 @@ pub fn run_with_faults(
         spec_copies: HashSet::new(),
         spec_timers: EventQueue::new(),
     };
-    let stats = driver::run(&mut exec, cfg.max_steps)?;
+    let stats = driver::run(&mut exec)?;
     Ok(exec.into_output(stats))
 }
 

@@ -4,11 +4,9 @@
 //! to the plan-free entry points — every makespan, record timing, and event
 //! count; (2) fault plans generated from the same seed and injected twice
 //! produce identical outcomes, including identical structured errors when
-//! the plan is unrecoverable; (3) with both monotask-speculation knobs
-//! `None` the executor is bit-identical to a build predating the feature —
-//! checked via `f64::to_bits` on the makespan; and (4) speculation enabled
-//! is still fully deterministic: two runs of the same seeded straggler plan
-//! agree byte-for-byte on reports and counters.
+//! the plan is unrecoverable; and (3) speculation enabled is still fully
+//! deterministic: two runs of the same seeded straggler plan agree
+//! byte-for-byte on reports and counters.
 
 mod testsupport;
 
@@ -110,58 +108,6 @@ proptest! {
         }
     }
 
-    /// Both monotask-speculation knobs `None` ⇒ bit-identical makespans
-    /// (`f64::to_bits`), records, and event counts to the default config,
-    /// under random fault plans and topologies. `min_runtime` alone (no
-    /// multiplier) must also be inert.
-    #[test]
-    fn disabled_mono_speculation_is_bit_identical(
-        rj in random_job(),
-        seed in 0u64..1000,
-        intensity in 0.0f64..1.5,
-        min_runtime_only in any::<bool>(),
-    ) {
-        let (cluster, job, blocks) = rj.build_replicated(2);
-        let tasks_per_stage = job.stages.iter().map(|s| s.tasks.len()).max().unwrap_or(1);
-        let plan = sweep_plan(seed, &cluster, 60.0, job.stages.len(), tasks_per_stage, intensity);
-
-        let base_cfg = MonoConfig { collect_traces: false, ..MonoConfig::default() };
-        prop_assert!(base_cfg.mono_speculation_multiplier.is_none());
-        prop_assert!(base_cfg.mono_speculation_min_runtime.is_none());
-        let off_cfg = MonoConfig {
-            // The multiplier alone arms speculation; min_runtime without it
-            // must leave every hook off the hot path.
-            mono_speculation_min_runtime: if min_runtime_only { Some(3.0) } else { None },
-            ..base_cfg.clone()
-        };
-
-        let base = monotasks_core::run_with_faults(
-            &cluster, &[(job.clone(), blocks.clone())], &base_cfg, &plan,
-        );
-        let off = monotasks_core::run_with_faults(
-            &cluster, &[(job, blocks)], &off_cfg, &plan,
-        );
-        match (&base, &off) {
-            (Ok(x), Ok(y)) => {
-                prop_assert_eq!(
-                    x.makespan.as_secs_f64().to_bits(),
-                    y.makespan.as_secs_f64().to_bits()
-                );
-                prop_assert_eq!(x.stats.events, y.stats.events);
-                prop_assert_eq!(x.stats.mono_copies, 0);
-                prop_assert_eq!(y.stats.mono_copies, 0);
-                prop_assert_eq!(x.records.len(), y.records.len());
-                for (a, b) in x.records.iter().zip(&y.records) {
-                    prop_assert_eq!(a.started, b.started);
-                    prop_assert_eq!(a.ended, b.ended);
-                    prop_assert_eq!(a.machine, b.machine);
-                }
-            }
-            (Err(x), Err(y)) => prop_assert_eq!(x, y),
-            _ => prop_assert!(false, "one run failed, the other did not"),
-        }
-    }
-
     /// Monotask speculation enabled ⇒ still fully deterministic: the same
     /// seeded straggler plan run twice agrees byte-for-byte on the
     /// serialized job reports and on every counter.
@@ -180,8 +126,7 @@ proptest! {
         let cfg = MonoConfig {
             collect_traces: false,
             mono_speculation_multiplier: Some(1.5),
-            mono_speculation_min_runtime: Some(0.05),
-            ..MonoConfig::default()
+                ..MonoConfig::default()
         };
         let run = || monotasks_core::run_with_faults(
             &cluster, &[(job.clone(), blocks.clone())], &cfg, &plan,

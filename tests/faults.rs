@@ -308,7 +308,7 @@ fn approximate_fabric_with_a_crash_is_deterministic() {
 fn validation_rejects_bad_configs_and_plans() {
     let (job, blocks) = sort();
     let bad_cfg = MonoConfig {
-        max_steps: 0,
+        net_outstanding: 0,
         ..MonoConfig::default()
     };
     assert!(matches!(
@@ -377,28 +377,6 @@ fn validation_rejects_bad_configs_and_plans() {
         assert_eq!(mono.err(), Some(RunError::InvalidConfig(msg.clone())));
         assert_eq!(spark.err(), Some(RunError::InvalidConfig(msg)));
     }
-}
-
-/// A retry budget of zero fails fast on the first abort.
-#[test]
-fn zero_retry_budget_fails_fast() {
-    let (job, blocks) = sort();
-    let mono_free = monotasks_core::try_run(
-        &cluster(),
-        &[(job.clone(), blocks.clone())],
-        &MonoConfig::default(),
-    )
-    .unwrap();
-    let plan = mid_shuffle_crash(1, mono_free.makespan.as_secs_f64() * 0.5);
-    let cfg = MonoConfig {
-        max_task_retries: 0,
-        ..MonoConfig::default()
-    };
-    let out = monotasks_core::run_with_faults(&cluster(), &[(job, blocks)], &cfg, &plan);
-    assert!(
-        matches!(out, Err(RunError::RetriesExhausted { attempts: 1, .. })),
-        "expected RetriesExhausted, got {out:?}"
-    );
 }
 
 /// The queue trace of a run with a crash keeps every snapshot, in order:
@@ -581,7 +559,6 @@ fn fault_and_decision_instants_keep_their_order() {
 
     let mono_spec = MonoConfig {
         mono_speculation_multiplier: Some(1.5),
-        mono_speculation_min_runtime: Some(0.05),
         ..mono_cfg(false)
     };
     let copied = mono_run(&straggler, &mono_spec);

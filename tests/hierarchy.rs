@@ -112,7 +112,6 @@ fn rack_partition_composes_with_the_hierarchy() {
     );
     let cfg = |shards| MonoConfig {
         fetch_timeout_secs: Some(1.0),
-        fetch_backoff_base_secs: 0.5,
         ..full_duplex(shards, 0.0, 0.0)
     };
     let free = monotasks_core::try_run(&cluster, &[(job.clone(), blocks.clone())], &cfg(1))

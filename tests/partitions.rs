@@ -7,10 +7,10 @@
 
 mod testsupport;
 
-use cluster::{ClusterSpec, FaultPlan, InstantKind, RunInstant};
+use cluster::{ClusterSpec, FaultPlan, InstantKind, MachineId, ResourceSel, RunInstant};
 use dataflow::{BlockMap, RunError};
 use monotasks_core::MonoConfig;
-use simcore::{SimDuration, SimTime};
+use simcore::{ResourceKind, SimDuration, SimTime};
 use sparklike::SparkConfig;
 use testsupport::sort4 as sort;
 
@@ -282,7 +282,7 @@ fn second_blockage_has_a_fresh_budget(engine: &str, run: impl Fn(&FaultPlan) -> 
     let (_, instants) = run(&plan);
     let retries = reduce_fetch_retries(&instants);
     let attempts: Vec<u32> = retries.iter().map(|&(_, a)| a).collect();
-    // fetch_max_retries = 3 backoffs, then the escalating decision — per
+    // FETCH_MAX_RETRIES = 3 backoffs, then the escalating decision — per
     // episode. A budget carried over would escalate the second episode at its
     // first deadline with attempt 5 and no backoff.
     assert_eq!(attempts, [1, 2, 3, 4, 1, 2, 3, 4], "{engine}: {retries:?}");
@@ -356,7 +356,7 @@ fn overlapping_partition_windows_are_rejected() {
 /// split the allocators' integration there) at a time nothing happens. The
 /// window heals within the timeout, so every armed expiry is idle and the
 /// step count exposes an extra one. The pinned counts are this scenario's
-/// steps with one timeout per stall (a timer per mark gives 168 and 676).
+/// steps with one timeout per stall (a timer per mark gives 171 and 688).
 #[test]
 fn a_fetch_stalled_before_its_transfer_arms_one_timeout() {
     let (job, blocks) = sort();
@@ -373,9 +373,49 @@ fn a_fetch_stalled_before_its_transfer_arms_one_timeout() {
     assert_eq!(out.jobs[0].recovery.fetch_retries, 0, "a timeout fired");
     assert_eq!(
         (out.stats.events, out.queue_trace.len()),
-        (164, 660),
+        (167, 672),
         "simulation steps"
     );
+}
+
+/// A receive stream parked by a cut keeps its remaining bytes, and moves
+/// them after the heal. Machine 1 is isolated mid-shuffle, so every fetch it
+/// receives crosses the cut, and each byte it fetches crosses its NIC once:
+/// the NIC trace's receive rate, integrated over the run, must equal the
+/// bytes of its network records in the faulty run as in the fault-free one.
+#[test]
+fn a_fetch_cut_mid_transfer_moves_its_remaining_bytes_after_the_heal() {
+    let (job, blocks) = sort();
+    let cfg = MonoConfig::default();
+    let jobs = [(job, blocks)];
+    let free = monotasks_core::try_run(&cluster(), &jobs, &cfg).expect("fault-free run");
+    let plan = isolate(1, free.makespan.as_secs_f64(), 0.50, 0.55);
+    let cut = monotasks_core::run_with_faults(&cluster(), &jobs, &cfg, &plan)
+        .expect("a healing partition completes");
+    assert!(cut.jobs[0].recovery.stalled_fetch_seconds > 0.0);
+    let nic = cluster().machine.nic;
+    for (name, out) in [("fault-free", &free), ("cut", &cut)] {
+        let fetched: f64 = out
+            .records
+            .iter()
+            .filter(|r| r.machine == 1 && r.resource == ResourceKind::Network)
+            .map(|r| r.bytes)
+            .sum();
+        let points = out
+            .traces
+            .recorder(MachineId(1), ResourceSel::Network)
+            .expect("a NIC trace")
+            .points();
+        let busy_secs: f64 = points
+            .windows(2)
+            .map(|w| w[0].1 * w[1].0.since(w[0].0).as_secs_f64())
+            .sum();
+        assert!(
+            (busy_secs * nic - fetched).abs() <= 1e-6 * fetched,
+            "{name}: machine 1's NIC moved {} of its {fetched} fetched bytes",
+            busy_secs * nic
+        );
+    }
 }
 
 /// The Spark-like twin of the test above: a merged fetch parked by a window

@@ -21,7 +21,6 @@ fn cluster() -> cluster::ClusterSpec {
 fn spec_cfg() -> MonoConfig {
     MonoConfig {
         mono_speculation_multiplier: Some(1.5),
-        mono_speculation_min_runtime: Some(0.05),
         ..MonoConfig::default()
     }
 }
@@ -172,7 +171,6 @@ fn monotask_speculation_wastes_less_than_slot_level() {
     // only races are over the straggling compute monotasks.
     let cfg = MonoConfig {
         mono_speculation_multiplier: Some(3.0),
-        mono_speculation_min_runtime: Some(0.05),
         ..MonoConfig::default()
     };
 
@@ -235,7 +233,6 @@ fn every_compute_record_has_one_cpu_split_under_speculation() {
     let plan = FaultPlan::new().straggle(0, 3, 8.0).straggle(1, 2, 8.0);
     let cfg = MonoConfig {
         mono_speculation_multiplier: Some(3.0),
-        mono_speculation_min_runtime: Some(0.05),
         ..MonoConfig::default()
     };
     let out = monotasks_core::run_with_faults(&cluster(), &[(job.clone(), blocks)], &cfg, &plan)

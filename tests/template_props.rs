@@ -45,7 +45,6 @@ proptest! {
         let cfg = MonoConfig {
             collect_traces: false,
             mono_speculation_multiplier: speculate.then_some(1.5),
-            mono_speculation_min_runtime: speculate.then_some(0.05),
             ..MonoConfig::default()
         };
         let jobs = [(job, blocks)];
