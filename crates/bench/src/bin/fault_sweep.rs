@@ -10,9 +10,10 @@
 //!
 //! Everything simulated is deterministic: the same binary on any host must
 //! produce identical makespans and counters, which `--check` exploits — it
-//! compares the measured makespans against the committed baseline *exactly*
-//! (plus a wall-clock budget), so CI catches both behavioral drift and
-//! perf regressions.
+//! compares every simulated field the baseline row records (makespan,
+//! inflation, recovery counters and seconds) against it *exactly*, at the
+//! precision the record stores, plus a wall-clock budget, so CI catches
+//! both behavioral drift and perf regressions.
 //!
 //! `--matrix` switches to the *speculation matrix*: straggler-only plans
 //! (no crashes, no degraded hardware) run under three mitigation modes —
@@ -29,8 +30,7 @@
 //! so recovery can re-plan block reads against a reachable replica and
 //! resubmit unreachable shuffle lineage. Each point also records the
 //! partition-recovery counters (fetch retries, stalled and backoff seconds,
-//! re-planned fetches), and `--check` compares those counters exactly along
-//! with the makespans.
+//! re-planned fetches), which `--check` compares too.
 //!
 //! Usage:
 //!   fault_sweep [--matrix | --partitions] [--out PATH] [--points 0,0.5,1,2]
@@ -61,6 +61,7 @@ const SEED: u64 = 42;
 
 const DEFAULT_POINTS: &[f64] = &[0.0, 0.5, 1.0, 2.0];
 
+#[derive(Clone, Default)]
 struct Point {
     engine: &'static str,
     intensity: f64,
@@ -246,24 +247,9 @@ fn failed_point(engine: &'static str, intensity: f64, error: String, wall_s: f64
     Point {
         engine,
         intensity,
-        completed: false,
         error,
-        makespan_s: 0.0,
-        inflation: 0.0,
-        tasks_retried: 0,
-        tasks_speculated: 0,
-        wasted_s: 0.0,
-        wasted_bytes: 0,
-        mono_copies: 0,
-        mono_copy_wins: 0,
-        recompute_s: 0.0,
-        fetch_retries: 0,
-        stalled_s: 0.0,
-        backoff_s: 0.0,
-        fetches_replanned: 0,
         wall_s,
-        peak_rss_mb: None,
-        monotasks: 0,
+        ..Point::default()
     }
 }
 
@@ -315,13 +301,9 @@ fn parse_args() -> Args {
 struct BaseRec {
     engine: String,
     intensity: f64,
-    makespan_s: f64,
     wall_s: f64,
-    // Recovery counters, absent in baselines written before the partition
-    // sweep; only compared when the baseline recorded them.
-    tasks_retried: Option<f64>,
-    fetch_retries: Option<f64>,
-    fetches_replanned: Option<f64>,
+    /// The row as recorded, for looking up its simulated fields.
+    line: String,
 }
 
 fn baseline_records(json: &str) -> Vec<BaseRec> {
@@ -330,14 +312,32 @@ fn baseline_records(json: &str) -> Vec<BaseRec> {
             Some(BaseRec {
                 engine: json_str_field(line, "\"engine\"")?,
                 intensity: json_field(line, "\"intensity\"")?,
-                makespan_s: json_field(line, "\"makespan_s\"")?,
                 wall_s: json_field(line, "\"wall_s\"")?,
-                tasks_retried: json_field(line, "\"tasks_retried\""),
-                fetch_retries: json_field(line, "\"fetch_retries\""),
-                fetches_replanned: json_field(line, "\"fetches_replanned\""),
+                line: line.to_string(),
             })
         })
         .collect()
+}
+
+/// The simulated fields of a row, formatted as the record writes them.
+/// `--check` compares each one the baseline row records by this text, so
+/// floats compare at the stored precision and counters exactly.
+fn simulated_fields(p: &Point) -> [(&'static str, String); 13] {
+    [
+        ("makespan_s", format!("{:.3}", p.makespan_s)),
+        ("inflation", format!("{:.3}", p.inflation)),
+        ("tasks_retried", p.tasks_retried.to_string()),
+        ("tasks_speculated", p.tasks_speculated.to_string()),
+        ("wasted_s", format!("{:.3}", p.wasted_s)),
+        ("wasted_bytes", p.wasted_bytes.to_string()),
+        ("mono_copies", p.mono_copies.to_string()),
+        ("mono_copy_wins", p.mono_copy_wins.to_string()),
+        ("recompute_s", format!("{:.3}", p.recompute_s)),
+        ("fetch_retries", p.fetch_retries.to_string()),
+        ("stalled_s", format!("{:.3}", p.stalled_s)),
+        ("backoff_s", format!("{:.3}", p.backoff_s)),
+        ("fetches_replanned", p.fetches_replanned.to_string()),
+    ]
 }
 
 /// Engine rows of the sweep: a label, which executor, and whether its
@@ -434,7 +434,7 @@ fn main() {
                 Point {
                     inflation: 1.0,
                     error: String::new(),
-                    ..clone_point(&bases[i])
+                    ..bases[i].clone()
                 }
             } else {
                 let plan = plan_for(
@@ -501,31 +501,20 @@ fn main() {
                 );
                 continue;
             };
-            // Makespans are simulated: any drift at all is a behavior change
-            // (the baseline file stores 3 decimals, so compare at that grain).
-            let mk_ok = (p.makespan_s - rec.makespan_s).abs() < 5e-4;
-            // Recovery counters are integers and simulated too: compare them
-            // exactly, but only when the baseline recorded them (pre-partition
-            // baselines lack the fetch counters).
-            let counters = [
-                ("tasks_retried", rec.tasks_retried, p.tasks_retried),
-                ("fetch_retries", rec.fetch_retries, p.fetch_retries),
-                (
-                    "fetches_replanned",
-                    rec.fetches_replanned,
-                    p.fetches_replanned,
-                ),
-            ];
-            let mut ctr_ok = true;
-            for (name, base, got) in counters {
-                if let Some(base) = base {
-                    if (base - got as f64).abs() > 0.5 {
-                        println!(
-                            "check: {} intensity {} {name} {got} vs baseline {base} DRIFTED",
-                            p.engine, p.intensity
-                        );
-                        ctr_ok = false;
-                    }
+            // Everything simulated must match: any drift at all is a
+            // behavior change. Baselines written before a field existed lack
+            // it, and it is skipped.
+            let mut sim_ok = true;
+            for (name, got) in simulated_fields(p) {
+                let Some(base) = json_field(&rec.line, &format!("\"{name}\"")) else {
+                    continue;
+                };
+                if got.parse::<f64>() != Ok(base) {
+                    println!(
+                        "check: {} intensity {} {name} {got} vs baseline {base} DRIFTED",
+                        p.engine, p.intensity
+                    );
+                    sim_ok = false;
                 }
             }
             // Wall clock gets the same budget guard as scale_sweep, with a
@@ -533,20 +522,19 @@ fn main() {
             let budget = (rec.wall_s * args.max_factor).max(0.25);
             let wall_ok = p.wall_s <= budget;
             println!(
-                "check: {} intensity {} makespan {:.3}s vs {:.3}s {} | wall {:.3}s (budget {:.3}s) {}",
+                "check: {} intensity {} makespan {:.3}s, simulated fields {} | wall {:.3}s (budget {:.3}s) {}",
                 p.engine,
                 p.intensity,
                 p.makespan_s,
-                rec.makespan_s,
-                if mk_ok { "OK" } else { "DRIFTED" },
+                if sim_ok { "OK" } else { "DRIFTED" },
                 p.wall_s,
                 budget,
                 if wall_ok { "OK" } else { "REGRESSED" }
             );
-            failed |= !mk_ok || !ctr_ok || !wall_ok;
+            failed |= !sim_ok || !wall_ok;
         }
         if failed {
-            eprintln!("fault_sweep --check: makespan/counter drift or wall-clock budget exceeded");
+            eprintln!("fault_sweep --check: simulated drift or wall-clock budget exceeded");
             std::process::exit(1);
         }
         return; // check mode never rewrites the committed record
@@ -567,30 +555,17 @@ fn main() {
          \"seed\": {SEED},\n  \"points\": [\n"
     ));
     for (i, p) in points.iter().enumerate() {
+        let simulated: Vec<String> = simulated_fields(p)
+            .iter()
+            .map(|(name, value)| format!("\"{name}\": {value}"))
+            .collect();
         json.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"intensity\": {}, \"completed\": {}, \
-             \"makespan_s\": {:.3}, \"inflation\": {:.3}, \"tasks_retried\": {}, \
-             \"tasks_speculated\": {}, \"wasted_s\": {:.3}, \"wasted_bytes\": {}, \
-             \"mono_copies\": {}, \"mono_copy_wins\": {}, \"recompute_s\": {:.3}, \
-             \"fetch_retries\": {}, \"stalled_s\": {:.3}, \"backoff_s\": {:.3}, \
-             \"fetches_replanned\": {}, \"wall_s\": {:.3}, \"peak_rss_mb\": {}, \
-             \"host_bytes_per_monotask\": {}}}{}\n",
+            "    {{\"engine\": \"{}\", \"intensity\": {}, \"completed\": {}, {}, \
+             \"wall_s\": {:.3}, \"peak_rss_mb\": {}, \"host_bytes_per_monotask\": {}}}{}\n",
             p.engine,
             p.intensity,
             p.completed,
-            p.makespan_s,
-            p.inflation,
-            p.tasks_retried,
-            p.tasks_speculated,
-            p.wasted_s,
-            p.wasted_bytes,
-            p.mono_copies,
-            p.mono_copy_wins,
-            p.recompute_s,
-            p.fetch_retries,
-            p.stalled_s,
-            p.backoff_s,
-            p.fetches_replanned,
+            simulated.join(", "),
             p.wall_s,
             json_opt(p.peak_rss_mb),
             json_opt(host_bytes_per_monotask(p.peak_rss_mb, p.monotasks)),
@@ -609,29 +584,4 @@ fn main() {
     });
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!("\nwrote {out}");
-}
-
-fn clone_point(p: &Point) -> Point {
-    Point {
-        engine: p.engine,
-        intensity: p.intensity,
-        completed: p.completed,
-        error: p.error.clone(),
-        makespan_s: p.makespan_s,
-        inflation: p.inflation,
-        tasks_retried: p.tasks_retried,
-        tasks_speculated: p.tasks_speculated,
-        wasted_s: p.wasted_s,
-        wasted_bytes: p.wasted_bytes,
-        mono_copies: p.mono_copies,
-        mono_copy_wins: p.mono_copy_wins,
-        recompute_s: p.recompute_s,
-        fetch_retries: p.fetch_retries,
-        stalled_s: p.stalled_s,
-        backoff_s: p.backoff_s,
-        fetches_replanned: p.fetches_replanned,
-        wall_s: p.wall_s,
-        peak_rss_mb: p.peak_rss_mb,
-        monotasks: p.monotasks,
-    }
 }

@@ -21,12 +21,12 @@ use cluster::{
     StreamId, TraceSet,
 };
 use dataflow::driver::{self, Engine};
-use dataflow::runtime::{Runtime, RuntimeConfig, Stall};
+use dataflow::runtime::{Runtime, RuntimeConfig};
 use dataflow::{
     BlockMap, InputSpec, JobId, JobSpec, OutputSpec, RunError, StageId, TaskId, TaskSpec,
 };
 use simcore::stats::median;
-use simcore::{EventQueue, FlowId, FxHashMap, HierFabric, MaxMinPolicy, RackMap};
+use simcore::{FlowId, FxHashMap, HierFabric, MaxMinPolicy, RackMap};
 use simcore::{ResourceKind, SimDuration, SimStats, SimTime};
 
 #[cfg(debug_assertions)]
@@ -440,8 +440,6 @@ struct ColdNode {
     /// Next scheduled speculation-check wake-up for this node (dedup so the
     /// timer queue holds at most one pending entry per node).
     spec_wake_at: Option<SimTime>,
-    /// Stall clock of a fetch whose pair is cut.
-    stall: Stall,
     /// Per-machine-allocator transfers parked by a cut: remaining bytes to
     /// re-insert on heal. (Fabric transfers stay in the allocator at rate 0
     /// instead.)
@@ -518,10 +516,6 @@ struct Exec {
     /// Fabric completion buffer reused across events: the poll runs per
     /// event and must not allocate.
     done_flows: Vec<FlowId>,
-    /// Whether any fault machinery is active this run. False keeps every
-    /// fault hook off the hot path, so an empty plan is bit-identical to the
-    /// plan-free code.
-    faults_on: bool,
     /// Whether monotask-level speculation is active this run. False keeps
     /// every speculation hook off the hot path, so disabled runs are
     /// bit-identical to builds predating the feature.
@@ -529,9 +523,6 @@ struct Exec {
     /// Completed service durations per `(job, stage, purpose)` — the
     /// straggler-threshold populations. BTreeMap for deterministic layout.
     durations: BTreeMap<(u32, u32, Purpose), Vec<f64>>,
-    /// Deterministic wake-ups at projected threshold-crossing instants, so a
-    /// straggler is caught even when no completion event lands near it.
-    spec_timers: EventQueue<()>,
 }
 
 /// Encodes a `(multitask, node)` reference as a fluid stream id: 32 bits
@@ -723,10 +714,8 @@ pub fn run_with_faults(
         }),
         now: SimTime::ZERO,
         done_flows: Vec::new(),
-        faults_on: !plan.is_empty(),
         spec_on: cfg.mono_speculation_multiplier.is_some(),
         durations: BTreeMap::new(),
-        spec_timers: EventQueue::new(),
         cold: FxHashMap::default(),
     };
     let stats = driver::run(&mut exec)?;
@@ -824,11 +813,16 @@ impl Exec {
         self.rt.lose_shuffle_outputs(m, self.now)
     }
 
-    /// Marks fetch `node` of `mt` stalled on a cut pair: starts the stall
-    /// clock and arms the first timeout expiry (when timeouts are on).
+    /// Marks fetch `node` of `mt` stalled on a cut pair: starts its stall
+    /// clock in the runtime's registry and arms the first timeout expiry
+    /// (when timeouts are on).
     fn mark_stalled(&mut self, mt: usize, node: usize) {
-        let c = self.cold.entry((mt, node)).or_default();
-        c.stall.arm(&mut self.rt, self.now);
+        let n = &self.mts[mt].nodes[node];
+        debug_assert!(!n.is_copy(), "a copy never fetches across a cut");
+        let MultitaskKey { job, stage, task } = self.mts[mt].key;
+        let task = (job.0 as usize, stage.0 as usize, task.0 as usize);
+        let (from, machine) = (n.op.fetch_from(), self.mts[mt].machine);
+        self.rt.arm_stall((mt, node), task, machine, from, self.now);
     }
 
     /// A fault-plan cut of the directed pair src → dst takes effect: the
@@ -900,13 +894,11 @@ impl Exec {
                 if n.done() || n.cancelled() || n.is_copy() || n.op.fetch_from() != Some(src) {
                     continue;
                 }
-                let Some(c) = self.cold.get_mut(&(mt, node)) else {
-                    continue;
-                };
-                let parked = c.parked_bytes.take();
-                let ji = self.mts[mt].key.job.0 as usize;
-                let stalled = &mut self.rt.jobs[ji].recovery.stalled_fetch_seconds;
-                c.stall.stop(self.now, stalled);
+                self.rt.stop_stall((mt, node), self.now);
+                let parked = self
+                    .cold
+                    .get_mut(&(mt, node))
+                    .and_then(|c| c.parked_bytes.take());
                 if let Some(rem) = parked {
                     let n_disks = self.hosts[dst].spec().disks.len();
                     self.hosts[dst].insert(
@@ -919,32 +911,6 @@ impl Exec {
         }
     }
 
-    /// Stops and attributes the stall clocks of `mt`'s live fetches, counting
-    /// each as re-planned. Called immediately before the attempt is aborted.
-    fn account_replanned_fetches(&mut self, mt: usize) {
-        let ji = self.mts[mt].key.job.0 as usize;
-        let mut stalled = 0.0;
-        let mut replanned = 0u64;
-        for (node, n) in self.mts[mt].nodes.iter().enumerate() {
-            if n.done() || n.cancelled() || n.is_copy() {
-                continue;
-            }
-            if !n.op.is_fetch() {
-                continue;
-            }
-            if let Some(c) = self.cold.get_mut(&(mt, node)) {
-                c.stall.stop(self.now, &mut stalled);
-            }
-            replanned += 1;
-        }
-        self.rt.jobs[ji].recovery.stalled_fetch_seconds += stalled;
-        let (job, stage) = (ji as u32, self.mts[mt].key.stage.0);
-        for _ in 0..replanned {
-            self.rt
-                .record(self.now, InstantKind::FetchReplan { job, stage });
-        }
-    }
-
     /// Tears down an in-flight multitask: removes its active streams from
     /// every *surviving* allocator (a dead machine's allocator is a zombie
     /// and is never polled again), frees the scheduler slots those streams
@@ -952,6 +918,8 @@ impl Exec {
     /// but not-yet-started scheduler entries are skipped lazily at pop time.
     fn abort_multitask(&mut self, mt: usize) -> Result<(), RunError> {
         self.mts[mt].aborted = true;
+        // Uncharged: a re-plan has already charged its stalled seconds.
+        self.rt.drop_stalls(mt, self.now);
         let machine = self.mts[mt].machine;
         let home_alive = self.rt.alive[machine];
         let ji = self.mts[mt].key.job.0 as usize;
@@ -967,7 +935,8 @@ impl Exec {
             // Discarded I/O: every byte-moving monotask this attempt started
             // (finished or in flight) is thrown away. Cancelled speculation
             // losers already charged theirs.
-            if self.faults_on && !cancelled && (done || running) && op.kind != OpKind::Compute {
+            if self.rt.faults_on() && !cancelled && (done || running) && op.kind != OpKind::Compute
+            {
                 self.rt.jobs[ji].recovery.wasted_bytes += op.bytes;
             }
             if done {
@@ -1052,7 +1021,7 @@ impl Exec {
         let mut task = self.rt.jobs[ji].spec.stages[si].tasks[ti];
         let mut recompute = false;
         let mut straggle = None;
-        if self.faults_on {
+        if self.rt.faults_on() {
             recompute = self.rt.take_recompute(ji, si, ti);
             // A straggler's *first* attempt drags its compute monotask out by
             // `factor`; because the slowdown is pinned to one monotask, the
@@ -1733,7 +1702,7 @@ impl Exec {
                     let c = self.cold_mut(mt, node);
                     if c.spec_wake_at != Some(at) {
                         c.spec_wake_at = Some(at);
-                        self.spec_timers.schedule(at, ());
+                        self.rt.wake_at(at);
                     }
                 }
             }
@@ -2128,9 +2097,9 @@ impl Exec {
     fn complete_node(&mut self, mt: usize, node: usize) {
         debug_assert!(!self.mts[mt].nodes[node].done());
         self.mts[mt].nodes[node].set(DONE, true);
-        // Nothing reads a finished node's cold state, nor that of its copy
-        // (done or torn down here), so free both: the side table holds only
-        // live nodes.
+        // Nothing reads a finished node's cold state or stall clock, nor the
+        // cold state of its copy (done or torn down here), so free them all:
+        // the side tables hold only live nodes.
         let cold = if self.cold.is_empty() {
             None
         } else {
@@ -2142,6 +2111,9 @@ impl Exec {
             if !self.mts[mt].nodes[c].done() && !self.mts[mt].nodes[c].cancelled() {
                 self.cancel_node(mt, c);
             }
+        }
+        if self.rt.partitions_on() {
+            self.rt.drop_stall((mt, node));
         }
         if let Some(d) = self.dependent(mt, node) {
             self.mts[mt].nodes[d].deps_remaining -= 1;
@@ -2164,7 +2136,7 @@ impl Exec {
         let machine = self.mts[mt].machine;
         self.machines[machine].assigned -= 1;
         let ji = key.job.0 as usize;
-        if self.faults_on && self.mts[mt].recompute {
+        if self.rt.faults_on() && self.mts[mt].recompute {
             self.rt.jobs[ji].recovery.recompute_seconds +=
                 self.now.since(self.mts[mt].start).as_secs_f64();
         }
@@ -2198,8 +2170,8 @@ impl Exec {
 }
 
 /// The monotasks half of the shared event loop ([`driver::run`]): per-machine
-/// fluid allocators plus the optional fabric, the speculation timers, and
-/// per-fetch stall clocks.
+/// fluid allocators plus the optional fabric. Each fetch stalls on its own
+/// clock, keyed `(multitask, node)` in the runtime's registry.
 impl Engine for Exec {
     fn rt(&mut self) -> &mut Runtime {
         &mut self.rt
@@ -2233,13 +2205,6 @@ impl Engine for Exec {
     }
 
     fn complete(&mut self) {
-        if self.spec_on {
-            // Drain due speculation wake-ups: they carry no payload, the
-            // fixpoint's check_speculation sweep does the actual work.
-            while self.spec_timers.peek_time().is_some_and(|t| t <= self.now) {
-                self.spec_timers.pop();
-            }
-        }
         let mut done_flows = std::mem::take(&mut self.done_flows);
         if let Some(fabric) = &mut self.fabric {
             fabric.take_completed_into(self.now, &mut done_flows);
@@ -2291,56 +2256,38 @@ impl Engine for Exec {
         });
     }
 
-    /// A machine or fabric completion, a fault action or a speculation
-    /// wake-up. Sources a run does not use are empty.
+    /// A machine or fabric completion, or a fault action. Speculation
+    /// wake-ups are the runtime's ([`Runtime::wake_at`]).
     fn next_event(&mut self) -> Option<SimTime> {
         [
             self.hosts.next_event(self.now, &self.rt.alive),
             self.fabric
                 .as_mut()
                 .and_then(|f| f.next_completion(self.now)),
-            self.spec_timers.peek_time(),
         ]
         .into_iter()
         .flatten()
         .min()
     }
 
-    /// Each live fetch's clock is per monotask; one spent budget re-plans
-    /// the whole attempt, so the sweep moves on to the next multitask.
-    fn sweep_stalls(&mut self) -> Result<(), RunError> {
-        for mt in 0..self.mts.len() {
-            if self.mts[mt].aborted || self.mts[mt].remaining == 0 {
-                continue;
-            }
-            let (dst, key) = (self.mts[mt].machine, self.mts[mt].key);
-            let (ji, si) = (key.job.0 as usize, key.stage.0 as usize);
-            for node in 0..self.mts[mt].nodes.len() {
-                let n = &self.mts[mt].nodes[node];
-                let Some(from) = n.op.fetch_from() else {
-                    continue;
-                };
-                if n.done() || n.cancelled() || n.is_copy() {
-                    continue;
-                }
-                let Some(c) = self.cold.get_mut(&(mt, node)) else {
-                    continue;
-                };
-                if !c.stall.due(self.now) {
-                    continue;
-                }
-                // A heal stops the clock of every fetch it unblocks.
-                debug_assert!(self.rt.is_cut(from, dst), "due stall on a healed pair");
-                let Some(retries) = c.stall.tick(&mut self.rt, ji, si, self.now) else {
-                    continue;
-                };
-                self.account_replanned_fetches(mt);
-                self.abort_multitask(mt)?;
-                driver::replan(self, (ji, si, key.task.0 as usize), retries, self.now)?;
-                break;
-            }
+    /// Stops and attributes the stall clocks of `mt`'s live fetches (summed
+    /// per attempt), counting each fetch as re-planned, then aborts the
+    /// attempt: one spent budget re-plans the whole multitask.
+    fn abort_stalled(&mut self, mt: usize) -> Result<(), RunError> {
+        let ji = self.mts[mt].key.job.0 as usize;
+        let stalled = self.rt.drop_stalls(mt, self.now);
+        self.rt.jobs[ji].recovery.stalled_fetch_seconds += stalled;
+        let replanned = self.mts[mt]
+            .nodes
+            .iter()
+            .filter(|n| !n.done() && !n.cancelled() && !n.is_copy() && n.op.is_fetch())
+            .count();
+        let (job, stage) = (ji as u32, self.mts[mt].key.stage.0);
+        for _ in 0..replanned {
+            self.rt
+                .record(self.now, InstantKind::FetchReplan { job, stage });
         }
-        Ok(())
+        self.abort_multitask(mt)
     }
 
     fn abort_fetching_from(&mut self, s: usize) -> Result<(), RunError> {
@@ -2352,41 +2299,10 @@ impl Engine for Exec {
                 !n.done() && !n.cancelled() && !n.is_copy() && n.op.fetch_from() == Some(s)
             });
             if has {
-                self.account_replanned_fetches(mt);
-                self.abort_multitask(mt)?;
+                self.abort_stalled(mt)?;
             }
         }
         Ok(())
-    }
-
-    /// A stalled fetch: no timeout configured, and the partition never heals.
-    fn stalled_fetch_error(&self) -> Option<RunError> {
-        for (i, mt) in self.mts.iter().enumerate() {
-            if mt.aborted || mt.remaining == 0 {
-                continue;
-            }
-            for (j, n) in mt.nodes.iter().enumerate() {
-                if n.done() || n.cancelled() || n.is_copy() {
-                    continue;
-                }
-                let Some(c) = self.cold(i, j) else {
-                    continue;
-                };
-                if !c.stall.stalled() && c.parked_bytes.is_none() {
-                    continue;
-                }
-                if let Some(from) = n.op.fetch_from() {
-                    return Some(RunError::Unreachable {
-                        job: mt.key.job,
-                        stage: mt.key.stage,
-                        task: mt.key.task,
-                        machine: from,
-                        retries: c.stall.retries(),
-                    });
-                }
-            }
-        }
-        None
     }
 }
 

@@ -12,9 +12,11 @@
 //!
 //! 1. [`Engine::open_batch`]: open every allocator's batch, apply the fault
 //!    actions due now (a crash at `t` wins against completions at `t`);
-//! 2. partition recovery, with partitions on: fire due stall clocks
-//!    ([`Engine::sweep_stalls`]) and gate timeouts, escalating through
-//!    [`replan`];
+//!    then drain the runtime's wake-ups due now;
+//! 2. partition recovery, with partitions on: fire the due fetch stall
+//!    clocks in the runtime's registry, in key order, aborting each attempt
+//!    that spends its budget ([`Engine::abort_stalled`]) and re-planning it
+//!    through [`replan`], then the due gate timeouts;
 //! 3. [`Engine::complete`]: local timers and allocator completions;
 //! 4. [`Engine::step`] to a fixpoint (assign, dispatch, speculate);
 //! 5. arm the gate timers, with partitions on;
@@ -26,11 +28,13 @@
 //!
 //! Everything happens at one instant, so each allocator reallocates once per
 //! event. The run ends as soon as every job is done. Otherwise the next
-//! event is the earliest of [`Engine::next_event`] and the runtime's stall
-//! timers. A fabric flow parked on a cut pair reports
-//! [`SimTime::FAR_FUTURE`], which is no event: with nothing else left, the
-//! run fails with the starvation error instead of jumping to the end of
-//! time.
+//! event is the earliest of [`Engine::next_event`] and the runtime's
+//! wake-ups (stall expiries and speculation checks). A fabric flow parked on
+//! a cut pair reports [`SimTime::FAR_FUTURE`], which is no event: with
+//! nothing else left, the run fails with the starvation error instead of
+//! jumping to the end of time.
+
+use std::ops::Bound;
 
 use simcore::{SimStats, SimTime};
 
@@ -62,18 +66,15 @@ pub trait Engine {
     /// and fault actions.
     fn next_event(&mut self) -> Option<SimTime>;
 
-    /// Partition runs: fires every due stall clock of an in-flight fetch
-    /// ([`crate::runtime::Stall::tick`]). An attempt whose retry budget is
-    /// spent is stopped, aborted and handed to [`replan`].
-    fn sweep_stalls(&mut self) -> Result<(), RunError>;
+    /// Partition runs: a stall clock of `attempt` (the first half of its
+    /// [`crate::runtime::FetchKey`]) spent its retry budget. Charges the
+    /// attempt's stalled fetches as re-planned and aborts it, re-queueing
+    /// its task; the driver then calls [`replan`].
+    fn abort_stalled(&mut self, attempt: usize) -> Result<(), RunError>;
 
-    /// Partition runs: stops and aborts every attempt still fetching from
+    /// Partition runs: charges and aborts every attempt still fetching from
     /// machine `s`, whose lineage is about to be resubmitted.
     fn abort_fetching_from(&mut self, s: usize) -> Result<(), RunError>;
-
-    /// Partition runs: the first attempt stalled on a cut, as the
-    /// starvation error naming it.
-    fn stalled_fetch_error(&self) -> Option<RunError>;
 }
 
 /// Safety valve on simulation events: a run that takes more fails with
@@ -95,6 +96,7 @@ fn run_for<E: Engine>(e: &mut E, max_steps: u64) -> Result<SimStats, RunError> {
     let mut steps: u64 = 0;
     loop {
         e.open_batch(now)?;
+        e.rt().drain_wakeups(now);
         if partitions {
             recover_partitions(e, now)?;
         }
@@ -107,19 +109,14 @@ fn run_for<E: Engine>(e: &mut E, max_steps: u64) -> Result<SimStats, RunError> {
         if e.rt().jobs.iter().all(|j| j.done) {
             break;
         }
-        let next = [e.next_event(), e.rt().next_fetch_timer()]
+        let next = [e.next_event(), e.rt().next_wakeup()]
             .into_iter()
             .flatten()
             .min()
             .filter(|&t| !(partitions && t == SimTime::FAR_FUTURE));
         let Some(t) = next else {
-            if partitions {
-                if let Some(err) = e.stalled_fetch_error() {
-                    return Err(err);
-                }
-                if let Some(err) = e.rt().gate_starvation_error() {
-                    return Err(err);
-                }
+            if let Some(err) = e.rt().starvation_error() {
+                return Err(err);
             }
             return Err(RunError::no_runnable_work(now));
         };
@@ -135,13 +132,20 @@ fn run_for<E: Engine>(e: &mut E, max_steps: u64) -> Result<SimStats, RunError> {
     Ok(stats)
 }
 
-/// Fires the stall wake-ups due at `now`: the engine's per-fetch clocks,
-/// then every stage's gate clock, escalating each spent budget.
+/// Fires the stall clocks due at `now`: every fetch's, in key order, then
+/// every stage's gate clock, escalating each spent budget. An attempt whose
+/// fetch spends its budget is aborted, so the rest of its fetches are
+/// skipped.
 fn recover_partitions<E: Engine>(e: &mut E, now: SimTime) -> Result<(), RunError> {
-    if !e.rt().drain_fetch_timers(now) {
-        return Ok(());
+    let mut from = Bound::Unbounded;
+    while let Some(key) = e.rt().next_due_stall(from, now) {
+        from = Bound::Excluded(key);
+        if let Some((task, retries)) = e.rt().tick_stall(key, now) {
+            from = Bound::Excluded((key.0, usize::MAX));
+            e.abort_stalled(key.0)?;
+            replan(e, task, retries, now)?;
+        }
     }
-    e.sweep_stalls()?;
     for ji in 0..e.rt().jobs.len() {
         for si in 0..e.rt().jobs[ji].stages.len() {
             if let Some((ti, retries)) = e.rt().gate_timeout(ji, si, now) {
@@ -193,7 +197,8 @@ fn resolve_unreachable<E: Engine>(
 mod tests {
     use super::*;
     use crate::runtime::RuntimeConfig;
-    use crate::{BlockMap, CostModel, JobBuilder};
+    use crate::{BlockMap, CostModel, JobBuilder, JobId, StageId, TaskId};
+    use simcore::InstantKind;
 
     /// A one-machine engine whose tasks each take one second, logging every
     /// hook call.
@@ -204,28 +209,61 @@ mod tests {
         log: Vec<&'static str>,
         /// Tasks never finish: nothing is ever pending.
         stuck: bool,
+        /// Partition runs: the first launch's fetch stalls on this sender
+        /// (into machine 0) until it is aborted.
+        stall_on: Option<usize>,
+        /// Attempts launched so far, numbering the stall registry's keys.
+        launches: usize,
+        /// The stalled attempt's task.
+        stalled: Option<(usize, usize, usize)>,
+        /// Every `abort_stalled` call: the attempt and the instant.
+        aborts: Vec<(usize, SimTime)>,
     }
 
     impl Fake {
         fn new(tasks: usize, stuck: bool) -> Fake {
-            let gib = 1024.0 * 1024.0 * 1024.0;
-            let job = JobBuilder::new("scan", CostModel::spark_1_3())
-                .read_disk(gib, 1e6, gib / tasks as f64)
-                .map(1.0, 1.0, false)
-                .write_disk(1.0);
             let cfg = RuntimeConfig {
                 trace: false,
                 lineage: false,
                 partitions: false,
                 fetch_timeout_secs: None,
             };
+            Fake::with(tasks, stuck, cfg, 1)
+        }
+
+        /// A two-machine partition run with `sender → 0` cut, whose first
+        /// launch stalls on `sender`.
+        fn partitioned(tasks: usize, timeout: Option<f64>, sender: usize) -> Fake {
+            let cfg = RuntimeConfig {
+                trace: true,
+                lineage: true,
+                partitions: true,
+                fetch_timeout_secs: timeout,
+            };
+            let mut e = Fake::with(tasks, false, cfg, 2);
+            e.rt.cut(sender, 0);
+            e.stall_on = Some(sender);
+            e
+        }
+
+        fn with(tasks: usize, stuck: bool, cfg: RuntimeConfig, machines: usize) -> Fake {
+            let gib = 1024.0 * 1024.0 * 1024.0;
+            let job = JobBuilder::new("scan", CostModel::spark_1_3())
+                .read_disk(gib, 1e6, gib / tasks as f64)
+                .map(1.0, 1.0, false)
+                .write_disk(1.0);
             let blocks = BlockMap::round_robin(tasks, 1, 1);
+            let jobs = [(job, blocks)];
             Fake {
-                rt: Runtime::new(&[(job, blocks)], 1, cfg, |_, _, _, _, _| true).unwrap(),
+                rt: Runtime::new(&jobs, machines, cfg, |_, _, _, _, _| true).unwrap(),
                 now: SimTime::ZERO,
                 running: Vec::new(),
                 log: Vec::new(),
                 stuck,
+                stall_on: None,
+                launches: 0,
+                stalled: None,
+                aborts: Vec::new(),
             }
         }
     }
@@ -257,6 +295,14 @@ mod tests {
                 return false;
             };
             self.rt.mark_started(task.0, task.1, self.now);
+            let attempt = self.launches;
+            self.launches += 1;
+            if let Some(sender) = self.stall_on.take() {
+                let now = self.now;
+                self.rt.arm_stall((attempt, 0), task, 0, Some(sender), now);
+                self.stalled = Some(task);
+                return true;
+            }
             let end = self.now + simcore::SimDuration::from_secs(1);
             self.running.push((end, task));
             true
@@ -271,14 +317,15 @@ mod tests {
                 .min()
                 .filter(|_| !self.stuck)
         }
-        fn sweep_stalls(&mut self) -> Result<(), RunError> {
-            unreachable!("partitions are off")
+        fn abort_stalled(&mut self, attempt: usize) -> Result<(), RunError> {
+            self.aborts.push((attempt, self.now));
+            let (ji, si, ti) = self.stalled.take().expect("a stalled attempt");
+            let stalled = self.rt.drop_stalls(attempt, self.now);
+            self.rt.jobs[ji].recovery.stalled_fetch_seconds += stalled;
+            self.rt.requeue_task(ji, si, ti, false, self.now)
         }
         fn abort_fetching_from(&mut self, _: usize) -> Result<(), RunError> {
-            unreachable!("partitions are off")
-        }
-        fn stalled_fetch_error(&self) -> Option<RunError> {
-            unreachable!("partitions are off")
+            unreachable!("every task has a host")
         }
     }
 
@@ -302,5 +349,47 @@ mod tests {
         let mut e = Fake::new(3, true);
         let err = run(&mut e).unwrap_err();
         assert_eq!(err, RunError::no_runnable_work(SimTime::ZERO));
+    }
+
+    #[test]
+    fn a_stalled_fetch_backs_off_then_is_aborted_once_when_its_budget_is_spent() {
+        let mut e = Fake::partitioned(1, Some(5.0), 1);
+        let mut stats = run(&mut e).expect("the re-run completes");
+        // Expiries at 5 s (the timeout), then 1, 2 and 4 s of backoff; the
+        // fourth retry spends the budget, and the re-run ends at 13 s.
+        assert_eq!(e.aborts, [(0, SimTime::from_secs(12))]);
+        assert_eq!((stats.events, e.now), (5, SimTime::from_secs(13)));
+        let (reports, instants) = e.rt.into_reports(&mut stats);
+        let retries: Vec<(f64, u32)> = instants
+            .iter()
+            .filter_map(|i| match i.kind {
+                InstantKind::FetchRetry { attempt, .. } => Some((i.time.as_secs_f64(), attempt)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(retries, [(5.0, 1), (6.0, 2), (8.0, 3), (12.0, 4)]);
+        let r = &reports[0].recovery;
+        assert_eq!((r.fetch_retries, r.tasks_retried), (4, 1));
+        assert_eq!(
+            (r.fetch_backoff_seconds, r.stalled_fetch_seconds),
+            (7.0, 12.0)
+        );
+    }
+
+    #[test]
+    fn without_a_timeout_a_fetch_that_never_resumes_names_its_task_and_sender() {
+        let mut e = Fake::partitioned(2, None, 1);
+        let err = run(&mut e).unwrap_err();
+        // Task 1 ran to completion meanwhile; task 0 waits on machine 1.
+        assert_eq!(e.now, SimTime::from_secs(1));
+        assert!(e.aborts.is_empty());
+        let unreachable = RunError::Unreachable {
+            job: JobId(0),
+            stage: StageId(0),
+            task: TaskId(0),
+            machine: 1,
+            retries: 0,
+        };
+        assert_eq!(err, unreachable);
     }
 }

@@ -4,12 +4,16 @@
 //! scheduler" (§3.4): only how a task runs on a machine differs. This module
 //! is that common scheduler, written once — per-stage pending queues and the
 //! lineage index, bounded task retries, stage readiness and completion, and
-//! the stage-level half of partition recovery (reachability gate, the
-//! [`Stall`] clock's timeout → retry → exponential backoff, receiver choice,
-//! resubmission feasibility and quarantine). The event loop that calls it is
-//! [`crate::driver`], written once too; the operations only the loop and its
-//! escalation skeleton need (stall timers, gate clocks, sender-level
-//! re-planning) are private to the crate.
+//! partition recovery's bookkeeping (reachability gate, the stall clock's
+//! timeout → retry → exponential backoff, receiver choice, resubmission
+//! feasibility and quarantine). Every stall clock lives here: one per
+//! stage's gate blockage, and one per stalled fetch in the stall registry,
+//! keyed by [`FetchKey`]; the executors only arm, stop and drop fetch
+//! entries. The run's one wake-up queue ([`Runtime::wake_at`]) is here too.
+//! The event loop that calls it is [`crate::driver`], written once too; the
+//! operations only the loop and its escalation skeleton need (the stall
+//! sweep, wake-up draining, the starvation error, sender-level re-planning)
+//! are private to the crate.
 //!
 //! It also keeps the run's recovery ledger. [`Runtime::record`] is the one
 //! place a recovery counter is bumped, and it logs the matching
@@ -24,7 +28,8 @@
 //! in-flight work is aborted or parked, and which machines can host a task —
 //! the [`Gate`] it hands to [`Runtime::new`].
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+use std::ops::Bound;
 
 use simcore::{EventQueue, InstantKind, RunInstant, SimDuration, SimStats, SimTime};
 
@@ -161,10 +166,11 @@ pub struct StageTemplate {
 /// One stall clock: an in-flight fetch, or a ready stage whose pending
 /// tasks no machine can host, waiting on a cut. It holds when the stall
 /// began, the next timeout or backoff expiry, and the retry decisions spent.
-/// Every fetch of both executors and every stage's gate blockage holds one,
-/// so the timeout → retry → backoff → re-plan walk is written once.
+/// Every fetch stall of both executors (in [`Runtime`]'s stall registry) and
+/// every stage's gate blockage holds one, so the timeout → retry → backoff →
+/// re-plan walk is written once.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Stall {
+struct Stall {
     since: Option<SimTime>,
     deadline: Option<SimTime>,
     retries: u32,
@@ -175,30 +181,25 @@ impl Stall {
     /// timeout unless an expiry is pending. Arming schedules a wake-up, so a
     /// fetch marked stalled twice in one stall (cut while queued, then its
     /// transfer starts on the still-cut pair) must not arm a second one.
-    pub fn arm(&mut self, rt: &mut Runtime, now: SimTime) {
+    fn arm(&mut self, rt: &mut Runtime, now: SimTime) {
         self.since.get_or_insert(now);
         if self.deadline.is_some() {
             return;
         }
         if let Some(timeout) = rt.cfg.fetch_timeout_secs {
             let at = now + SimDuration::from_secs_f64(timeout);
-            rt.fetch_timers.schedule(at, ());
+            rt.wake_at(at);
             self.deadline = Some(at);
         }
     }
 
     /// Whether the clock runs.
-    pub fn stalled(&self) -> bool {
+    fn stalled(&self) -> bool {
         self.since.is_some()
     }
 
-    /// Retry decisions spent so far.
-    pub fn retries(&self) -> u32 {
-        self.retries
-    }
-
     /// Whether the pending expiry is due at `now`.
-    pub fn due(&self, now: SimTime) -> bool {
+    fn due(&self, now: SimTime) -> bool {
         self.deadline.is_some_and(|d| d <= now)
     }
 
@@ -207,7 +208,7 @@ impl Stall {
     /// the deterministic backoff ([`FETCH_BACKOFF_BASE_SECS`] `× 2^(k-1)`
     /// seconds for retry `k`). Once the budget is spent, returns the retries
     /// spent: recovery must re-plan.
-    pub fn tick(&mut self, rt: &mut Runtime, ji: usize, si: usize, now: SimTime) -> Option<u32> {
+    fn tick(&mut self, rt: &mut Runtime, ji: usize, si: usize, now: SimTime) -> Option<u32> {
         self.retries += 1;
         let attempt = self.retries;
         rt.record(
@@ -224,19 +225,36 @@ impl Stall {
         let backoff = FETCH_BACKOFF_BASE_SECS * 2f64.powi(attempt as i32 - 1);
         rt.jobs[ji].recovery.fetch_backoff_seconds += backoff;
         let at = now + SimDuration::from_secs_f64(backoff);
-        rt.fetch_timers.schedule(at, ());
+        rt.wake_at(at);
         self.deadline = Some(at);
         None
     }
 
     /// Stops the clock and disarms its expiry, adding the seconds stalled to
     /// `stalled` if the clock ran. The retries spent are kept.
-    pub fn stop(&mut self, now: SimTime, stalled: &mut f64) {
+    fn stop(&mut self, now: SimTime, stalled: &mut f64) {
         self.deadline = None;
         if let Some(since) = self.since.take() {
             *stalled += now.since(since).as_secs_f64();
         }
     }
+}
+
+/// A fetch stall registry key: `(attempt, fetch)`, in the executor's own
+/// numbering. The sweep and the starvation error walk keys in order.
+pub type FetchKey = (usize, usize);
+
+/// One fetch's entry in the stall registry.
+#[derive(Clone, Copy, Debug)]
+struct FetchStall {
+    stall: Stall,
+    /// The task the attempt runs, `(job, stage, task)`.
+    task: (usize, usize, usize),
+    /// The fetching machine.
+    receiver: usize,
+    /// The sender the fetch waits on; `None` for a merged fetch, which waits
+    /// on every sender of its stage.
+    sender: Option<usize>,
 }
 
 /// Job and stage state plus the recovery logic both executors share.
@@ -263,8 +281,13 @@ pub struct Runtime {
     /// until a heal touches them, so lineage re-runs land where consumers
     /// can fetch.
     quarantined: Vec<bool>,
-    /// Wake-ups at stall-timeout and backoff expiries.
-    fetch_timers: EventQueue<()>,
+    /// The run's wake-ups: stall-timeout and backoff expiries and the
+    /// executors' speculation checks. Payload-free: the driver drains them
+    /// and the sweeps they wake do the work.
+    wakeups: EventQueue<()>,
+    /// The stall clock of every fetch that has stalled on a cut, by
+    /// [`FetchKey`], until its attempt finishes or is aborted.
+    stalls: BTreeMap<FetchKey, FetchStall>,
     /// Every recorded instant, in recording order (trace runs only).
     instants: Vec<RunInstant>,
 }
@@ -345,7 +368,8 @@ impl Runtime {
             rr_job: 0,
             cut_pairs: HashSet::new(),
             quarantined: vec![false; n_machines],
-            fetch_timers: EventQueue::new(),
+            wakeups: EventQueue::new(),
+            stalls: BTreeMap::new(),
             instants: Vec::new(),
         };
         for ji in 0..rt.jobs.len() {
@@ -368,6 +392,12 @@ impl Runtime {
     /// partition-free runs are bit-identical to builds predating partitions.
     pub fn partitions_on(&self) -> bool {
         self.cfg.partitions
+    }
+
+    /// Whether the fault plan is non-empty. False keeps every fault hook off
+    /// the hot path, so an empty plan is bit-identical to the plan-free code.
+    pub fn faults_on(&self) -> bool {
+        self.cfg.lineage
     }
 
     /// Whether machine `m` takes assignments: alive and not quarantined.
@@ -490,6 +520,73 @@ impl Runtime {
         self.quarantined[src] = false;
         self.quarantined[dst] = false;
         true
+    }
+
+    /// Schedules a wake-up at `at`: the run takes an event there, so the
+    /// sweeps that read the clock (stall expiries, speculation) observe it.
+    pub fn wake_at(&mut self, at: SimTime) {
+        self.wakeups.schedule(at, ());
+    }
+
+    /// Starts the stall clock of fetch `key` of `task` into `receiver`,
+    /// waiting on `sender` (`None`: every sender of the stage), and arms its
+    /// first timeout; a running clock keeps its start and its pending
+    /// expiry. The entry lives until [`Runtime::drop_stall`] or
+    /// [`Runtime::drop_stalls`], keeping its retries across heals.
+    pub fn arm_stall(
+        &mut self,
+        key: FetchKey,
+        task: (usize, usize, usize),
+        receiver: usize,
+        sender: Option<usize>,
+        now: SimTime,
+    ) {
+        let mut entry = self.stalls.get(&key).copied().unwrap_or(FetchStall {
+            stall: Stall::default(),
+            task,
+            receiver,
+            sender,
+        });
+        entry.stall.arm(self, now);
+        self.stalls.insert(key, entry);
+    }
+
+    /// A heal unblocks fetch `key`: stops its clock, if any, and adds the
+    /// seconds stalled to its job's `stalled_fetch_seconds`. Returns whether
+    /// the clock ran.
+    pub fn stop_stall(&mut self, key: FetchKey, now: SimTime) -> bool {
+        let Some(e) = self.stalls.get_mut(&key) else {
+            return false;
+        };
+        let ran = e.stall.stalled();
+        e.stall
+            .stop(now, &mut self.jobs[e.task.0].recovery.stalled_fetch_seconds);
+        ran
+    }
+
+    /// Fetch `key` finished: drops its entry uncharged.
+    pub fn drop_stall(&mut self, key: FetchKey) {
+        self.stalls.remove(&key);
+    }
+
+    /// Drops every entry of `attempt` and returns the seconds their running
+    /// clocks stalled by `now`, summed in fetch order. A re-planned attempt
+    /// charges them to its job; a crashed or finished one does not.
+    pub fn drop_stalls(&mut self, attempt: usize, now: SimTime) -> f64 {
+        let mut stalled = 0.0;
+        let range = (attempt, 0)..=(attempt, usize::MAX);
+        while let Some(key) = self.stalls.range(range.clone()).next().map(|(&k, _)| k) {
+            if let Some(mut e) = self.stalls.remove(&key) {
+                e.stall.stop(now, &mut stalled);
+            }
+        }
+        stalled
+    }
+
+    /// The lowest machine holding shuffle input of stage `(ji, si)` that is
+    /// cut from `dst`.
+    pub fn first_cut_sender(&self, ji: usize, si: usize, dst: usize) -> Option<usize> {
+        (0..self.n_machines()).find(|&s| self.is_cut(s, dst) && self.fetches_from(ji, si, s))
     }
 
     /// Records the first launch of a stage's tasks.
@@ -778,18 +875,45 @@ impl Runtime {
         (0..self.n_machines()).any(|m| self.schedulable(m) && (self.gate)(self, m, ji, si, ti))
     }
 
-    /// Pops the stall wake-ups due by `now` (they carry no payload: the
-    /// recovery sweeps do the work). Returns whether timeouts are armed.
-    pub(crate) fn drain_fetch_timers(&mut self, now: SimTime) -> bool {
-        while self.fetch_timers.peek_time().is_some_and(|t| t <= now) {
-            self.fetch_timers.pop();
+    /// Pops the wake-ups due by `now`.
+    pub(crate) fn drain_wakeups(&mut self, now: SimTime) {
+        while self.wakeups.peek_time().is_some_and(|t| t <= now) {
+            self.wakeups.pop();
         }
-        self.cfg.fetch_timeout_secs.is_some()
     }
 
-    /// The next stall wake-up, if any.
-    pub(crate) fn next_fetch_timer(&self) -> Option<SimTime> {
-        self.fetch_timers.peek_time()
+    /// The next wake-up, if any.
+    pub(crate) fn next_wakeup(&self) -> Option<SimTime> {
+        self.wakeups.peek_time()
+    }
+
+    /// The first fetch, in key order from `from`, whose stall expiry is due
+    /// at `now`.
+    pub(crate) fn next_due_stall(&self, from: Bound<FetchKey>, now: SimTime) -> Option<FetchKey> {
+        self.stalls
+            .range((from, Bound::Unbounded))
+            .find(|(_, e)| e.stall.due(now))
+            .map(|(&k, _)| k)
+    }
+
+    /// Fires fetch `key`'s due expiry ([`Stall::tick`]). Once its budget is
+    /// spent, returns its task with the retries spent: the attempt must be
+    /// aborted and re-planned.
+    pub(crate) fn tick_stall(
+        &mut self,
+        key: FetchKey,
+        now: SimTime,
+    ) -> Option<((usize, usize, usize), u32)> {
+        let mut e = self.stalls[&key];
+        // A heal stops the clock of every fetch it unblocks.
+        debug_assert!(
+            e.sender.is_none_or(|s| self.is_cut(s, e.receiver)),
+            "due stall on a healed pair"
+        );
+        let (ji, si, _) = e.task;
+        let spent = e.stall.tick(self, ji, si, now);
+        self.stalls.insert(key, e);
+        spent.map(|retries| (e.task, retries))
     }
 
     /// A ready stage with pending tasks is gate-blocked when no schedulable
@@ -872,9 +996,18 @@ impl Runtime {
         ti.map(|ti| (ti, retries))
     }
 
-    /// The gate-blocked half of the starvation check: with nothing left to
-    /// fire but jobs remaining, names the first gate-blocked stage.
-    pub(crate) fn gate_starvation_error(&self) -> Option<RunError> {
+    /// With nothing left to fire but jobs remaining, the run starves: names
+    /// the first fetch whose clock runs (its sender, or for a merged fetch
+    /// the lowest sender cut from it), else the first gate-blocked stage.
+    pub(crate) fn starvation_error(&self) -> Option<RunError> {
+        if let Some(e) = self.stalls.values().find(|e| e.stall.stalled()) {
+            let (ji, si, ti) = e.task;
+            let machine = e
+                .sender
+                .or_else(|| self.first_cut_sender(ji, si, e.receiver))
+                .unwrap_or(e.receiver);
+            return Some(self.unreachable(ji, si, ti, e.stall.retries, machine));
+        }
         for (ji, job) in self.jobs.iter().enumerate() {
             if job.done {
                 continue;
@@ -886,13 +1019,8 @@ impl Runtime {
                 let Some(ti) = self.first_pending_task(ji, si) else {
                     continue;
                 };
-                return Some(RunError::Unreachable {
-                    job: job.id,
-                    stage: StageId(si as u32),
-                    task: TaskId(ti as u32),
-                    machine: self.first_unreachable_source(ji, si, ti),
-                    retries: run.gate.retries(),
-                });
+                let machine = self.first_unreachable_source(ji, si, ti);
+                return Some(self.unreachable(ji, si, ti, run.gate.retries, machine));
             }
         }
         None
@@ -1280,8 +1408,8 @@ mod tests {
             rt.arm_gate_timers(t0);
             let mut fired = Vec::new();
             let escalation = loop {
-                let now = rt.next_fetch_timer().expect("gate timer armed");
-                rt.drain_fetch_timers(now);
+                let now = rt.next_wakeup().expect("gate timer armed");
+                rt.drain_wakeups(now);
                 fired.push(now.since(t0).as_secs_f64());
                 if let Some(e) = rt.gate_timeout(0, 1, now) {
                     break e;

@@ -7,7 +7,7 @@ use cluster::{
     StreamDemand, StreamId, TraceSet, WriteOutcome,
 };
 use dataflow::driver::{self, Engine};
-use dataflow::runtime::{Runtime, RuntimeConfig, Stall};
+use dataflow::runtime::{Runtime, RuntimeConfig};
 use dataflow::{BlockMap, InputSpec, JobId, JobReport, JobSpec, RunError, StageId, TaskId};
 use simcore::stats::median;
 use simcore::{EventQueue, SimDuration, SimStats, SimTime};
@@ -152,8 +152,6 @@ struct TaskRun {
     /// or finishes late — the same full-requested-bytes-once-started rule
     /// the monotasks executor charges, so the two engines' waste compares.
     io_started: f64,
-    /// Stall clock of the attempt's merged fetch on a cut pair.
-    stall: Stall,
     /// The in-flight phase, removed from the allocator while every byte of
     /// it is unreachable: the demand scaled to the remaining fraction, ready
     /// to re-insert on heal.
@@ -266,13 +264,8 @@ struct Exec {
     flushes: HashMap<u64, (usize, usize, Vec<FlushEntry>)>,
     aux_seq: u64,
     now: SimTime,
-    faults_on: bool,
     /// Logical tasks with a speculative copy outstanding.
     spec_copies: HashSet<(usize, usize, usize)>,
-    /// Wake-up timers at the instant a running task crosses the speculation
-    /// threshold, so the idle-slot check observes it without waiting for an
-    /// unrelated stream completion.
-    spec_timers: EventQueue<()>,
 }
 
 /// Runs `jobs` on a simulated `cluster` under the Spark-like architecture.
@@ -368,9 +361,7 @@ pub fn run_with_faults(
         flushes: HashMap::new(),
         aux_seq: 0,
         now: SimTime::ZERO,
-        faults_on: !plan.is_empty(),
         spec_copies: HashSet::new(),
-        spec_timers: EventQueue::new(),
     };
     let stats = driver::run(&mut exec)?;
     Ok(exec.into_output(stats))
@@ -412,10 +403,11 @@ impl Exec {
     }
 
     /// Severs `src → dst`: parks every in-flight merged fetch on `dst` that
-    /// still needs bytes from `src` and starts its stall clock. The whole
-    /// attempt blocks — a Spark reduce task cannot finish with one sender
-    /// missing — so the phase leaves the allocator with its remaining
-    /// fraction saved for the heal.
+    /// still needs bytes from `src` and starts its stall clock, keyed
+    /// `(attempt, 0)` in the runtime's registry. The whole attempt blocks —
+    /// a Spark reduce task cannot finish with one sender missing — so the
+    /// phase leaves the allocator with its remaining fraction saved for the
+    /// heal.
     fn apply_cut(&mut self, src: usize, dst: usize) {
         if !self.rt.cut(src, dst) {
             return;
@@ -428,6 +420,7 @@ impl Exec {
             if !self.rt.fetches_from(t.job, t.stage, src) {
                 continue;
             }
+            let task = (t.job, t.stage, t.task);
             if self.tasks[t_idx].parked.is_none() {
                 let sid = task_stream(t_idx, self.tasks[t_idx].phase());
                 if let Some(frac) = self.hosts[dst].remove(self.now, sid) {
@@ -439,7 +432,7 @@ impl Exec {
                     self.tasks[t_idx].parked = Some(demand);
                 }
             }
-            self.tasks[t_idx].stall.arm(&mut self.rt, self.now);
+            self.rt.arm_stall((t_idx, 0), task, dst, None, self.now);
         }
     }
 
@@ -455,34 +448,17 @@ impl Exec {
             if t.done || t.killed || t.machine != dst {
                 continue;
             }
-            if !t.stall.stalled() && t.parked.is_none() {
+            // Resume only once every sender is reachable again.
+            if self.rt.first_cut_sender(t.job, t.stage, dst).is_some()
+                || !self.rt.stop_stall((t_idx, 0), self.now)
+            {
                 continue;
             }
-            let still_cut = (0..self.n_machines())
-                .any(|s| self.rt.is_cut(s, dst) && self.rt.fetches_from(t.job, t.stage, s));
-            if still_cut {
-                continue;
-            }
-            let ji = self.tasks[t_idx].job;
-            let stalled = &mut self.rt.jobs[ji].recovery.stalled_fetch_seconds;
-            self.tasks[t_idx].stall.stop(self.now, stalled);
             if let Some(demand) = self.tasks[t_idx].parked.take() {
                 let sid = task_stream(t_idx, self.tasks[t_idx].phase());
                 self.hosts[dst].insert(self.now, sid, demand);
             }
         }
-    }
-
-    /// Charges a stalled fetch that is being given up on: accumulates its
-    /// stall time, drops its parked stream, and counts the re-plan.
-    fn account_stalled_fetch(&mut self, t_idx: usize) {
-        let ji = self.tasks[t_idx].job;
-        let stalled = &mut self.rt.jobs[ji].recovery.stalled_fetch_seconds;
-        self.tasks[t_idx].stall.stop(self.now, stalled);
-        self.tasks[t_idx].parked = None;
-        let (job, stage) = (ji as u32, self.tasks[t_idx].stage as u32);
-        self.rt
-            .record(self.now, InstantKind::FetchReplan { job, stage });
     }
 
     /// Tears down one in-flight attempt ([`Self::kill_task`]) and re-queues
@@ -611,7 +587,7 @@ impl Exec {
                     machine: m,
                 },
             );
-        } else if self.faults_on {
+        } else if self.rt.faults_on() {
             recompute = self.rt.take_recompute(ji, si, ti);
             if self.rt.attempts(ji, si, ti) == 0 {
                 if let Some(f) = self.hosts.straggle_factor(si, ti) {
@@ -694,7 +670,6 @@ impl Exec {
             recompute,
             fetch_live: matches!(spec.input, InputSpec::ShuffleFetch { .. }),
             io_started: 0.0,
-            stall: Stall::default(),
             parked: None,
             cur_demand: None,
         });
@@ -877,6 +852,9 @@ impl Exec {
         let t = &mut self.tasks[t_idx];
         debug_assert!(!t.done && !t.killed);
         t.done = true;
+        if self.rt.partitions_on() {
+            self.rt.drop_stall((t_idx, 0));
+        }
         let (ji, si, ti, machine, start, recompute, io_started) = (
             t.job,
             t.stage,
@@ -919,7 +897,7 @@ impl Exec {
             start,
             end: self.now,
         });
-        if self.faults_on && recompute {
+        if self.rt.faults_on() && recompute {
             self.rt.jobs[ji].recovery.recompute_seconds += elapsed;
         }
         self.rt.complete_task(ji, si, ti, machine, self.now);
@@ -939,6 +917,7 @@ impl Exec {
             (t.job, t.machine, t.start, t.speculative, t.io_started)
         };
         self.tasks[t_idx].killed = true;
+        self.rt.drop_stall((t_idx, 0));
         if self.rt.alive[machine] {
             let sid = task_stream(t_idx, self.tasks[t_idx].phase());
             if self.hosts[machine].contains(sid) {
@@ -982,7 +961,7 @@ impl Exec {
             }
         }
         for at in wake {
-            self.spec_timers.schedule(at, ());
+            self.rt.wake_at(at);
         }
     }
 
@@ -1002,8 +981,9 @@ impl Exec {
 }
 
 /// The Spark-like half of the shared event loop ([`driver::run`]):
-/// per-machine fluid allocators, write-back flush and speculation timers,
-/// and one stall clock per merged fetch.
+/// per-machine fluid allocators and write-back flush timers. Each attempt's
+/// merged fetch stalls on one clock, keyed `(attempt, 0)` in the runtime's
+/// registry.
 impl Engine for Exec {
     fn rt(&mut self) -> &mut Runtime {
         &mut self.rt
@@ -1032,11 +1012,6 @@ impl Engine for Exec {
             let (_, f) = self.timers.pop().expect("peeked");
             self.start_flush(f);
         }
-        // Speculation wake-ups carry no payload; draining them is enough —
-        // the assignment sweep re-checks every straggler.
-        while self.spec_timers.peek_time().is_some_and(|t| t <= self.now) {
-            self.spec_timers.pop();
-        }
         for m in 0..self.n_machines() {
             let Some(done) = self.hosts.poll(m, self.now, &self.rt.alive) else {
                 continue;
@@ -1056,13 +1031,12 @@ impl Engine for Exec {
         self.hosts.commit(self.now, &self.rt.alive, |_, _| {});
     }
 
-    /// A stream completion, a flush timer, a speculation wake-up or a
-    /// scheduled fault action. Sources a run does not use are empty.
+    /// A stream completion, a flush timer or a scheduled fault action.
+    /// Speculation wake-ups are the runtime's ([`Runtime::wake_at`]).
     fn next_event(&mut self) -> Option<SimTime> {
         [
             self.hosts.next_event(self.now, &self.rt.alive),
             self.timers.peek_time(),
-            self.spec_timers.peek_time(),
         ]
         .into_iter()
         .flatten()
@@ -1070,55 +1044,27 @@ impl Engine for Exec {
     }
 
     /// One clock per attempt: the merged fetch stalls, retries and re-plans
-    /// as a whole.
-    fn sweep_stalls(&mut self) -> Result<(), RunError> {
-        for t_idx in 0..self.tasks.len() {
-            let t = &self.tasks[t_idx];
-            if t.done || t.killed || !t.stall.due(self.now) {
-                continue;
-            }
-            let task = (t.job, t.stage, t.task);
-            let Some(retries) =
-                self.tasks[t_idx]
-                    .stall
-                    .tick(&mut self.rt, task.0, task.1, self.now)
-            else {
-                continue;
-            };
-            self.account_stalled_fetch(t_idx);
-            self.abort_task(t_idx)?;
-            driver::replan(self, task, retries, self.now)?;
-        }
-        Ok(())
+    /// as a whole. Accumulates its stall time, drops its parked stream,
+    /// counts the re-plan and aborts the attempt.
+    fn abort_stalled(&mut self, t_idx: usize) -> Result<(), RunError> {
+        let ji = self.tasks[t_idx].job;
+        let stalled = self.rt.drop_stalls(t_idx, self.now);
+        self.rt.jobs[ji].recovery.stalled_fetch_seconds += stalled;
+        self.tasks[t_idx].parked = None;
+        let (job, stage) = (ji as u32, self.tasks[t_idx].stage as u32);
+        self.rt
+            .record(self.now, InstantKind::FetchReplan { job, stage });
+        self.abort_task(t_idx)
     }
 
     fn abort_fetching_from(&mut self, s: usize) -> Result<(), RunError> {
         for t_idx in 0..self.tasks.len() {
             let t = &self.tasks[t_idx];
             if !t.done && !t.killed && t.fetch_live && self.rt.fetches_from(t.job, t.stage, s) {
-                self.account_stalled_fetch(t_idx);
-                self.abort_task(t_idx)?;
+                self.abort_stalled(t_idx)?;
             }
         }
         Ok(())
-    }
-
-    /// A parked fetch names the machine holding the unreachable bytes.
-    fn stalled_fetch_error(&self) -> Option<RunError> {
-        let t = self
-            .tasks
-            .iter()
-            .find(|t| !t.done && !t.killed && (t.stall.stalled() || t.parked.is_some()))?;
-        let src = (0..self.n_machines())
-            .find(|&s| self.rt.is_cut(s, t.machine) && self.rt.fetches_from(t.job, t.stage, s))
-            .unwrap_or(t.machine);
-        Some(RunError::Unreachable {
-            job: JobId(t.job as u32),
-            stage: StageId(t.stage as u32),
-            task: TaskId(t.task as u32),
-            machine: src,
-            retries: t.stall.retries(),
-        })
     }
 }
 
