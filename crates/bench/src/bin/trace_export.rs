@@ -15,11 +15,11 @@
 //! `--out` defaults to `$TRACE_EXPORT_OUT` or `trace_{engine}.json`. The
 //! 100-machine CI artifact is produced with `--machines 100 --validate`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use cluster::{ClusterSpec, FaultPlan, MachineSpec};
 use mt_bench::header;
-use mt_trace::{validate_chrome_json, TraceSummary};
+use mt_trace::{validate_chrome_json, TraceDoc, TraceSummary};
 use workloads::{sort_job, sweep_plan, SortConfig};
 
 const SEED: u64 = 42;
@@ -103,7 +103,13 @@ fn out_path(args: &Args, engine: &str) -> PathBuf {
     }
 }
 
-fn check(path: &PathBuf) {
+/// Writes a built trace to `path` and tallies it, building it only once.
+fn export(doc: &TraceDoc, path: &Path) -> TraceSummary {
+    mt_trace::write_doc(doc, path).expect("write trace");
+    TraceSummary::of(doc)
+}
+
+fn check(path: &Path) {
     let json = std::fs::read_to_string(path).expect("read emitted trace");
     match validate_chrome_json(&json) {
         Ok(stats) => println!(
@@ -125,21 +131,18 @@ fn run_mono(args: &Args) {
 
     // Fault-free baseline: profile it, trace it, export it.
     let base = monotasks_core::run(&cl, &[(job.clone(), blocks.clone())], &cfg);
-    let written = mt_trace::export_mono(&cfg, &base)
-        .expect("write trace")
-        .expect("trace_path was set");
-    let summary = TraceSummary::of(&mt_trace::mono_doc(&base));
+    let summary = export(&mt_trace::mono_doc(&base), &path);
     println!(
         "mono: {} machines, makespan {:.3}s -> {} ({} spans, {} instants, {} counter samples)",
         args.machines,
         base.makespan.as_secs_f64(),
-        written.display(),
+        path.display(),
         summary.spans,
         summary.instants,
         summary.counter_points
     );
     if args.validate {
-        check(&written);
+        check(&path);
     }
 
     // Fault replay: predicted vs simulated makespan per intensity.
@@ -185,8 +188,8 @@ fn run_mono(args: &Args) {
             &plan,
         )
         .expect("faulty run completes");
-        if let Some(p) = mt_trace::export_mono(&faulty_cfg, &sim).expect("write faulty trace") {
-            let s = TraceSummary::of(&mt_trace::mono_doc(&sim));
+        if let Some(p) = &faulty_cfg.trace_path {
+            let s = export(&mt_trace::mono_doc(&sim), p);
             println!(
                 "  faulty trace -> {} ({} spans, {} instants)",
                 p.display(),
@@ -194,7 +197,7 @@ fn run_mono(args: &Args) {
                 s.instants
             );
             if args.validate {
-                check(&p);
+                check(p);
             }
         }
         let pred = perfmodel::replay(&profiles, &base.jobs, baseline_s, &plan, &opts);
@@ -233,21 +236,18 @@ fn run_spark(args: &Args) {
         ..sparklike::SparkConfig::default()
     };
     let out = sparklike::run(&cl, &[(job, blocks)], &cfg);
-    let written = mt_trace::export_spark(&cfg, &out)
-        .expect("write trace")
-        .expect("trace_path was set");
-    let summary = TraceSummary::of(&mt_trace::spark_doc(&out));
+    let summary = export(&mt_trace::spark_doc(&out), &path);
     println!(
         "spark: {} machines, makespan {:.3}s -> {} ({} spans, {} instants, {} counter samples)",
         args.machines,
         out.makespan.as_secs_f64(),
-        written.display(),
+        path.display(),
         summary.spans,
         summary.instants,
         summary.counter_points
     );
     if args.validate {
-        check(&written);
+        check(&path);
     }
 }
 

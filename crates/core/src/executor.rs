@@ -147,9 +147,10 @@ pub struct MonoConfig {
     /// Arm the performance-clarity trace layer and name where its
     /// Perfetto-loadable Chrome Trace Event JSON should be written. `Some`
     /// collects one [`cluster::RunInstant`] per fault firing and recovery
-    /// decision into [`MonoRunOutput::instants`]; the `mt-trace` crate's
-    /// `export_mono` (or the `trace_export` bench bin) then serializes the
-    /// run to this path. Collection is observation-only: `None` — the
+    /// decision into [`MonoRunOutput::instants`]; the executor never writes
+    /// the file itself: the `mt-trace` crate's `mono_doc` builds the
+    /// document and its `write_doc` writes it here (the `trace_export` bench
+    /// bin does both). Collection is observation-only: `None` — the
     /// default — collects nothing, and traced runs are `to_bits`-identical
     /// to untraced ones (proptested in `tests/trace_props.rs`).
     /// `trace_export` sets it; every other bin leaves it `None`.

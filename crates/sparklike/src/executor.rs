@@ -42,7 +42,8 @@ pub struct SparkConfig {
     /// Arms the trace layer: when set, the run collects instant events
     /// ([`cluster::RunInstant`]) for trace export. Observation-only — the
     /// schedule is bit-identical whether or not a path is set. The executor
-    /// never writes the file itself; `mt-trace` export helpers honor it.
+    /// never writes the file itself; `mt-trace`'s `spark_doc` and
+    /// `write_doc` do.
     /// `trace_export` sets it; every other bin leaves it `None`.
     pub trace_path: Option<std::path::PathBuf>,
 }

@@ -1,18 +1,21 @@
-//! Builds [`TraceDoc`]s from executor outputs and writes them to the path
-//! the run's config armed.
+//! Builds [`TraceDoc`]s from executor outputs and writes them to disk.
 //!
-//! Both builders walk their run output in a fixed order (records in emission
-//! order, utilization recorders in `BTreeMap` key order, instants in
-//! collection order), so the same run output always yields the same document
-//! and therefore — via [`TraceDoc::to_json`] — the same bytes.
+//! Both builders only group their run's spans into tracks; one layout
+//! function turns the tracks, utilization recorders and instants into the
+//! document. It walks everything in a fixed order (spans in record order,
+//! tracks and recorders in `BTreeMap` key order, instants in collection
+//! order), so the same run output always yields the same document and
+//! therefore — via [`TraceDoc::to_json`] — the same bytes.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use cluster::{InstantKind, ResourceSel, RunInstant, TraceSet};
-use monotasks_core::{MonoConfig, MonoRunOutput, Purpose};
+use dataflow::JobReport;
+use monotasks_core::{MonoRunOutput, MonotaskRecord, Purpose};
 use simcore::ResourceKind;
-use sparklike::{SparkConfig, SparkRunOutput, TaskRecord};
+use sparklike::{SparkRunOutput, TaskRecord};
 
 use crate::chrome::{assign_lanes, Arg, Event, TraceDoc};
 
@@ -32,8 +35,6 @@ const TASK_TID_BASE: u64 = 100;
 /// Stage track tids within a job process: `STAGE_TID_BASE * (stage+1) + lane`.
 const STAGE_TID_BASE: u64 = 1_000;
 
-/// `(job, stage, task)` identifying one multitask.
-type TaskKey = (u32, u32, u32);
 /// `(first monotask start, last monotask end, monotask count)` for one task.
 type TaskWindow = (u64, u64, usize);
 
@@ -108,62 +109,6 @@ fn sel_counter_name(sel: ResourceSel) -> String {
         ResourceSel::Cpu => "cpu util".into(),
         ResourceSel::Disk(d) => format!("disk{d} util"),
         ResourceSel::Network => "net util".into(),
-    }
-}
-
-/// Emits process/thread metadata and utilization counter tracks shared by
-/// both engines, returning the set of machine pids named.
-fn push_utilization(doc: &mut TraceDoc, traces: &TraceSet) {
-    for (&(machine, sel), rec) in traces.iter() {
-        let pid = MACHINE_PID_BASE + machine.0 as u64;
-        let name = sel_counter_name(sel);
-        for &(t, v) in rec.points() {
-            doc.events.push(Event::Counter {
-                pid,
-                name: name.clone(),
-                ts_ns: t.0,
-                key: "util",
-                value: v,
-            });
-        }
-    }
-}
-
-fn push_machine_meta(doc: &mut TraceDoc, machines: &[u64]) {
-    for &m in machines {
-        let pid = MACHINE_PID_BASE + m;
-        doc.events.push(Event::ProcessName {
-            pid,
-            name: format!("machine {m}"),
-        });
-        doc.events.push(Event::ProcessSortIndex {
-            pid,
-            index: m as i64,
-        });
-        doc.events.push(Event::ThreadName {
-            pid,
-            tid: EVENTS_TID,
-            name: "events".into(),
-        });
-    }
-}
-
-fn push_job_meta(doc: &mut TraceDoc, jobs: &[(u64, String)]) {
-    for (j, name) in jobs {
-        let pid = JOB_PID_BASE + j;
-        doc.events.push(Event::ProcessName {
-            pid,
-            name: format!("job {j}: {name}"),
-        });
-        doc.events.push(Event::ProcessSortIndex {
-            pid,
-            index: 1_000_000 + *j as i64,
-        });
-        doc.events.push(Event::ThreadName {
-            pid,
-            tid: EVENTS_TID,
-            name: "recovery".into(),
-        });
     }
 }
 
@@ -244,17 +189,105 @@ fn instant_args(kind: &InstantKind) -> Vec<(&'static str, Arg)> {
     }
 }
 
-/// Routes each instant to its track: fault instants render on the affected
-/// machine's `events` track, recovery instants on the owning job's
-/// `recovery` track.
-fn push_instants(doc: &mut TraceDoc, instants: &[RunInstant]) {
+/// A span's `(name, cat, args)`; its pid, tid and window come from its
+/// [`Track`].
+type SpanBody = (String, &'static str, Vec<(&'static str, Arg)>);
+
+/// One span track: spans greedily packed into non-overlapping lanes
+/// `tid_base + n` of process `pid`, lane `n` named `"{label} lane {n}"`.
+struct Track<'a> {
+    pid: u64,
+    tid_base: u64,
+    label: String,
+    /// `(start, end)` of span `k`, in the order the spans are emitted.
+    windows: Vec<(u64, u64)>,
+    /// Renders span `k` from the run output it borrows.
+    span: Box<dyn Fn(usize) -> SpanBody + 'a>,
+}
+
+/// Lays out one run's document. Both executors share it; they differ only
+/// in the tracks they hand in (the paper's Fig. 1 contrast).
+///
+/// Event order: process metadata (name, sort index, instant thread) for
+/// each of `machines` (those that carry a span, ascending), then for each
+/// job; every track's spans, tracks in the given order (machine tracks
+/// first); one `ThreadName` per lane in `(pid, tid)` order; utilization
+/// counters in recorder key order; instants in collection order. Fault
+/// instants go on the affected machine's `events` thread, recovery instants
+/// on the owning job's `recovery` thread.
+///
+/// Tracks are drawn one at a time, so only one track's windows and lanes
+/// are alive at once.
+fn layout<'a>(
+    jobs: &[JobReport],
+    machines: impl IntoIterator<Item = usize>,
+    tracks: impl IntoIterator<Item = Track<'a>>,
+    traces: &TraceSet,
+    instants: &[RunInstant],
+) -> TraceDoc {
+    let mut events = Vec::new();
+    let mut process = |pid: u64, name: String, index: i64, thread: &str| {
+        events.push(Event::ProcessName { pid, name });
+        events.push(Event::ProcessSortIndex { pid, index });
+        events.push(Event::ThreadName {
+            pid,
+            tid: EVENTS_TID,
+            name: thread.into(),
+        });
+    };
+    for m in machines {
+        let pid = MACHINE_PID_BASE + m as u64;
+        process(pid, format!("machine {m}"), m as i64, "events");
+    }
+    for (j, rep) in jobs.iter().enumerate() {
+        let (pid, name) = (JOB_PID_BASE + j as u64, format!("job {j}: {}", rep.name));
+        process(pid, name, 1_000_000 + j as i64, "recovery");
+    }
+
+    let mut lane_names: BTreeMap<(u64, u64), String> = BTreeMap::new();
+    for t in tracks {
+        let lanes = assign_lanes(&t.windows);
+        for (k, (&(start, end), lane)) in t.windows.iter().zip(lanes).enumerate() {
+            let tid = t.tid_base + lane as u64;
+            lane_names
+                .entry((t.pid, tid))
+                .or_insert_with(|| format!("{} lane {lane}", t.label));
+            let (name, cat, args) = (t.span)(k);
+            events.push(Event::Span {
+                pid: t.pid,
+                tid,
+                name,
+                cat,
+                ts_ns: start,
+                dur_ns: end - start,
+                args,
+            });
+        }
+    }
+    for ((pid, tid), name) in lane_names {
+        events.push(Event::ThreadName { pid, tid, name });
+    }
+
+    for (&(machine, sel), rec) in traces.iter() {
+        let pid = MACHINE_PID_BASE + machine.0 as u64;
+        let name = sel_counter_name(sel);
+        for &(t, v) in rec.points() {
+            events.push(Event::Counter {
+                pid,
+                name: name.clone(),
+                ts_ns: t.0,
+                key: "util",
+                value: v,
+            });
+        }
+    }
     for inst in instants {
         let pid = match (inst.kind.job(), inst.kind.machine()) {
             (Some(j), _) => JOB_PID_BASE + j as u64,
             (None, Some(m)) => MACHINE_PID_BASE + m as u64,
             (None, None) => MACHINE_PID_BASE,
         };
-        doc.events.push(Event::Instant {
+        events.push(Event::Instant {
             pid,
             tid: EVENTS_TID,
             name: inst.kind.label().to_string(),
@@ -262,237 +295,134 @@ fn push_instants(doc: &mut TraceDoc, instants: &[RunInstant]) {
             args: instant_args(&inst.kind),
         });
     }
+    TraceDoc { events }
 }
 
 /// Builds the trace document for a monotasks run.
 ///
-/// Machine processes carry per-resource monotask span lanes (the
-/// architecture attributes every span to exactly one resource — the paper's
-/// clarity claim), utilization counters, and fault instants; job processes
-/// carry per-stage task lanes and recovery instants.
+/// Machine processes carry one track per resource class of monotask spans
+/// (the architecture attributes every span to exactly one resource — the
+/// paper's clarity claim); job processes carry one track per stage with a
+/// span per multitask, from its first monotask's start to its last one's
+/// end.
 pub fn mono_doc(out: &MonoRunOutput) -> TraceDoc {
-    use std::collections::BTreeMap;
-    let mut doc = TraceDoc::default();
-
-    // Group monotask records by (machine, resource class).
-    let mut by_track: BTreeMap<(usize, u64), Vec<usize>> = BTreeMap::new();
-    for (i, r) in out.records.iter().enumerate() {
-        let (_, base) = class_of(r.resource);
-        by_track.entry((r.machine, base)).or_default().push(i);
+    let recs: &[MonotaskRecord] = &out.records;
+    let mut by_track: BTreeMap<(usize, u64, &'static str), Vec<usize>> = BTreeMap::new();
+    let mut by_stage: BTreeMap<(u32, u32), BTreeMap<u32, TaskWindow>> = BTreeMap::new();
+    for (i, r) in recs.iter().enumerate() {
+        let (cat, tid_base) = class_of(r.resource);
+        by_track
+            .entry((r.machine, tid_base, cat))
+            .or_default()
+            .push(i);
+        let mt = r.multitask;
+        let w = by_stage
+            .entry((mt.job.0, mt.stage.0))
+            .or_default()
+            .entry(mt.task.0)
+            .or_insert((u64::MAX, 0, 0));
+        w.0 = w.0.min(r.started.0);
+        w.1 = w.1.max(r.ended.0);
+        w.2 += 1;
     }
-    // Group records by multitask for the job/stage task lanes.
-    let mut by_task: BTreeMap<TaskKey, TaskWindow> = BTreeMap::new();
-    for r in &out.records {
-        let k = (r.multitask.job.0, r.multitask.stage.0, r.multitask.task.0);
-        let e = by_task.entry(k).or_insert((u64::MAX, 0, 0));
-        e.0 = e.0.min(r.started.0);
-        e.1 = e.1.max(r.ended.0);
-        e.2 += 1;
-    }
 
-    // Metadata.
-    let machines: Vec<u64> = by_track
-        .keys()
-        .map(|&(m, _)| m as u64)
-        .collect::<std::collections::BTreeSet<_>>()
+    let machines: BTreeSet<usize> = by_track.keys().map(|&(m, _, _)| m).collect();
+    let machine_tracks = by_track
         .into_iter()
-        .collect();
-    push_machine_meta(&mut doc, &machines);
-    let jobs: Vec<(u64, String)> = out
-        .jobs
-        .iter()
-        .enumerate()
-        .map(|(j, rep)| (j as u64, rep.name.clone()))
-        .collect();
-    push_job_meta(&mut doc, &jobs);
-
-    // Per-resource span lanes.
-    let mut lane_names: BTreeMap<(u64, u64), String> = BTreeMap::new();
-    for (&(machine, base), idxs) in &by_track {
-        let windows: Vec<(u64, u64)> = idxs
-            .iter()
-            .map(|&i| (out.records[i].started.0, out.records[i].ended.0))
-            .collect();
-        let lanes = assign_lanes(&windows);
-        let pid = MACHINE_PID_BASE + machine as u64;
-        for (&i, &lane) in idxs.iter().zip(&lanes) {
-            let r = &out.records[i];
-            let (cat, _) = class_of(r.resource);
-            let tid = base + lane as u64;
-            lane_names
-                .entry((pid, tid))
-                .or_insert_with(|| format!("{cat} lane {lane}"));
-            doc.events.push(Event::Span {
-                pid,
-                tid,
-                name: format!(
+        .map(|((machine, tid_base, cat), idxs)| Track {
+            pid: MACHINE_PID_BASE + machine as u64,
+            tid_base,
+            label: cat.into(),
+            windows: idxs
+                .iter()
+                .map(|&i| (recs[i].started.0, recs[i].ended.0))
+                .collect(),
+            span: Box::new(move |k| {
+                let r = &recs[idxs[k]];
+                let mt = r.multitask;
+                let name = format!(
                     "{} j{}s{}t{}",
                     purpose_label(r.purpose),
-                    r.multitask.job.0,
-                    r.multitask.stage.0,
-                    r.multitask.task.0
-                ),
-                cat,
-                ts_ns: r.started.0,
-                dur_ns: r.ended.0 - r.started.0,
-                args: vec![
+                    mt.job.0,
+                    mt.stage.0,
+                    mt.task.0
+                );
+                let args = vec![
                     ("bytes", Arg::F64(r.bytes)),
                     ("queue_s", Arg::F64(r.queue_secs())),
-                ],
-            });
+                ];
+                (name, cat, args)
+            }),
+        });
+    let stage_tracks = by_stage.into_iter().map(|((job, stage), tasks)| {
+        let tasks: Vec<(u32, TaskWindow)> = tasks.into_iter().collect();
+        Track {
+            pid: JOB_PID_BASE + job as u64,
+            tid_base: STAGE_TID_BASE * (stage as u64 + 1),
+            label: format!("stage {stage}"),
+            windows: tasks.iter().map(|&(_, (s, e, _))| (s, e)).collect(),
+            span: Box::new(move |k| {
+                let (task, (_, _, n)) = tasks[k];
+                let args = vec![("monotasks", Arg::U64(n as u64))];
+                (format!("task {task}"), "task", args)
+            }),
         }
-    }
-
-    // Job/stage task lanes: one span per multitask from first monotask start
-    // to last monotask end.
-    let mut by_stage: BTreeMap<(u32, u32), Vec<(TaskKey, TaskWindow)>> = BTreeMap::new();
-    for (&k, &v) in &by_task {
-        by_stage.entry((k.0, k.1)).or_default().push((k, v));
-    }
-    for (&(job, stage), tasks) in &by_stage {
-        let windows: Vec<(u64, u64)> = tasks.iter().map(|&(_, (s, e, _))| (s, e)).collect();
-        let lanes = assign_lanes(&windows);
-        let pid = JOB_PID_BASE + job as u64;
-        for (&((_, _, task), (s, e, n)), &lane) in tasks.iter().zip(&lanes) {
-            let tid = STAGE_TID_BASE * (stage as u64 + 1) + lane as u64;
-            lane_names
-                .entry((pid, tid))
-                .or_insert_with(|| format!("stage {stage} lane {lane}"));
-            doc.events.push(Event::Span {
-                pid,
-                tid,
-                name: format!("task {task}"),
-                cat: "task",
-                ts_ns: s,
-                dur_ns: e - s,
-                args: vec![("monotasks", Arg::U64(n as u64))],
-            });
-        }
-    }
-    for ((pid, tid), name) in lane_names {
-        doc.events.push(Event::ThreadName { pid, tid, name });
-    }
-
-    push_utilization(&mut doc, &out.traces);
-    push_instants(&mut doc, &out.instants);
-    doc
+    });
+    let tracks = machine_tracks.chain(stage_tracks);
+    layout(&out.jobs, machines, tracks, &out.traces, &out.instants)
 }
 
 /// Builds the trace document for a Spark-like run.
 ///
 /// The pipelined executor cannot attribute time to a single resource — each
-/// task uses CPU, disk, and network concurrently (§2.1) — so machine
-/// processes carry undifferentiated `task` span lanes plus the same
-/// utilization counters and instants. The contrast with [`mono_doc`]'s
-/// per-resource lanes *is* the paper's figure 1.
+/// task uses CPU, disk, and network concurrently (§2.1) — so each machine
+/// process carries one undifferentiated `slot` track of task spans, and each
+/// job process one track per stage, in record order. The contrast with
+/// [`mono_doc`]'s per-resource tracks *is* the paper's figure 1.
 pub fn spark_doc(out: &SparkRunOutput) -> TraceDoc {
-    use std::collections::BTreeMap;
-    let mut doc = TraceDoc::default();
-
+    let records: &[TaskRecord] = &out.tasks;
     let mut by_machine: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (i, t) in out.tasks.iter().enumerate() {
-        by_machine.entry(t.machine).or_default().push(i);
-    }
-    let machines: Vec<u64> = by_machine.keys().map(|&m| m as u64).collect();
-    push_machine_meta(&mut doc, &machines);
-    let jobs: Vec<(u64, String)> = out
-        .jobs
-        .iter()
-        .enumerate()
-        .map(|(j, rep)| (j as u64, rep.name.clone()))
-        .collect();
-    push_job_meta(&mut doc, &jobs);
-
-    let span_of = |t: &TaskRecord| (t.start.0, t.end.0);
-    let mut lane_names: BTreeMap<(u64, u64), String> = BTreeMap::new();
-    for (&machine, idxs) in &by_machine {
-        let windows: Vec<(u64, u64)> = idxs.iter().map(|&i| span_of(&out.tasks[i])).collect();
-        let lanes = assign_lanes(&windows);
-        let pid = MACHINE_PID_BASE + machine as u64;
-        for (&i, &lane) in idxs.iter().zip(&lanes) {
-            let t = &out.tasks[i];
-            let tid = TASK_TID_BASE + lane as u64;
-            lane_names
-                .entry((pid, tid))
-                .or_insert_with(|| format!("slot lane {lane}"));
-            doc.events.push(Event::Span {
-                pid,
-                tid,
-                name: format!("task j{}s{}t{}", t.job.0, t.stage.0, t.task.0),
-                cat: "task",
-                ts_ns: t.start.0,
-                dur_ns: t.end.0 - t.start.0,
-                args: vec![],
-            });
-        }
-    }
-
-    // Job/stage lanes.
     let mut by_stage: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-    for (i, t) in out.tasks.iter().enumerate() {
+    for (i, t) in records.iter().enumerate() {
+        by_machine.entry(t.machine).or_default().push(i);
         by_stage.entry((t.job.0, t.stage.0)).or_default().push(i);
     }
-    for (&(job, stage), idxs) in &by_stage {
-        let windows: Vec<(u64, u64)> = idxs.iter().map(|&i| span_of(&out.tasks[i])).collect();
-        let lanes = assign_lanes(&windows);
+    let track = |pid, tid_base, label, idxs: Vec<usize>, name: fn(&TaskRecord) -> String| Track {
+        pid,
+        tid_base,
+        label,
+        windows: idxs
+            .iter()
+            .map(|&i| (records[i].start.0, records[i].end.0))
+            .collect(),
+        span: Box::new(move |k| (name(&records[idxs[k]]), "task", vec![])),
+    };
+    let machines: Vec<usize> = by_machine.keys().copied().collect();
+    let machine_tracks = by_machine.into_iter().map(|(machine, idxs)| {
+        let pid = MACHINE_PID_BASE + machine as u64;
+        track(pid, TASK_TID_BASE, "slot".into(), idxs, |t| {
+            format!("task j{}s{}t{}", t.job.0, t.stage.0, t.task.0)
+        })
+    });
+    let stage_tracks = by_stage.into_iter().map(|((job, stage), idxs)| {
         let pid = JOB_PID_BASE + job as u64;
-        for (&i, &lane) in idxs.iter().zip(&lanes) {
-            let t = &out.tasks[i];
-            let tid = STAGE_TID_BASE * (stage as u64 + 1) + lane as u64;
-            lane_names
-                .entry((pid, tid))
-                .or_insert_with(|| format!("stage {stage} lane {lane}"));
-            doc.events.push(Event::Span {
-                pid,
-                tid,
-                name: format!("task {}", t.task.0),
-                cat: "task",
-                ts_ns: t.start.0,
-                dur_ns: t.end.0 - t.start.0,
-                args: vec![],
-            });
-        }
-    }
-    for ((pid, tid), name) in lane_names {
-        doc.events.push(Event::ThreadName { pid, tid, name });
-    }
-
-    push_utilization(&mut doc, &out.traces);
-    push_instants(&mut doc, &out.instants);
-    doc
+        let tid_base = STAGE_TID_BASE * (stage as u64 + 1);
+        track(pid, tid_base, format!("stage {stage}"), idxs, |t| {
+            format!("task {}", t.task.0)
+        })
+    });
+    let tracks = machine_tracks.chain(stage_tracks);
+    layout(&out.jobs, machines, tracks, &out.traces, &out.instants)
 }
 
-fn write_doc(doc: &TraceDoc, path: &Path) -> io::Result<()> {
+/// Writes a built document to `path` as Chrome Trace Event JSON, creating
+/// missing parent directories. Executors only collect; file I/O happens
+/// here, after the run, never in the simulation loop.
+pub fn write_doc(doc: &TraceDoc, path: &Path) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
     std::fs::write(path, doc.to_json())
-}
-
-/// Writes the mono run's trace to [`MonoConfig::trace_path`], if armed.
-///
-/// Returns the path written, or `None` when tracing is off. The separation —
-/// executors collect, this helper writes — keeps all file I/O out of the
-/// simulation loop.
-pub fn export_mono(cfg: &MonoConfig, out: &MonoRunOutput) -> io::Result<Option<PathBuf>> {
-    match &cfg.trace_path {
-        None => Ok(None),
-        Some(p) => {
-            write_doc(&mono_doc(out), p)?;
-            Ok(Some(p.clone()))
-        }
-    }
-}
-
-/// Writes the spark run's trace to [`SparkConfig::trace_path`], if armed.
-pub fn export_spark(cfg: &SparkConfig, out: &SparkRunOutput) -> io::Result<Option<PathBuf>> {
-    match &cfg.trace_path {
-        None => Ok(None),
-        Some(p) => {
-            write_doc(&spark_doc(out), p)?;
-            Ok(Some(p.clone()))
-        }
-    }
 }

@@ -27,23 +27,46 @@ fn traced(cfg: MonoConfig) -> MonoConfig {
     }
 }
 
-/// Spans grouped by `(pid, tid)` never overlap with positive measure.
+/// Spans grouped by `(pid, tid)` never overlap with positive measure, every
+/// `(pid, tid)` that carries a span is named by exactly one `ThreadName`, and
+/// every pid that carries a span by exactly one `ProcessName`.
 fn assert_lanes_disjoint(doc: &mt_trace::TraceDoc) -> Result<(), TestCaseError> {
     let mut tracks: BTreeMap<(u64, u64), Vec<(u64, u64)>> = BTreeMap::new();
+    let mut thread_names: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+    let mut process_names: BTreeMap<u64, usize> = BTreeMap::new();
     for e in &doc.events {
-        if let Event::Span {
-            pid,
-            tid,
-            ts_ns,
-            dur_ns,
-            ..
-        } = e
-        {
-            tracks
+        match e {
+            Event::Span {
+                pid,
+                tid,
+                ts_ns,
+                dur_ns,
+                ..
+            } => tracks
                 .entry((*pid, *tid))
                 .or_default()
-                .push((*ts_ns, *ts_ns + *dur_ns));
+                .push((*ts_ns, *ts_ns + *dur_ns)),
+            Event::ThreadName { pid, tid, .. } => {
+                *thread_names.entry((*pid, *tid)).or_default() += 1
+            }
+            Event::ProcessName { pid, .. } => *process_names.entry(*pid).or_default() += 1,
+            _ => {}
         }
+    }
+    for &(pid, tid) in tracks.keys() {
+        prop_assert_eq!(
+            thread_names.get(&(pid, tid)).copied(),
+            Some(1),
+            "track ({}, {}) needs exactly one thread name",
+            pid,
+            tid
+        );
+        prop_assert_eq!(
+            process_names.get(&pid).copied(),
+            Some(1),
+            "pid {} needs exactly one process name",
+            pid
+        );
     }
     for ((pid, tid), mut spans) in tracks {
         spans.sort();
