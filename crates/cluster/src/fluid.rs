@@ -63,6 +63,14 @@
 //! * **Per-resource used-rate accumulators** make [`FluidMachine::cpu_busy`],
 //!   [`FluidMachine::disk_busy`] and [`FluidMachine::rx_busy`] O(1) reads.
 //!
+//! * **Parking.** A stream a network cut severs waits outside the fill, in
+//!   an id-ordered map: [`FluidMachine::park`] takes it out like a removal,
+//!   scaling its demands to the work left; [`FluidMachine::hold`] parks one
+//!   that never ran without touching the rates, the epoch or an open batch;
+//!   [`FluidMachine::unpark`] puts it back as an insert of its scaled demand
+//!   would, and [`FluidMachine::remove`] drops it. With none parked, an
+//!   insert pays one emptiness test.
+//!
 //! The original quadratic algorithm is kept verbatim as
 //! [`FluidMachine::reference_reallocate`]; with the `slowcheck` cargo feature
 //! every reallocation is `assert!`-checked against it, in release builds too.
@@ -239,6 +247,8 @@ pub struct FluidMachine {
     /// Every per-resource float fold walks the rows in this order.
     ids: Vec<StreamId>,
     rows: Vec<Stream>,
+    /// Parked streams: unstarted rows of their scaled demands.
+    parked: BTreeMap<StreamId, Stream>,
     /// Streams reading / writing each disk (drives the concurrency-dependent
     /// capacity without scanning streams).
     disk_readers: Vec<usize>,
@@ -290,6 +300,7 @@ impl FluidMachine {
             spec,
             ids: Vec::new(),
             rows: Vec::new(),
+            parked: BTreeMap::new(),
             disk_readers: vec![0; nd],
             disk_writers: vec![0; nd],
             claimants: vec![0; nr],
@@ -330,9 +341,9 @@ impl FluidMachine {
         self.ids.len()
     }
 
-    /// Whether `id` is currently active.
-    pub fn contains(&self, id: StreamId) -> bool {
-        self.row(id).is_some()
+    /// Parked streams, in ascending id order.
+    pub fn parked(&self) -> impl Iterator<Item = StreamId> + '_ {
+        self.parked.keys().copied()
     }
 
     /// Row index of stream `id`, if active. O(log streams).
@@ -424,9 +435,64 @@ impl FluidMachine {
     ///
     /// # Panics
     ///
-    /// Panics on duplicate id, wrong disk-vector length, or a demand that is
-    /// empty or non-finite.
+    /// Panics on an id that is active or parked, wrong disk-vector length,
+    /// or a demand that is empty or non-finite.
     pub fn insert(&mut self, now: SimTime, id: StreamId, demand: StreamDemand) -> u64 {
+        let s = self.new_row(id, &demand);
+        let Err(at) = self.ids.binary_search(&id) else {
+            panic!("stream {id:?} inserted twice");
+        };
+        self.advance(now);
+        self.enter(at, id, s);
+        self.epoch
+    }
+
+    /// Parks a stream that never ran with its whole `demand`, changing
+    /// neither the rates, the epoch nor an open batch. Panics as
+    /// [`FluidMachine::insert`] does.
+    pub fn hold(&mut self, id: StreamId, demand: StreamDemand) {
+        let s = self.new_row(id, &demand);
+        assert!(self.row(id).is_none(), "stream {id:?} held while active");
+        self.parked.insert(id, s);
+    }
+
+    /// Parks active stream `id`: its row leaves the fill, and each demand is
+    /// scaled by its remaining fraction floored at 1e-9, so it resumes with
+    /// work left (a stream that reads and writes one disk scales their sum).
+    /// Returns whether `id` was active; if not, nothing changes.
+    pub fn park(&mut self, now: SimTime, id: StreamId) -> bool {
+        let Some(i) = self.row(id) else {
+            return false;
+        };
+        self.advance(now);
+        let f = self.remaining_now(&self.rows[i]).max(1e-9);
+        let mut s = self.remove_row(i);
+        s.cpu *= f;
+        s.sparse.iter_mut().for_each(|e| e.1 *= f);
+        // Unstarted: `gen == 0` re-schedules it, and its stale deadline and
+        // freeze stamp are never read again.
+        (s.remaining, s.rate, s.gen) = (1.0, 0.0, 0);
+        self.parked.insert(id, s);
+        self.after_mutation();
+        true
+    }
+
+    /// Puts parked stream `id` back into the fill, as an insert of its
+    /// scaled demand would. Returns whether `id` was parked; if not,
+    /// nothing changes.
+    pub fn unpark(&mut self, now: SimTime, id: StreamId) -> bool {
+        let Some(s) = self.parked.remove(&id) else {
+            return false;
+        };
+        self.advance(now);
+        // A parked id is never active, so this is its insertion point.
+        self.enter(self.ids.partition_point(|&x| x < id), id, s);
+        true
+    }
+
+    /// Validates `demand` (panicking as [`FluidMachine::insert`] documents)
+    /// and builds its unstarted row.
+    fn new_row(&self, id: StreamId, demand: &StreamDemand) -> Stream {
         assert!(
             demand.disk_read.len() == self.spec.disks.len()
                 && demand.disk_write.len() == self.spec.disks.len(),
@@ -444,11 +510,11 @@ impl FluidMachine {
                 && demand.disk_write.iter().all(|b| *b >= 0.0),
             "negative demand component: {demand:?}"
         );
-        let Err(at) = self.ids.binary_search(&id) else {
-            panic!("stream {id:?} inserted twice");
-        };
-        self.advance(now);
-        let s = Stream {
+        assert!(
+            self.parked.is_empty() || !self.parked.contains_key(&id),
+            "stream {id:?} inserted while parked"
+        );
+        Stream {
             cpu: demand.cpu,
             sparse: demand.sparse(),
             reads: disk_mask(&demand.disk_read),
@@ -458,16 +524,20 @@ impl FluidMachine {
             gen: 0,
             deadline: SimTime::ZERO,
             frozen_at: 0,
-        };
+        }
+    }
+
+    /// Puts row `s` into the fill at row `at`, which keeps id order.
+    fn enter(&mut self, at: usize, id: StreamId, s: Stream) {
         self.count(&s, true);
         self.ids.insert(at, id);
         self.rows.insert(at, s);
         self.after_mutation();
-        self.epoch
     }
 
     /// Removes a stream regardless of progress; returns the remaining
-    /// fraction if it was active.
+    /// fraction if it was active. A parked stream is dropped without a
+    /// reallocation, and returns `None`.
     ///
     /// Only the removed stream's lazy drain is materialized (O(1)); the
     /// survivors are drained by the reallocation this removal triggers, at
@@ -475,18 +545,23 @@ impl FluidMachine {
     /// eager full drain.
     pub fn remove(&mut self, now: SimTime, id: StreamId) -> Option<f64> {
         self.advance(now);
-        let i = self.row(id)?;
+        let Some(i) = self.row(id) else {
+            self.parked.remove(&id);
+            return None;
+        };
         let remaining = self.remaining_now(&self.rows[i]);
         self.remove_row(i);
         self.after_mutation();
         Some(remaining)
     }
 
-    /// Drops row `i`; the rows after it shift down, so id order holds.
-    fn remove_row(&mut self, i: usize) {
+    /// Drops and returns row `i`; the rows after it shift down, so id order
+    /// holds.
+    fn remove_row(&mut self, i: usize) -> Stream {
         self.ids.remove(i);
         let s = self.rows.remove(i);
         self.count(&s, false);
+        s
     }
 
     /// Counts stream `s` into (`add`) or out of the per-disk, per-resource
@@ -1189,6 +1264,90 @@ mod tests {
     }
 
     #[test]
+    fn hold_changes_no_rate_epoch_or_batch() {
+        let mut m = machine(2, 1);
+        m.insert(SimTime::ZERO, StreamId(1), StreamDemand::cpu_only(4.0, 1));
+        let (reallocs, epoch) = (m.stats().reallocs, m.epoch());
+        m.hold(StreamId(2), StreamDemand::rx_only(125.0 * MIB, 1));
+        m.begin_update();
+        m.hold(StreamId(3), StreamDemand::rx_only(MIB, 1));
+        m.commit(SimTime::ZERO);
+        assert_eq!((m.stats().reallocs, m.epoch()), (reallocs, epoch));
+        assert_eq!(m.active_streams(), 1);
+        assert_eq!(m.parked().collect::<Vec<_>>(), [StreamId(2), StreamId(3)]);
+        // A held stream resumes with its whole demand.
+        assert!(m.unpark(t(1.0), StreamId(2)));
+        assert_eq!(m.next_completion(t(1.0)), Some(t(2.0)));
+    }
+
+    #[test]
+    fn park_and_unpark_miss_quietly() {
+        let mut m = machine(1, 1);
+        m.insert(SimTime::ZERO, StreamId(1), StreamDemand::cpu_only(1.0, 1));
+        assert!(!m.unpark(SimTime::ZERO, StreamId(1)), "not parked");
+        assert!(m.park(t(0.5), StreamId(1)));
+        let (reallocs, epoch) = (m.stats().reallocs, m.epoch());
+        assert!(!m.park(t(0.5), StreamId(1)), "already parked");
+        assert!(!m.park(t(0.5), StreamId(2)), "unknown");
+        assert_eq!((m.stats().reallocs, m.epoch()), (reallocs, epoch));
+        // Half a core-second was left.
+        assert!(m.unpark(t(2.0), StreamId(1)));
+        assert_eq!(m.next_completion(t(2.0)), Some(t(2.5)));
+    }
+
+    #[test]
+    fn remove_drops_a_parked_stream_without_reallocating() {
+        let mut m = machine(1, 1);
+        m.insert(SimTime::ZERO, StreamId(1), StreamDemand::cpu_only(1.0, 1));
+        m.park(SimTime::ZERO, StreamId(1));
+        m.hold(StreamId(2), StreamDemand::cpu_only(1.0, 1));
+        let (reallocs, epoch) = (m.stats().reallocs, m.epoch());
+        assert_eq!(m.remove(t(1.0), StreamId(1)), None);
+        assert_eq!(m.remove(t(1.0), StreamId(2)), None);
+        assert_eq!((m.stats().reallocs, m.epoch()), (reallocs, epoch));
+        assert_eq!(m.parked().count(), 0);
+        assert!(!m.unpark(t(1.0), StreamId(1)));
+        m.insert(t(1.0), StreamId(1), StreamDemand::cpu_only(1.0, 1));
+    }
+
+    #[test]
+    fn park_floors_the_remaining_fraction() {
+        let mut m = machine(1, 1);
+        m.insert(SimTime::ZERO, StreamId(1), StreamDemand::cpu_only(1.0, 1));
+        let done = m.next_completion(SimTime::ZERO).unwrap();
+        // Due but not yet taken: next to nothing is left, and the floor
+        // keeps 1e-9 of the core-second, which finishes within a nanosecond.
+        assert!(m.park(done, StreamId(1)));
+        assert!(m.unpark(done, StreamId(1)));
+        assert_eq!(m.next_completion(done), Some(done + SimDuration::NANO));
+    }
+
+    #[test]
+    #[should_panic(expected = "inserted while parked")]
+    fn inserting_a_parked_id_panics() {
+        let mut m = machine(1, 1);
+        m.insert(SimTime::ZERO, StreamId(1), StreamDemand::cpu_only(1.0, 1));
+        m.park(SimTime::ZERO, StreamId(1));
+        m.insert(SimTime::ZERO, StreamId(1), StreamDemand::cpu_only(1.0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "inserted while parked")]
+    fn holding_a_parked_id_panics() {
+        let mut m = machine(1, 1);
+        m.hold(StreamId(1), StreamDemand::cpu_only(1.0, 1));
+        m.hold(StreamId(1), StreamDemand::cpu_only(1.0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "held while active")]
+    fn holding_an_active_id_panics() {
+        let mut m = machine(1, 1);
+        m.insert(SimTime::ZERO, StreamId(1), StreamDemand::cpu_only(1.0, 1));
+        m.hold(StreamId(1), StreamDemand::cpu_only(1.0, 1));
+    }
+
+    #[test]
     fn rates_match_reference_fixpoint() {
         let mut m = machine(4, 2);
         let hdd = DiskSpec::hdd();
@@ -1320,7 +1479,7 @@ mod tests {
             // out of order.
             for (d, &(mt, node)) in demands.zip(&ids) {
                 let id = StreamId(mt << 32 | node);
-                if !m.contains(id) {
+                if m.rate(id).is_none() {
                     m.insert(SimTime::ZERO, id, d);
                 }
             }

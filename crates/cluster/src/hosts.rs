@@ -144,10 +144,16 @@ impl Hosts {
     }
 
     /// The run's utilization traces. Each allocator's counters merge into
-    /// `stats` as machine-local allocation.
-    pub fn into_output(self, stats: &mut SimStats) -> TraceSet {
-        for m in &self.machines {
-            stats.merge(&m.stats().as_machine_alloc());
+    /// `stats` as machine-local allocation. Panics if a live machine still
+    /// holds a parked stream: a completed run resumes or drops them all.
+    pub fn into_output(self, alive: &[bool], stats: &mut SimStats) -> TraceSet {
+        for (m, fluid) in self.machines.iter().enumerate() {
+            let parked = fluid.parked().next().filter(|_| alive[m]);
+            assert!(
+                parked.is_none(),
+                "machine {m} ends the run with {parked:?} parked"
+            );
+            stats.merge(&fluid.stats().as_machine_alloc());
         }
         self.traces
     }
@@ -285,7 +291,10 @@ mod tests {
             } else {
                 assert_eq!(next, None);
                 assert!(done.is_empty());
-                assert!(h[1].contains(StreamId(0)), "the dead machine was polled");
+                assert!(
+                    h[1].rate(StreamId(0)).is_some(),
+                    "the dead machine was polled"
+                );
                 assert_eq!(sampled, [0, 2]);
             }
         }
@@ -324,7 +333,7 @@ mod tests {
             assert_eq!(h[m].stats().reallocs, 1, "machine {m}");
         }
         let mut stats = SimStats::new();
-        let traces = h.into_output(&mut stats);
+        let traces = h.into_output(&all, &mut stats);
         assert_eq!(stats.reallocs, 3);
         assert_eq!(traces.machines().len(), 3);
     }
@@ -337,7 +346,10 @@ mod tests {
         h.commit(SimTime::ZERO, &[true; 3], |_, _| {
             panic!("sampled with sampling off")
         });
-        assert!(h.into_output(&mut SimStats::new()).machines().is_empty());
+        assert!(h
+            .into_output(&[true; 3], &mut SimStats::new())
+            .machines()
+            .is_empty());
     }
 
     /// The deadline cache driven the way the executors drive it — mutate,

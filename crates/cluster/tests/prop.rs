@@ -1,8 +1,9 @@
 //! Property tests for the coupled fluid allocator: capacities hold, work is
-//! conserved, progressive filling never starves a stream, and completion
-//! times respect physical lower bounds. The closed-form round's bit-for-bit
-//! equivalence with the round loop is a unit test in `fluid.rs`, which can
-//! reach both private fills.
+//! conserved, progressive filling never starves a stream, completion times
+//! respect physical lower bounds, and a parked stream resumes exactly as a
+//! reinsert of its remaining demand would. The closed-form round's
+//! bit-for-bit equivalence with the round loop is a unit test in `fluid.rs`,
+//! which can reach both private fills.
 
 use cluster::{DiskId, DiskSpec, FluidMachine, MachineSpec, StreamDemand, StreamId};
 use proptest::prelude::*;
@@ -57,8 +58,147 @@ fn build(d: &RandDemand, n_disks: usize) -> StreamDemand {
     sd
 }
 
+/// A fetch's stream: NIC bytes alone (a monotasks transfer), or with CPU
+/// and a local disk read as well (a Spark-like fetch phase).
+fn fetch(pipelined: bool, cpu: f64, read: f64, rx: f64) -> StreamDemand {
+    let mut d = StreamDemand::rx_only(rx, 2);
+    if pipelined {
+        d.cpu = cpu;
+        d.disk_read[0] = read;
+    }
+    d
+}
+
+fn fetch_strategy() -> impl Strategy<Value = StreamDemand> {
+    (
+        any::<bool>(),
+        0.05f64..2.0,
+        MIB..(64.0 * MIB),
+        MIB..(64.0 * MIB),
+    )
+        .prop_map(|(pipelined, cpu, read, rx)| fetch(pipelined, cpu, read, rx))
+}
+
+/// `d` with every component scaled by `f`.
+fn scaled(d: &StreamDemand, f: f64) -> StreamDemand {
+    let mut s = d.clone();
+    s.cpu *= f;
+    s.disk_read.iter_mut().for_each(|b| *b *= f);
+    s.disk_write.iter_mut().for_each(|b| *b *= f);
+    s.rx *= f;
+    s
+}
+
+/// Runs `m` from `now` through every completion due by `until` (to the last
+/// with `None`), logging each next completion, each completion wave and,
+/// after it, the rate bits of streams `0..n`. Returns the clock.
+fn run_logged(
+    m: &mut FluidMachine,
+    mut now: SimTime,
+    until: Option<SimTime>,
+    n: u64,
+    log: &mut Vec<u64>,
+) -> SimTime {
+    let rates = |m: &FluidMachine, log: &mut Vec<u64>| {
+        log.extend((0..n).map(|i| m.rate(StreamId(i)).map_or(u64::MAX, f64::to_bits)));
+    };
+    rates(m, log);
+    while let Some(t) = m.next_completion(now) {
+        log.push(t.0);
+        if until.is_some_and(|u| t > u) {
+            break;
+        }
+        now = t;
+        log.extend(m.take_completed(now).iter().map(|id| id.0));
+        rates(m, log);
+    }
+    now
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn park_then_unpark_matches_remove_then_reinsert_of_the_scaled_demand(
+        demands in prop::collection::vec(fetch_strategy(), 1..8),
+        victim in 0usize..8,
+        park_at in 0.0f64..1.0,
+        pause in 0.0f64..2.0,
+    ) {
+        let n = demands.len() as u64;
+        let victim = victim % demands.len();
+        let id = StreamId(victim as u64);
+        let (mut parked, mut reinserted) = (machine(4, 2), machine(4, 2));
+        for m in [&mut parked, &mut reinserted] {
+            for (i, d) in demands.iter().enumerate() {
+                m.insert(SimTime::ZERO, StreamId(i as u64), d.clone());
+            }
+        }
+        // Cut the victim before the first completion, so it is still active.
+        let first = parked.next_completion(SimTime::ZERO).expect("work pending");
+        let t1 = SimTime::from_secs_f64(first.as_secs_f64() * park_at);
+        prop_assert!(parked.park(t1, id));
+        let frac = reinserted.remove(t1, id).expect("victim active");
+        // The others run on, and may finish, while the victim waits.
+        let t2 = t1 + SimDuration::from_secs_f64(pause);
+        let (mut a, mut b) = (vec![], vec![]);
+        let now_a = run_logged(&mut parked, t1, Some(t2), n, &mut a);
+        let now_b = run_logged(&mut reinserted, t1, Some(t2), n, &mut b);
+        prop_assert_eq!(now_a, now_b);
+        prop_assert!(parked.unpark(t2, id));
+        reinserted.insert(t2, id, scaled(&demands[victim], frac.max(1e-9)));
+        run_logged(&mut parked, t2, None, n, &mut a);
+        run_logged(&mut reinserted, t2, None, n, &mut b);
+        prop_assert_eq!(a, b);
+        prop_assert_eq!(parked.active_streams(), 0);
+    }
+
+    /// The units check a park/resume copy once failed (a fraction kept as
+    /// bytes): a transfer cut mid-flight and resumed moves exactly its bytes
+    /// through the NIC, integrated as `rx_busy` × NIC bandwidth.
+    #[test]
+    fn a_parked_transfer_moves_exactly_its_bytes(
+        bytes in MIB..(256.0 * MIB),
+        cpu in 0.1f64..4.0,
+        park_at in 0.05f64..0.95,
+        pause in 0.0f64..2.0,
+    ) {
+        let nic = 125.0 * MIB;
+        let mut m = machine(2, 2);
+        m.insert(SimTime::ZERO, StreamId(0), StreamDemand::rx_only(bytes, 2));
+        m.insert(SimTime::ZERO, StreamId(1), StreamDemand::cpu_only(cpu, 2));
+        let t1 = SimTime::from_secs_f64(bytes / nic * park_at);
+        let t2 = t1 + SimDuration::from_secs_f64(pause);
+        let mut moved = 0.0;
+        let mut now = SimTime::ZERO;
+        let mut busy = m.rx_busy();
+        let mut step = |now: &mut SimTime, busy: f64, to: SimTime| {
+            moved += busy * nic * to.since(*now).as_secs_f64();
+            *now = to;
+        };
+        let (mut parked, mut resumed) = (false, false);
+        while m.active_streams() + m.parked().count() > 0 {
+            let next = m.next_completion(now);
+            if !parked && next.is_none_or(|t| t >= t1) {
+                step(&mut now, busy, t1);
+                prop_assert!(m.park(t1, StreamId(0)));
+                parked = true;
+            } else if parked && !resumed && next.is_none_or(|t| t >= t2) {
+                step(&mut now, busy, t2);
+                prop_assert!(m.unpark(t2, StreamId(0)));
+                resumed = true;
+            } else {
+                let t = next.expect("active streams progress");
+                step(&mut now, busy, t);
+                m.take_completed(t);
+            }
+            busy = m.rx_busy();
+        }
+        prop_assert!(
+            (moved - bytes).abs() <= 1e-6 * bytes,
+            "moved {moved} of {bytes} bytes"
+        );
+    }
 
     #[test]
     fn all_streams_complete_and_busy_fractions_stay_bounded(

@@ -357,7 +357,7 @@ impl NodeOp {
 /// Per-monotask state the event loop touches on every dispatch and
 /// completion. Hot nodes are the one structure allocated per monotask (a
 /// shuffle creates maps × reduces of them), so everything only speculation
-/// or partitions need lives in [`ColdNode`], and everything the decompose
+/// needs lives in [`ColdNode`], and everything the decompose
 /// layout implies lives on [`MtState`]: the compute work, a fetch group's
 /// admission time, and the DAG edges (inputs feed node 0, and node 0 feeds
 /// the write node, see [`Exec::dependent`]).
@@ -428,9 +428,9 @@ impl MonoNode {
     }
 }
 
-/// Speculation and partition state of one node, kept in [`Exec::cold`]
-/// keyed by `(multitask, node)`. Only speculation and partition hooks write
-/// entries, so runs without either never allocate the table.
+/// Speculation state of one node, kept in [`Exec::cold`] keyed by
+/// `(multitask, node)`. Only speculation writes entries, so runs without it
+/// never allocate the table.
 #[derive(Debug, Default)]
 struct ColdNode {
     /// Index of this node's speculative copy, if one was launched. At most
@@ -441,10 +441,6 @@ struct ColdNode {
     /// Next scheduled speculation-check wake-up for this node (dedup so the
     /// timer queue holds at most one pending entry per node).
     spec_wake_at: Option<SimTime>,
-    /// Per-machine-allocator transfers parked by a cut: remaining bytes to
-    /// re-insert on heal. (Fabric transfers stay in the allocator at rate 0
-    /// instead.)
-    parked_bytes: Option<f64>,
 }
 
 #[derive(Debug)]
@@ -504,8 +500,8 @@ struct Exec {
     /// Spark-like executor.
     rt: Runtime,
     mts: Vec<MtState>,
-    /// Speculation and partition state by `(multitask, node)`; empty (and
-    /// unallocated) unless one of those features touches a node.
+    /// Speculation state by `(multitask, node)`; empty (and unallocated)
+    /// unless speculation touches a node.
     cold: FxHashMap<(usize, usize), ColdNode>,
     records: Records,
     queue_trace: QueueTrace,
@@ -843,31 +839,18 @@ impl Exec {
                 continue;
             }
             for node in 0..self.mts[mt].nodes.len() {
-                let (skip, is_copy, in_transfer) = {
-                    let n = &self.mts[mt].nodes[node];
-                    (
-                        n.done() || n.cancelled() || n.op.fetch_from() != Some(src),
-                        n.is_copy(),
-                        n.net_phase == NetPhase::Transfer && n.running(),
-                    )
-                };
-                if skip {
+                let n = &self.mts[mt].nodes[node];
+                if n.done() || n.cancelled() || n.op.fetch_from() != Some(src) {
                     continue;
                 }
-                if is_copy {
+                if n.is_copy() {
                     self.cancel_node(mt, node);
                     continue;
                 }
-                if in_transfer && self.fabric.is_none() {
-                    // Park the in-flight receive stream: pull it out of the
-                    // receiver's allocator, remembering the bytes left (the
-                    // allocator reports the fraction left).
-                    let sid = stream_id(mt, node);
-                    if self.hosts[dst].contains(sid) {
-                        let rem = self.hosts[dst].remove(self.now, sid).unwrap_or(0.0);
-                        let bytes = rem * self.mts[mt].nodes[node].op.bytes;
-                        self.cold_mut(mt, node).parked_bytes = Some(bytes.max(1e-9));
-                    }
+                if self.fabric.is_none() {
+                    // Only an in-flight transfer has a stream on the
+                    // receiver; its allocator parks it with the bytes left.
+                    self.hosts[dst].park(self.now, stream_id(mt, node));
                 }
                 self.mark_stalled(mt, node);
             }
@@ -896,18 +879,7 @@ impl Exec {
                     continue;
                 }
                 self.rt.stop_stall((mt, node), self.now);
-                let parked = self
-                    .cold
-                    .get_mut(&(mt, node))
-                    .and_then(|c| c.parked_bytes.take());
-                if let Some(rem) = parked {
-                    let n_disks = self.hosts[dst].spec().disks.len();
-                    self.hosts[dst].insert(
-                        self.now,
-                        stream_id(mt, node),
-                        StreamDemand::rx_only(rem, n_disks),
-                    );
-                }
+                self.hosts[dst].unpark(self.now, stream_id(mt, node));
             }
         }
     }
@@ -1481,32 +1453,25 @@ impl Exec {
         self.mts[mt].nodes[node].set(RUNNING, true);
         let machine = self.mts[mt].machine;
         let from = self.mts[mt].nodes[node].op.fetch_from().expect("a fetch");
-        if self.rt.partitions_on() && self.rt.is_cut(from, machine) {
+        let cut = self.rt.partitions_on() && self.rt.is_cut(from, machine);
+        if cut {
             // Starting straight into a cut pair: begin the stall clock now.
             // Fabric transfers still enter the allocator (their class runs at
-            // rate 0 until heal); per-machine transfers park outright.
+            // rate 0 until heal); per-machine transfers are held parked.
             self.mark_stalled(mt, node);
-            if self.fabric.is_none() {
-                self.cold_mut(mt, node).parked_bytes = Some(bytes.max(1e-9));
-                return;
-            }
         }
+        let sid = stream_id(mt, node);
         if let Some(fabric) = &mut self.fabric {
-            fabric.insert(
-                self.now,
-                FlowId(stream_id(mt, node).0),
-                from,
-                machine,
-                bytes.max(1e-9),
-            );
+            fabric.insert(self.now, FlowId(sid.0), from, machine, bytes.max(1e-9));
             return;
         }
         let n_disks = self.hosts[machine].spec().disks.len();
-        self.hosts[machine].insert(
-            self.now,
-            stream_id(mt, node),
-            StreamDemand::rx_only(bytes.max(1e-9), n_disks),
-        );
+        let demand = StreamDemand::rx_only(bytes.max(1e-9), n_disks);
+        if cut {
+            self.hosts[machine].hold(sid, demand);
+        } else {
+            self.hosts[machine].insert(self.now, sid, demand);
+        }
     }
 
     /// A fluid stream finished: route by monotask kind and phase.
@@ -2003,8 +1968,7 @@ impl Exec {
             }
             _ => self.mts[mt].machine,
         };
-        if self.rt.alive[on] && self.hosts[on].contains(sid) {
-            self.hosts[on].remove(self.now, sid);
+        if self.rt.alive[on] && self.hosts[on].remove(self.now, sid).is_some() {
             self.release_slot(mt, node);
         }
     }
@@ -2147,11 +2111,11 @@ impl Exec {
 
     fn into_output(self, mut stats: SimStats) -> MonoRunOutput {
         debug_assert!(
-            self.spec_on || self.rt.partitions_on() || self.cold.capacity() == 0,
-            "cold node state written without speculation or partitions"
+            self.spec_on || self.cold.capacity() == 0,
+            "cold node state written without speculation"
         );
         let makespan = self.now;
-        let traces = self.hosts.into_output(&mut stats);
+        let traces = self.hosts.into_output(&self.rt.alive, &mut stats);
         if let Some(fabric) = &self.fabric {
             stats.merge(&fabric.stats());
         }

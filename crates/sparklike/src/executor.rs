@@ -153,13 +153,6 @@ struct TaskRun {
     /// or finishes late — the same full-requested-bytes-once-started rule
     /// the monotasks executor charges, so the two engines' waste compares.
     io_started: f64,
-    /// The in-flight phase, removed from the allocator while every byte of
-    /// it is unreachable: the demand scaled to the remaining fraction, ready
-    /// to re-insert on heal.
-    parked: Option<StreamDemand>,
-    /// Copy of the running phase's demand (kept only on partition runs) so
-    /// parking can scale it by the allocator's remaining fraction.
-    cur_demand: Option<StreamDemand>,
 }
 
 impl TaskRun {
@@ -218,23 +211,6 @@ fn aux_stream(tag: u64, n: u64) -> StreamId {
 
 fn decode(id: StreamId) -> (u64, u64) {
     (id.0 >> 56, id.0 & ((1 << 56) - 1))
-}
-
-/// `d` scaled to fraction `f`: the remaining work of a parked phase. The
-/// fraction is floored away from zero so the resumed stream always has
-/// demand left to complete on.
-fn scale_demand(d: &StreamDemand, f: f64) -> StreamDemand {
-    let f = f.max(1e-9);
-    let mut s = d.clone();
-    s.cpu *= f;
-    for x in &mut s.disk_read {
-        *x *= f;
-    }
-    for x in &mut s.disk_write {
-        *x *= f;
-    }
-    s.rx *= f;
-    s
 }
 
 /// Partition reachability gate, the runtime's [`dataflow::runtime::Gate`].
@@ -407,8 +383,7 @@ impl Exec {
     /// still needs bytes from `src` and starts its stall clock, keyed
     /// `(attempt, 0)` in the runtime's registry. The whole attempt blocks —
     /// a Spark reduce task cannot finish with one sender missing — so the
-    /// phase leaves the allocator with its remaining fraction saved for the
-    /// heal.
+    /// machine's allocator parks the phase with the work it has left.
     fn apply_cut(&mut self, src: usize, dst: usize) {
         if !self.rt.cut(src, dst) {
             return;
@@ -422,17 +397,7 @@ impl Exec {
                 continue;
             }
             let task = (t.job, t.stage, t.task);
-            if self.tasks[t_idx].parked.is_none() {
-                let sid = task_stream(t_idx, self.tasks[t_idx].phase());
-                if let Some(frac) = self.hosts[dst].remove(self.now, sid) {
-                    let demand = self.tasks[t_idx]
-                        .cur_demand
-                        .as_ref()
-                        .map(|d| scale_demand(d, frac))
-                        .expect("phase demand recorded on partition runs");
-                    self.tasks[t_idx].parked = Some(demand);
-                }
-            }
+            self.hosts[dst].park(self.now, task_stream(t_idx, t.phase()));
             self.rt.arm_stall((t_idx, 0), task, dst, None, self.now);
         }
     }
@@ -455,10 +420,7 @@ impl Exec {
             {
                 continue;
             }
-            if let Some(demand) = self.tasks[t_idx].parked.take() {
-                let sid = task_stream(t_idx, self.tasks[t_idx].phase());
-                self.hosts[dst].insert(self.now, sid, demand);
-            }
+            self.hosts[dst].unpark(self.now, task_stream(t_idx, t.phase()));
         }
     }
 
@@ -671,8 +633,6 @@ impl Exec {
             recompute,
             fetch_live: matches!(spec.input, InputSpec::ShuffleFetch { .. }),
             io_started: 0.0,
-            parked: None,
-            cur_demand: None,
         });
         self.machines[m].running += 1;
         self.rt.mark_started(ji, si, self.now);
@@ -752,9 +712,6 @@ impl Exec {
                 self.tasks[t_idx].io_started += demand.disk_read.iter().sum::<f64>()
                     + demand.disk_write.iter().sum::<f64>()
                     + demand.rx;
-                if self.rt.partitions_on() {
-                    self.tasks[t_idx].cur_demand = Some(demand.clone());
-                }
                 let phase = self.tasks[t_idx].phase();
                 self.hosts[machine].insert(self.now, task_stream(t_idx, phase), demand);
             }
@@ -921,9 +878,7 @@ impl Exec {
         self.rt.drop_stall((t_idx, 0));
         if self.rt.alive[machine] {
             let sid = task_stream(t_idx, self.tasks[t_idx].phase());
-            if self.hosts[machine].contains(sid) {
-                self.hosts[machine].remove(self.now, sid);
-            }
+            self.hosts[machine].remove(self.now, sid);
             self.scrub_flush_waiter(machine, t_idx);
             self.machines[machine].running -= 1;
         }
@@ -968,7 +923,7 @@ impl Exec {
 
     fn into_output(self, mut stats: SimStats) -> SparkRunOutput {
         let makespan = self.now;
-        let traces = self.hosts.into_output(&mut stats);
+        let traces = self.hosts.into_output(&self.rt.alive, &mut stats);
         let (jobs, instants) = self.rt.into_reports(&mut stats);
         SparkRunOutput {
             jobs,
@@ -1045,13 +1000,12 @@ impl Engine for Exec {
     }
 
     /// One clock per attempt: the merged fetch stalls, retries and re-plans
-    /// as a whole. Accumulates its stall time, drops its parked stream,
-    /// counts the re-plan and aborts the attempt.
+    /// as a whole. Accumulates its stall time, counts the re-plan and aborts
+    /// the attempt, whose teardown drops its parked stream.
     fn abort_stalled(&mut self, t_idx: usize) -> Result<(), RunError> {
         let ji = self.tasks[t_idx].job;
         let stalled = self.rt.drop_stalls(t_idx, self.now);
         self.rt.jobs[ji].recovery.stalled_fetch_seconds += stalled;
-        self.tasks[t_idx].parked = None;
         let (job, stage) = (ji as u32, self.tasks[t_idx].stage as u32);
         self.rt
             .record(self.now, InstantKind::FetchReplan { job, stage });
