@@ -11,8 +11,6 @@
 //! The other half of a run's trace, its fault and recovery instants, is
 //! `simcore::instant`'s: the job/stage runtime logs those as it decides.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime, UtilizationRecorder};
 
@@ -29,10 +27,18 @@ pub enum ResourceSel {
     Network,
 }
 
+/// One recorder with the pair it traces.
+type Keyed = ((MachineId, ResourceSel), UtilizationRecorder);
+
 /// Utilization recorders for every `(machine, resource)` pair.
+///
+/// Each machine's recorders form one list in [`ResourceSel`] order (CPU,
+/// disks by index, NIC), indexed by machine id. Once a machine has been
+/// snapshotted, each of its resources sits at a fixed position in that
+/// list, so recording a sample costs no search.
 #[derive(Debug, Default)]
 pub struct TraceSet {
-    traces: BTreeMap<(MachineId, ResourceSel), UtilizationRecorder>,
+    machines: Vec<Vec<Keyed>>,
 }
 
 /// Per-resource-class mean utilizations over a window, for one machine.
@@ -76,21 +82,40 @@ impl TraceSet {
 
     /// Records a single value.
     pub fn set(&mut self, now: SimTime, machine: MachineId, sel: ResourceSel, value: f64) {
-        self.traces
-            .entry((machine, sel))
-            .or_default()
-            .set(now, value);
+        if self.machines.len() <= machine.0 {
+            self.machines.resize_with(machine.0 + 1, Vec::new);
+        }
+        let recs = &mut self.machines[machine.0];
+        // Where `sel` sits once a snapshot has recorded every resource.
+        let slot = match sel {
+            ResourceSel::Cpu => 0,
+            ResourceSel::Disk(d) => d.saturating_add(1),
+            ResourceSel::Network => recs.len().saturating_sub(1),
+        };
+        let i = match recs.get(slot) {
+            Some(((_, s), _)) if *s == sel => slot,
+            _ => match recs.binary_search_by_key(&sel, |((_, s), _)| *s) {
+                Ok(i) => i,
+                Err(i) => {
+                    recs.insert(i, ((machine, sel), UtilizationRecorder::new()));
+                    i
+                }
+            },
+        };
+        recs[i].1.set(now, value);
     }
 
     /// The recorder for a `(machine, resource)` pair, if it has samples.
     pub fn recorder(&self, machine: MachineId, sel: ResourceSel) -> Option<&UtilizationRecorder> {
-        self.traces.get(&(machine, sel))
+        let recs = self.machines.get(machine.0)?;
+        let i = recs.binary_search_by_key(&sel, |((_, s), _)| *s).ok()?;
+        Some(&recs[i].1)
     }
 
     /// Every `(machine, resource)` recorder, in deterministic key order.
     /// Powers the trace exporter's utilization counter tracks.
     pub fn iter(&self) -> impl Iterator<Item = (&(MachineId, ResourceSel), &UtilizationRecorder)> {
-        self.traces.iter()
+        self.machines.iter().flatten().map(|(key, rec)| (key, rec))
     }
 
     /// Second-by-second (or any interval) utilization series for one
@@ -140,9 +165,10 @@ impl TraceSet {
 
     /// Machines with at least one recorded sample.
     pub fn machines(&self) -> Vec<MachineId> {
-        let mut ids: Vec<MachineId> = self.traces.keys().map(|(m, _)| *m).collect();
-        ids.dedup();
-        ids
+        self.machines
+            .iter()
+            .filter_map(|recs| recs.first().map(|((m, _), _)| *m))
+            .collect()
     }
 
     /// `(most, second)` utilized class means for every machine over a window
@@ -222,6 +248,37 @@ mod tests {
         assert!((most - 0.9).abs() < 1e-9);
         // Disk class = busiest disk (0.6).
         assert!((second - 0.6).abs() < 1e-9);
+    }
+
+    /// The per-machine lists keep `(machine, resource)` key order, and
+    /// report only pairs that were set, whatever order the sets come in.
+    #[test]
+    fn recorders_iterate_in_key_order_whatever_the_set_order() {
+        use ResourceSel::{Cpu, Disk, Network};
+        let sets = [
+            (2, Network),
+            (0, Disk(1)),
+            (2, Cpu),
+            (0, Network),
+            (0, Disk(0)),
+            (0, Cpu),
+            (2, Disk(0)),
+            (0, Disk(1)),
+        ];
+        let mut ts = TraceSet::new();
+        for (m, sel) in sets {
+            ts.set(t(0), MachineId(m), sel, 0.5);
+        }
+        let keys: Vec<_> = ts.iter().map(|(k, _)| *k).collect();
+        let mut want: Vec<_> = sets.iter().map(|&(m, s)| (MachineId(m), s)).collect();
+        want.sort();
+        want.dedup();
+        assert_eq!(keys, want);
+        assert_eq!(ts.machines(), vec![MachineId(0), MachineId(2)]);
+        assert!(ts.recorder(MachineId(0), Disk(1)).is_some());
+        assert!(ts.recorder(MachineId(1), Cpu).is_none());
+        assert!(ts.recorder(MachineId(2), Disk(1)).is_none());
+        assert!(ts.recorder(MachineId(9), Cpu).is_none());
     }
 
     #[test]

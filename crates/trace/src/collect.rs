@@ -3,11 +3,11 @@
 //! Both builders only group their run's spans into tracks; one layout
 //! function turns the tracks, utilization recorders and instants into the
 //! document. It walks everything in a fixed order (spans in record order,
-//! tracks and recorders in `BTreeMap` key order, instants in collection
-//! order), so the same run output always yields the same document and
-//! therefore — via [`TraceDoc::to_json`] — the same bytes.
+//! tracks by process and tid base, recorders in `(machine, resource)` order,
+//! instants in collection order), so the same run output always yields the
+//! same document and therefore — via [`TraceDoc::to_json`] — the same bytes.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
@@ -17,7 +17,7 @@ use monotasks_core::{MonoRunOutput, MonotaskRecord, Purpose};
 use simcore::ResourceKind;
 use sparklike::{SparkRunOutput, TaskRecord};
 
-use crate::chrome::{assign_lanes, Arg, Event, TraceDoc};
+use crate::chrome::{assign_lanes, u64_into, Arg, Event, TraceDoc};
 
 /// Machine processes get pids `100 + machine`; the sort index keeps them in
 /// machine order above the job processes.
@@ -26,13 +26,13 @@ const MACHINE_PID_BASE: u64 = 100;
 const JOB_PID_BASE: u64 = 100_000;
 /// Per-machine `events` track (fault instants).
 const EVENTS_TID: u64 = 1;
-/// Lane tid bases per resource class within a machine process.
-const CPU_TID_BASE: u64 = 100;
-const DISK_TID_BASE: u64 = 300;
-const NET_TID_BASE: u64 = 600;
+/// Each resource class's span category and lane tid base within a machine
+/// process, indexed by [`class_index`].
+const CLASSES: [(&str, u64); 3] = [("cpu", 100), ("disk", 300), ("net", 600)];
 /// Spark task-span lanes within a machine process.
 const TASK_TID_BASE: u64 = 100;
-/// Stage track tids within a job process: `STAGE_TID_BASE * (stage+1) + lane`.
+/// Stage track tids within a job process: `STAGE_TID_BASE * (stage+1) + lane`
+/// while every earlier stage's lanes fit below that base.
 const STAGE_TID_BASE: u64 = 1_000;
 
 /// `(first monotask start, last monotask end, monotask count)` for one task.
@@ -96,12 +96,27 @@ fn purpose_label(p: Purpose) -> &'static str {
     }
 }
 
-fn class_of(r: ResourceKind) -> (&'static str, u64) {
+fn class_index(r: ResourceKind) -> usize {
     match r {
-        ResourceKind::Cpu => ("cpu", CPU_TID_BASE),
-        ResourceKind::Disk => ("disk", DISK_TID_BASE),
-        ResourceKind::Network => ("net", NET_TID_BASE),
+        ResourceKind::Cpu => 0,
+        ResourceKind::Disk => 1,
+        ResourceKind::Network => 2,
     }
+}
+
+/// `label` followed by each `(separator, id)` pair. Span names are the
+/// document's most numerous strings, so each is written without the
+/// formatting machinery into an allocation of exactly its length.
+fn span_name(label: &str, ids: &[(&str, u32)]) -> String {
+    let digits = |id: u32| id.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let len: usize = ids.iter().map(|&(sep, id)| sep.len() + digits(id)).sum();
+    let mut name = String::with_capacity(label.len() + len);
+    name.push_str(label);
+    for &(sep, id) in ids {
+        name.push_str(sep);
+        u64_into(&mut name, u64::from(id));
+    }
+    name
 }
 
 fn sel_counter_name(sel: ResourceSel) -> String {
@@ -194,7 +209,9 @@ fn instant_args(kind: &InstantKind) -> Vec<(&'static str, Arg)> {
 type SpanBody = (String, &'static str, Vec<(&'static str, Arg)>);
 
 /// One span track: spans greedily packed into non-overlapping lanes
-/// `tid_base + n` of process `pid`, lane `n` named `"{label} lane {n}"`.
+/// `base + n` of process `pid`, lane `n` named `"{label} lane {n}"`. `base`
+/// is `tid_base`, or the first tid past the lanes of the process's earlier
+/// tracks if they reach it.
 struct Track<'a> {
     pid: u64,
     tid_base: u64,
@@ -217,7 +234,8 @@ struct Track<'a> {
 /// on the owning job's `recovery` thread.
 ///
 /// Tracks are drawn one at a time, so only one track's windows and lanes
-/// are alive at once.
+/// are alive at once. No two tracks share a tid: a track whose process's
+/// earlier lanes reach past its tid base starts after them instead.
 fn layout<'a>(
     jobs: &[JobReport],
     machines: impl IntoIterator<Item = usize>,
@@ -245,17 +263,22 @@ fn layout<'a>(
     }
 
     let mut lane_names: BTreeMap<(u64, u64), String> = BTreeMap::new();
+    // The first tid past each process's lanes so far.
+    let mut next_tid: BTreeMap<u64, u64> = BTreeMap::new();
     for t in tracks {
         let lanes = assign_lanes(&t.windows);
+        let count = lanes.iter().max().map_or(0, |&l| l as u64 + 1);
+        let next = next_tid.entry(t.pid).or_insert(0);
+        let base = t.tid_base.max(*next);
+        *next = base + count;
+        for lane in 0..count {
+            lane_names.insert((t.pid, base + lane), format!("{} lane {lane}", t.label));
+        }
         for (k, (&(start, end), lane)) in t.windows.iter().zip(lanes).enumerate() {
-            let tid = t.tid_base + lane as u64;
-            lane_names
-                .entry((t.pid, tid))
-                .or_insert_with(|| format!("{} lane {lane}", t.label));
             let (name, cat, args) = (t.span)(k);
             events.push(Event::Span {
                 pid: t.pid,
-                tid,
+                tid: base + lane as u64,
                 name,
                 cat,
                 ts_ns: start,
@@ -307,55 +330,61 @@ fn layout<'a>(
 /// end.
 pub fn mono_doc(out: &MonoRunOutput) -> TraceDoc {
     let recs: &[MonotaskRecord] = &out.records;
-    let mut by_track: BTreeMap<(usize, u64, &'static str), Vec<usize>> = BTreeMap::new();
-    let mut by_stage: BTreeMap<(u32, u32), BTreeMap<u32, TaskWindow>> = BTreeMap::new();
+    // Per machine, each resource class's records; per stage, each task's
+    // window, indexed by task id (a task with no monotask has count 0).
+    let mut by_machine: Vec<[Vec<usize>; 3]> = Vec::new();
+    let mut by_stage: BTreeMap<(u32, u32), Vec<TaskWindow>> = BTreeMap::new();
     for (i, r) in recs.iter().enumerate() {
-        let (cat, tid_base) = class_of(r.resource);
-        by_track
-            .entry((r.machine, tid_base, cat))
-            .or_default()
-            .push(i);
+        if by_machine.len() <= r.machine {
+            by_machine.resize_with(r.machine + 1, Default::default);
+        }
+        by_machine[r.machine][class_index(r.resource)].push(i);
         let mt = r.multitask;
-        let w = by_stage
-            .entry((mt.job.0, mt.stage.0))
-            .or_default()
-            .entry(mt.task.0)
-            .or_insert((u64::MAX, 0, 0));
+        let tasks = by_stage.entry((mt.job.0, mt.stage.0)).or_default();
+        let task = mt.task.0 as usize;
+        if tasks.len() <= task {
+            tasks.resize(task + 1, (u64::MAX, 0, 0));
+        }
+        let w = &mut tasks[task];
         w.0 = w.0.min(r.started.0);
         w.1 = w.1.max(r.ended.0);
         w.2 += 1;
     }
 
-    let machines: BTreeSet<usize> = by_track.keys().map(|&(m, _, _)| m).collect();
-    let machine_tracks = by_track
+    let machines: Vec<usize> = (0..by_machine.len())
+        .filter(|&m| by_machine[m].iter().any(|idxs| !idxs.is_empty()))
+        .collect();
+    let machine_tracks = by_machine
         .into_iter()
-        .map(|((machine, tid_base, cat), idxs)| Track {
-            pid: MACHINE_PID_BASE + machine as u64,
-            tid_base,
-            label: cat.into(),
-            windows: idxs
-                .iter()
-                .map(|&i| (recs[i].started.0, recs[i].ended.0))
-                .collect(),
-            span: Box::new(move |k| {
-                let r = &recs[idxs[k]];
-                let mt = r.multitask;
-                let name = format!(
-                    "{} j{}s{}t{}",
-                    purpose_label(r.purpose),
-                    mt.job.0,
-                    mt.stage.0,
-                    mt.task.0
-                );
-                let args = vec![
-                    ("bytes", Arg::F64(r.bytes)),
-                    ("queue_s", Arg::F64(r.queue_secs())),
-                ];
-                (name, cat, args)
-            }),
+        .enumerate()
+        .flat_map(|(machine, classes)| {
+            classes
+                .into_iter()
+                .zip(CLASSES)
+                .filter(|(idxs, _)| !idxs.is_empty())
+                .map(move |(idxs, (cat, tid_base))| Track {
+                    pid: MACHINE_PID_BASE + machine as u64,
+                    tid_base,
+                    label: cat.into(),
+                    windows: idxs
+                        .iter()
+                        .map(|&i| (recs[i].started.0, recs[i].ended.0))
+                        .collect(),
+                    span: Box::new(move |k| {
+                        let r = &recs[idxs[k]];
+                        let mt = r.multitask;
+                        let ids = [(" j", mt.job.0), ("s", mt.stage.0), ("t", mt.task.0)];
+                        let args = vec![
+                            ("bytes", Arg::F64(r.bytes)),
+                            ("queue_s", Arg::F64(r.queue_secs())),
+                        ];
+                        (span_name(purpose_label(r.purpose), &ids), cat, args)
+                    }),
+                })
         });
     let stage_tracks = by_stage.into_iter().map(|((job, stage), tasks)| {
-        let tasks: Vec<(u32, TaskWindow)> = tasks.into_iter().collect();
+        let tasks: Vec<(u32, TaskWindow)> =
+            (0..).zip(tasks).filter(|&(_, (_, _, n))| n > 0).collect();
         Track {
             pid: JOB_PID_BASE + job as u64,
             tid_base: STAGE_TID_BASE * (stage as u64 + 1),
@@ -364,7 +393,7 @@ pub fn mono_doc(out: &MonoRunOutput) -> TraceDoc {
             span: Box::new(move |k| {
                 let (task, (_, _, n)) = tasks[k];
                 let args = vec![("monotasks", Arg::U64(n as u64))];
-                (format!("task {task}"), "task", args)
+                (span_name("task", &[(" ", task)]), "task", args)
             }),
         }
     });
@@ -401,14 +430,17 @@ pub fn spark_doc(out: &SparkRunOutput) -> TraceDoc {
     let machine_tracks = by_machine.into_iter().map(|(machine, idxs)| {
         let pid = MACHINE_PID_BASE + machine as u64;
         track(pid, TASK_TID_BASE, "slot".into(), idxs, |t| {
-            format!("task j{}s{}t{}", t.job.0, t.stage.0, t.task.0)
+            span_name(
+                "task",
+                &[(" j", t.job.0), ("s", t.stage.0), ("t", t.task.0)],
+            )
         })
     });
     let stage_tracks = by_stage.into_iter().map(|((job, stage), idxs)| {
         let pid = JOB_PID_BASE + job as u64;
         let tid_base = STAGE_TID_BASE * (stage as u64 + 1);
         track(pid, tid_base, format!("stage {stage}"), idxs, |t| {
-            format!("task {}", t.task.0)
+            span_name("task", &[(" ", t.task.0)])
         })
     });
     let tracks = machine_tracks.chain(stage_tracks);
@@ -425,4 +457,74 @@ pub fn write_doc(doc: &TraceDoc, path: &Path) -> io::Result<()> {
         }
     }
     std::fs::write(path, doc.to_json())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dataflow::{JobId, StageId, TaskId};
+    use simcore::{SimStats, SimTime};
+
+    /// A stage with more concurrent tasks than the 1000 tids between two
+    /// stage bases. Its lanes reach past the next stage's base, so the next
+    /// stage starts after them; no tid carries spans of two stages.
+    #[test]
+    fn a_stage_wider_than_the_tid_stride_pushes_the_next_stage_up() {
+        let (early, late) = (SimTime::from_secs(0), SimTime::from_secs(10));
+        let task = |stage: u32, task: u32, start: SimTime, end: SimTime| TaskRecord {
+            job: JobId(0),
+            stage: StageId(stage),
+            task: TaskId(task),
+            machine: task as usize % 150,
+            start,
+            end,
+        };
+        // 1200 concurrent tasks in stage 0, then 3 in stage 1.
+        let mut tasks: Vec<TaskRecord> = (0..1200).map(|t| task(0, t, early, late)).collect();
+        tasks.extend((0..3).map(|t| task(1, t, late, SimTime::from_secs(20))));
+        let out = SparkRunOutput {
+            jobs: vec![JobReport {
+                job: JobId(0),
+                name: "wide".into(),
+                start: early,
+                end: SimTime::from_secs(20),
+                stages: Vec::new(),
+                recovery: Default::default(),
+            }],
+            tasks,
+            traces: TraceSet::new(),
+            makespan: SimTime::from_secs(20),
+            stats: SimStats::default(),
+            instants: Vec::new(),
+        };
+        let doc = spark_doc(&out);
+
+        let mut labels: BTreeMap<(u64, u64), Vec<&str>> = BTreeMap::new();
+        for e in &doc.events {
+            if let Event::ThreadName { pid, tid, name } = e {
+                labels.entry((*pid, *tid)).or_default().push(name);
+            }
+        }
+        assert!(labels.values().all(|l| l.len() == 1), "a tid named twice");
+        let named = |pid: u64, tid: u64| labels[&(pid, tid)][0];
+        let first = labels.iter().find(|(_, l)| l[0] == "stage 1 lane 0");
+        assert_eq!(first.map(|(k, _)| *k), Some((JOB_PID_BASE, 2_200)));
+        // Every job-process span sits on a lane of its own stage: stage 0's
+        // spans start at 0 s, stage 1's at 10 s.
+        for e in &doc.events {
+            if let Event::Span {
+                pid, tid, ts_ns, ..
+            } = e
+            {
+                if *pid == JOB_PID_BASE {
+                    let stage = if *ts_ns == early.0 {
+                        "stage 0 "
+                    } else {
+                        "stage 1 "
+                    };
+                    assert!(named(*pid, *tid).starts_with(stage), "tid {tid}");
+                }
+            }
+        }
+    }
 }

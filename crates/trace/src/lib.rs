@@ -29,10 +29,10 @@
 //!   `recovery` track of retry/speculation/invalidation instants.
 //!
 //! Everything is serialized with a fixed field order, nanosecond-exact
-//! timestamps (`µs.nnn` strings built from integer arithmetic), and `f64`
-//! values printed by Rust's deterministic shortest-round-trip formatter, so
-//! identical runs produce byte-identical files — which the golden-trace
-//! snapshot tests assert.
+//! timestamps (`µs.nnn` strings built from integer arithmetic), and
+//! non-integral `f64` values printed by Rust's deterministic
+//! shortest-round-trip formatter, so identical runs produce byte-identical
+//! files — which the golden-trace snapshot tests assert.
 //!
 //! [Chrome Trace Event]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //! [Perfetto]: https://ui.perfetto.dev

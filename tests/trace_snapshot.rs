@@ -119,3 +119,64 @@ fn spark_trace_matches_golden() {
     mt_trace::validate_chrome_json(&json).expect("golden trace must be loadable");
     check_golden(GOLDEN_SPARK, &json);
 }
+
+/// FNV-1a, 64-bit: a dependency-free content hash for the pins below.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The two documents `trace_export --machines 40 --points 0,1` writes:
+/// the fault-free run and the seed-42, intensity-1 faulty run of the
+/// 40-machine sort, each with instant collection armed. Returns
+/// `(fault-free json, faulty json)`.
+fn whatif_docs() -> (String, String) {
+    let machines = 40;
+    let cl = ClusterSpec::new(machines, MachineSpec::m2_4xlarge());
+    let (job, blocks) = workloads::sort_job(&workloads::SortConfig::new(
+        2.0 * machines as f64,
+        10,
+        machines,
+        2,
+    ));
+    let cfg = MonoConfig {
+        trace_path: Some(std::path::PathBuf::from("unused.json")),
+        ..MonoConfig::default()
+    };
+    let base = monotasks_core::run(&cl, &[(job.clone(), blocks.clone())], &cfg);
+    let plan = workloads::sweep_plan(
+        42,
+        &cl,
+        base.makespan.as_secs_f64(),
+        job.stages.len(),
+        job.stages[0].tasks.len(),
+        1.0,
+    );
+    let faulty = monotasks_core::run_with_faults(&cl, &[(job, blocks)], &cfg, &plan)
+        .expect("faulty run completes");
+    (
+        mt_trace::mono_doc(&base).to_json(),
+        mt_trace::mono_doc(&faulty).to_json(),
+    )
+}
+
+/// The 40-machine what-if documents keep their exact content. The
+/// benchmark's gate compares only each document's length, so a trace-layer
+/// change that keeps every length but moves a byte fails here alone.
+/// Re-record the pins only from the parent commit's unmodified source.
+#[test]
+fn whatif_documents_keep_their_content() {
+    let (free, faulty) = whatif_docs();
+    let pin = |json: &str| (json.len(), fnv1a64(json.as_bytes()));
+    assert_eq!(
+        pin(&free),
+        (10_044_390, 0x3d6e_e880_31be_00dc),
+        "fault-free document"
+    );
+    assert_eq!(
+        pin(&faulty),
+        (9_837_329, 0x838e_ec9f_3113_0087),
+        "faulty document"
+    );
+}
